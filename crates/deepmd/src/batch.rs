@@ -1,59 +1,64 @@
-//! Batched multi-replica inference (the serving path).
+//! The mixed-precision force pipeline, over any number of systems.
 //!
-//! [`DpEngine::energy_forces_batched`] evaluates R independent systems
-//! ("jobs" — one per replica of the batch scheduler in `dpmd-serve`) through
-//! one engine, fusing work that the solo path pays per call:
+//! [`DpEngine::evaluate`] is the only `Mix32`/`Mix16` force evaluation in
+//! the workspace: [`DpEngine::energy_forces`] (and through it the
+//! [`minimd::potential::Potential`] adapter) feeds it one job, the
+//! schedulers in `dpmd-serve` feed it one job per running tenant. It
 //!
-//! * the **embedding pass** stacks every (job, atom, neighbour) entry of the
-//!   same neighbour species into one matrix and runs each layer's value and
-//!   tangent matvecs as [`nnet::gemm`] batched calls, with one fused
-//!   transcendental per activation ([`nnet::activation::Activation::value_grad_f32`]) instead
-//!   of the solo path's two;
-//! * the **fitting pass** stacks every (job, atom) descriptor row of the same
-//!   central species into one matrix and runs each layer (forward and
-//!   backward) as a single [`nnet::gemm`] batched call — the paper's
-//!   type-sorted batching, applied across replicas.
+//! 1. builds each job's environments (`crate::descriptor`);
+//! 2. cuts the work into **tiles** — `(job, atom range)` for every range of
+//!    [`dpmd_threads::atom_chunks`]`(nlocal)`, in job-then-chunk order;
+//! 3. runs the **embedding pass** as one `pool.scope` over all tiles of all
+//!    jobs: per atom, the environment's same-species entries stack into one
+//!    GEMM pair per layer (`DpEngine::embed_atom32`);
+//! 4. runs the **fitting pass** as a second `pool.scope` over the same
+//!    tiles: a tile groups its atoms by central species, stacks their
+//!    descriptor rows and runs the fitting net forward and backward as one
+//!    GEMM per layer and direction (`Fit32::value_grad_rows` — the paper's
+//!    type-sorted batching at the granularity of the few atoms one core
+//!    owns), then walks its atoms in atom order through the chain rule,
+//!    scattering f64 forces into the tile's own buffer;
+//! 5. merges tiles into their job's outputs in tile order.
 //!
-//! The hard correctness bar is **bitwise determinism**: batching changes
-//! *when* GEMMs run, never *what* they compute. Three properties make that
-//! hold, each enforced by a test:
+//! Tiles of different jobs share the two scopes, so a pool stays busy on a
+//! round of many small tenants; nothing is stacked *across* jobs (on this
+//! kernel set a tile's 8–14 rows already run at large-M throughput).
 //!
-//! 1. every NN kernel produces output rows that depend only on the matching
-//!    input row, folded ascending-k from a zero accumulator with one
-//!    rounding per add (`nnet::gemm` module notes) — so stacking rows
-//!    across replicas is invisible, and the solo path's *bias-seeded*
-//!    accumulation is reproduced exactly by augmenting each stacked row
-//!    with a leading 1 against `[bias ; W]` (`0 + 1·b` is `b`, bit for
-//!    bit, for every finite non-zero bias);
-//! 2. activations use [`nnet::activation::Activation::value_grad_f32`], whose contract is
-//!    bitwise equality with the solo path's separate `apply_f32` +
-//!    `derivative` calls;
-//! 3. all order-dependent f64 accumulations (per-atom energy sums, force
-//!    scatter, virial) run per job in exactly the solo pass structure:
-//!    [`dpmd_threads::atom_chunks`] chunks merged in chunk order.
+//! **Bitwise determinism** — a job's energy, virial and forces do not
+//! depend on the pool width, on which other jobs share the call, or on its
+//! position among them — rests on two properties:
 //!
-//! `tests/batch_determinism.rs` checks the end-to-end consequence: replica
-//! trajectories bit-identical solo vs. batched at any batch size and thread
-//! count.
+//! 1. *Row independence.* Every NN kernel produces output rows that depend
+//!    only on the matching input row, folded ascending-k from a zero
+//!    accumulator (`nnet::gemm` module notes); bias, activation and resnet
+//!    apply per row. How rows are grouped into GEMM calls is therefore
+//!    invisible. (The embedding GEMMs reproduce a bias-*seeded* fold by
+//!    augmenting each row with a leading 1 against `[bias ; W]`: `0 + 1·b`
+//!    is `b` bit for bit.)
+//! 2. *Fixed tile and merge order.* The tiling is a function of each job's
+//!    atom count alone; every order-dependent f64 accumulation (per-atom
+//!    energies, force scatter, virial) runs inside one tile in atom order,
+//!    and tiles fold into their job in chunk order on the calling thread.
+//!
+//! `tests/batch_determinism.rs` and `tests/determinism.rs` check the
+//! end-to-end consequence: trajectories bit-identical at any batch size and
+//! thread count.
+
+use std::ops::Range;
 
 use dpmd_obs::clock::wall_now;
-
 use dpmd_threads::atom_chunks;
 use minimd::atoms::Atoms;
 use minimd::neighbor::NeighborList;
 use minimd::potential::{ForcePhases, PotentialOutput};
 use minimd::simbox::SimBox;
 use minimd::vec3::Vec3;
-use nnet::f16::F16;
-use nnet::gemm;
-use nnet::layers::Resnet;
 use nnet::precision::Precision;
-use nnet::stats::PrecClass;
 
-use crate::descriptor::build_environments_on;
-use crate::engine::{AtomEmbed32, DpEngine, Fit32};
+use crate::descriptor::{build_environments_on, Environment};
+use crate::engine::{AtomEmbed32, DpEngine, EmbScratch, TileOut};
 
-/// One replica's force evaluation request: borrowed system state plus the
+/// One system's force evaluation request: borrowed system state plus the
 /// (caller-zeroed) force buffer to accumulate into.
 pub struct BatchJob<'a> {
     /// Atom storage (positions/types read; forces are NOT written here —
@@ -68,252 +73,75 @@ pub struct BatchJob<'a> {
     pub forces: &'a mut [Vec3],
 }
 
-/// What a batched evaluation did, for metrics and the bench.
+/// What an evaluation did, for metrics and the bench.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchEvalStats {
     /// Jobs evaluated.
     pub jobs: usize,
-    /// Batched GEMM calls issued by the fused embedding + fitting passes.
+    /// Stacked fitting-net GEMM calls: one per layer and direction for
+    /// every (tile, central species) pair that holds at least one atom.
     pub fused_gemms: u64,
-    /// Total rows stacked into those calls (rows ÷ calls = mean occupancy).
+    /// Total rows (atoms) stacked into those calls (rows ÷ calls = mean
+    /// atoms of one species per tile).
     pub fused_rows: u64,
-    /// Jobs routed to the solo path (the `Double` reference path has no
-    /// f32 batching and falls back per job).
+    /// Jobs delegated to the f64 reference model (`Precision::Double`).
     pub solo_fallbacks: u64,
-    /// Aggregate phase breakdown across the whole batch (per-replica wall
-    /// time is not separable once the passes are fused).
+    /// Wall time of each pass over the whole call (per-job wall time is not
+    /// separable: tiles of all jobs share the passes).
     pub phases: ForcePhases,
 }
 
-/// Reusable buffers for [`DpEngine::energy_forces_batched_with`]. One
-/// workspace amortizes the multi-hundred-kilobyte stacked intermediates of
-/// the fused passes across scheduler rounds: without it, every round pays
-/// allocator round-trips — and, for the larger buffers, fresh `mmap` pages —
-/// for memory whose shape barely changes step to step.
-///
-/// Reuse is bitwise-invisible by construction: a pooled buffer is handed out
-/// zero-filled ([`take32`](Self)'s `clear` + `resize`), exactly like the
-/// `vec![0.0; n]` it replaces.
+/// Retained for the callers that thread one through
+/// [`DpEngine::energy_forces_batched_with`]; holds nothing — every
+/// intermediate of an evaluation is tile-local and dropped with its tile.
 #[derive(Default)]
-pub struct BatchWorkspace {
-    pool32: Vec<Vec<f32>>,
-    pool64: Vec<Vec<f64>>,
-    pool16: Vec<Vec<F16>>,
-    embeds: Vec<Vec<AtomEmbed32>>,
-    locs: Vec<(u32, u32, u32)>,
-    row_of: Vec<(usize, usize)>,
-}
+pub struct BatchWorkspace;
 
 impl BatchWorkspace {
-    /// An empty workspace; buffers grow on first use.
+    /// A workspace.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn take32(&mut self, n: usize) -> Vec<f32> {
-        let mut v = self.pool32.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put32(&mut self, v: Vec<f32>) {
-        if v.capacity() > 0 {
-            self.pool32.push(v);
-        }
-    }
-
-    fn take64(&mut self, n: usize) -> Vec<f64> {
-        let mut v = self.pool64.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put64(&mut self, v: Vec<f64>) {
-        if v.capacity() > 0 {
-            self.pool64.push(v);
-        }
-    }
-
-    fn take16(&mut self, n: usize) -> Vec<F16> {
-        let mut v = self.pool16.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, F16::from_f32(0.0));
-        v
-    }
-
-    fn put16(&mut self, v: Vec<F16>) {
-        if v.capacity() > 0 {
-            self.pool16.push(v);
-        }
+        BatchWorkspace
     }
 }
 
-/// Forward + backward of one fitting net over `rows` stacked descriptor
-/// rows. Row `r` of the outputs is bitwise what `Fit32::energy_and_grad`
-/// returns for row `r` alone: the batched GEMMs are row-independent and the
-/// bias/activation/resnet ops replay the solo order per row.
-fn fit_batched(
-    fit: &Fit32,
-    rows: usize,
-    d_stacked: Vec<f32>,
-    f16_first: bool,
-    eng: &DpEngine,
-    stats: &mut BatchEvalStats,
-    ws: &mut BatchWorkspace,
-) -> (Vec<f32>, Vec<f32>) {
-    let tally = eng.obs.as_ref().map(|o| &o.gemm);
-    let nl = fit.layers.len();
-    let mut xs: Vec<Vec<f32>> = Vec::with_capacity(nl + 1); // dpmd-allow D7: per-batch tape of stacked layer activations, amortized over all rows
-    xs.push(d_stacked);
-    // Per-layer activation-derivative factors, kept from the forward pass
-    // (`value_grad_f32` shares the transcendental) so the backward pass
-    // does none — bitwise equal to the solo path's recomputation.
-    let mut dfacs: Vec<Vec<f64>> = Vec::with_capacity(nl); // dpmd-allow D7: per-batch tape of activation-derivative factors, amortized over all rows
-    for (li, (w, _, b, act, resnet, ind, outd)) in fit.layers.iter().enumerate() {
-        let x = xs.last().unwrap();
-        let mut pre = ws.take32(rows * outd);
-        if li == 0 && f16_first {
-            let mut x16 = ws.take16(x.len());
-            for (d, &s) in x16.iter_mut().zip(x.iter()) {
-                *d = F16::from_f32(s);
-            }
-            gemm::batched_nn_f16(rows, 1, *outd, *ind, &x16, &fit.w16_first, &mut pre);
-            ws.put16(x16);
-            if let Some(t) = tally {
-                t.record(rows, *outd, *ind, PrecClass::F16);
-            }
-        } else {
-            gemm::batched_nn_f32(rows, 1, *outd, *ind, x, w, &mut pre);
-            if let Some(t) = tally {
-                t.record(rows, *outd, *ind, PrecClass::F32);
-            }
-        }
-        stats.fused_gemms += 1;
-        stats.fused_rows += rows as u64;
-        let mut out = ws.take32(rows * outd);
-        let mut dfac = ws.take64(rows * outd);
-        for r in 0..rows {
-            let prer = &mut pre[r * outd..(r + 1) * outd];
-            for (p, &bb) in prer.iter_mut().zip(b) {
-                *p += bb;
-            }
-            let outr = &mut out[r * outd..(r + 1) * outd];
-            let dfr = &mut dfac[r * outd..(r + 1) * outd];
-            for ((o, d), &p) in outr.iter_mut().zip(dfr.iter_mut()).zip(prer.iter()) {
-                let (v, df) = act.value_grad_f32(p);
-                *o = v;
-                *d = df;
-            }
-            match resnet {
-                Resnet::None => {}
-                Resnet::Identity => {
-                    let xr = &x[r * ind..(r + 1) * ind];
-                    for i in 0..*ind {
-                        outr[i] += xr[i];
-                    }
-                }
-                Resnet::Doubling => {
-                    let xr = &x[r * ind..(r + 1) * ind];
-                    for i in 0..*ind {
-                        outr[i] += xr[i];
-                        outr[i + ind] += xr[i];
-                    }
-                }
-            }
-        }
-        ws.put32(pre);
-        dfacs.push(dfac);
-        xs.push(out);
-    }
-    // The last layer is 1-wide: its activations are the per-row energies.
-    let energies = xs.pop().unwrap();
-
-    // Backward with unit cotangent per row.
-    let mut g = ws.take32(rows);
-    g.fill(1.0);
-    for (li, (_, wt, _, _act, resnet, ind, outd)) in fit.layers.iter().enumerate().rev() {
-        let dfac = &dfacs[li];
-        let mut dpre = ws.take32(rows * outd);
-        for r in 0..rows {
-            for o in 0..*outd {
-                dpre[r * outd + o] = g[r * outd + o] * (dfac[r * outd + o] as f32);
-            }
-        }
-        let mut dx = ws.take32(rows * ind);
-        if li == 0 && f16_first {
-            let mut dpre16 = ws.take16(dpre.len());
-            for (d, &s) in dpre16.iter_mut().zip(dpre.iter()) {
-                *d = F16::from_f32(s);
-            }
-            gemm::batched_nn_f16(rows, 1, *ind, *outd, &dpre16, &fit.wt16_first, &mut dx);
-            ws.put16(dpre16);
-            if let Some(t) = tally {
-                t.record(rows, *ind, *outd, PrecClass::F16);
-            }
-        } else {
-            gemm::batched_nn_f32(rows, 1, *ind, *outd, &dpre, wt, &mut dx);
-            if let Some(t) = tally {
-                t.record(rows, *ind, *outd, PrecClass::F32);
-            }
-        }
-        stats.fused_gemms += 1;
-        stats.fused_rows += rows as u64;
-        match resnet {
-            Resnet::None => {}
-            Resnet::Identity => {
-                for r in 0..rows {
-                    for i in 0..*ind {
-                        dx[r * ind + i] += g[r * outd + i];
-                    }
-                }
-            }
-            Resnet::Doubling => {
-                for r in 0..rows {
-                    for i in 0..*ind {
-                        dx[r * ind + i] += g[r * outd + i] + g[r * outd + i + ind];
-                    }
-                }
-            }
-        }
-        ws.put32(std::mem::replace(&mut g, dx));
-        ws.put32(dpre);
-    }
-    for v in xs {
-        ws.put32(v);
-    }
-    for v in dfacs {
-        ws.put64(v);
-    }
-    (energies, g)
+/// One unit of pool work: an [`atom_chunks`] range of one job, carrying its
+/// intermediates from the embedding pass to the fitting pass to the merge.
+struct Tile {
+    job: usize,
+    atoms: Range<usize>,
+    embeds: Vec<AtomEmbed32>,
+    out: Option<TileOut>,
 }
 
 impl DpEngine {
-    /// Evaluate many independent systems through one engine, fusing the
-    /// embedding and fitting passes across jobs (see module docs). Per job,
-    /// energies/forces/virials are **bitwise identical** to a solo
-    /// [`energy_forces`](Self::energy_forces) call, at any batch size and
-    /// pool width. Returns one [`PotentialOutput`] per job (in job order)
-    /// plus fusion statistics; the aggregate phase breakdown also lands in
-    /// [`last_phases`](Self::last_phases).
+    /// [`evaluate`](Self::evaluate) many independent systems in one call.
+    /// Returns one [`PotentialOutput`] per job (in job order) plus
+    /// evaluation statistics; per job, results are bitwise what a call with
+    /// that job alone returns, at any batch size and pool width.
     pub fn energy_forces_batched(
         &self,
         jobs: &mut [BatchJob<'_>],
     ) -> (Vec<PotentialOutput>, BatchEvalStats) {
-        self.energy_forces_batched_with(jobs, &mut BatchWorkspace::new())
+        self.evaluate(jobs)
     }
 
-    /// As [`energy_forces_batched`](Self::energy_forces_batched), but reusing
-    /// the caller's [`BatchWorkspace`]. Steady-state callers (the batch
-    /// scheduler evaluates every replica every step) keep one workspace alive
-    /// so the stacked intermediates — hundreds of kilobytes per round at
-    /// production sizes — are allocated once instead of per call. Results are
-    /// bitwise independent of the workspace's history.
+    /// As [`energy_forces_batched`](Self::energy_forces_batched); the
+    /// workspace is unused (see [`BatchWorkspace`]).
     pub fn energy_forces_batched_with(
         &self,
         jobs: &mut [BatchJob<'_>],
-        ws: &mut BatchWorkspace,
+        _ws: &mut BatchWorkspace,
+    ) -> (Vec<PotentialOutput>, BatchEvalStats) {
+        self.evaluate(jobs)
+    }
+
+    /// The force pipeline (see module docs): energies, virials and forces
+    /// of every job at the engine's precision, forces accumulated in f64
+    /// into each job's buffer. The phase breakdown also lands in
+    /// [`last_phases`](Self::last_phases).
+    pub(crate) fn evaluate(
+        &self,
+        jobs: &mut [BatchJob<'_>],
     ) -> (Vec<PotentialOutput>, BatchEvalStats) {
         let mut stats = BatchEvalStats { jobs: jobs.len(), ..Default::default() };
         if let Some(o) = &self.obs {
@@ -322,352 +150,91 @@ impl DpEngine {
                 Precision::Mix32 => 1,
                 Precision::Mix16 => 2,
             };
-            for _ in 0..jobs.len() {
-                o.evals[idx].inc();
-            }
+            o.evals[idx].add(jobs.len() as u64);
         }
+        let pool = self.pool();
+        let mut phases = ForcePhases::default();
+        let mut outs = vec![PotentialOutput::default(); jobs.len()]; // dpmd-allow D5: one output per job per call
 
-        // The Double path is the f64 reference implementation; it has no
-        // batched form, so each job runs solo (still one shared engine).
+        // The Double path is the f64 reference model, job by job.
         if self.precision == Precision::Double {
-            let pool = self.pool();
-            let mut outs = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) staging per batched call
-            let mut phases = ForcePhases::default();
-            for job in jobs.iter_mut() {
-                let (out, p) = self.model.energy_forces_on(pool, job.atoms, job.nl, job.bx, job.forces);
+            for (job, out) in jobs.iter_mut().zip(outs.iter_mut()) {
+                let (o, p) = self.model.energy_forces_on(pool, job.atoms, job.nl, job.bx, job.forces);
+                *out = o;
                 phases.descriptor_s += p.descriptor_s;
                 phases.embedding_s += p.embedding_s;
                 phases.fitting_s += p.fitting_s;
                 phases.reduction_s += p.reduction_s;
                 stats.solo_fallbacks += 1;
-                outs.push(out);
             }
             stats.phases = phases;
             *self.last_phases.lock().unwrap() = Some(phases);
             return (outs, stats);
         }
 
-        let f16_first = self.precision == Precision::Mix16;
-        let cfg = &self.model.config;
-        let m1 = cfg.m1();
-        let m2 = cfg.m2;
-        let inv_nm = 1.0f32 / cfg.nmax as f32;
-        let pool = self.pool();
-        let mut phases = ForcePhases::default();
-        let tally = self.obs.as_ref().map(|o| &o.gemm);
-
         // Pass 1: descriptors, per job (chunk-parallel inside each call).
+        let cfg = &self.model.config;
         let t0 = wall_now();
-        let envs: Vec<Vec<crate::descriptor::Environment>> = jobs
+        let envs: Vec<Vec<Environment>> = jobs
             .iter()
             .map(|j| build_environments_on(pool, j.atoms, j.nl, j.bx, cfg.rcut_smth, cfg.rcut))
-            .collect(); // dpmd-allow D7: O(jobs) environment staging per batched call
+            .collect(); // dpmd-allow D5: one environment list per job per call
         phases.descriptor_s = t0.elapsed().as_secs_f64();
 
-        // Pass 2: embedding, type-sorted stacked GEMMs across every
-        // (job, atom, neighbour) entry. Each entry's value chain is a row
-        // `[1, v…]` and its tangent chain a row `[0, t…]`, both multiplied
-        // against the augmented weights `[bias ; W]`: the kernel's
-        // zero-seeded ascending-k fold then reproduces the solo path's
-        // bias-seeded accumulation bit for bit (`0 + 1·b == b` for finite
-        // non-zero biases — see module docs). Each result is pure per
-        // entry, so the grouping cannot change bits. The order-dependent
-        // part — accumulating the T matrix — then replays per atom in
-        // entry order, exactly as `embed_atom32` interleaves it.
+        let mut tiles: Vec<Tile> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(job, j)| {
+                atom_chunks(j.atoms.nlocal)
+                    .into_iter()
+                    .map(move |atoms| Tile { job, atoms, embeds: Vec::default(), out: None })
+            })
+            .collect(); // dpmd-allow D5: one entry per tile per call
+
+        // Pass 2: embedding in f32, intermediates stored per atom.
         let t0 = wall_now();
-        // Per-atom embedding buffers live in the workspace: every field is
-        // either fully overwritten this round (`g`/`dg_ds` by the scatter,
-        // `coords` by the T accumulation) or re-zeroed here (`t`, and the
-        // zero-fill below covers all of them anyway), so reuse is invisible.
-        let mut embeds = std::mem::take(&mut ws.embeds);
-        embeds.resize_with(envs.len(), Vec::default);
-        for (je, jm) in envs.iter().zip(embeds.iter_mut()) {
-            jm.resize_with(je.len(), AtomEmbed32::default);
-            for (env, am) in je.iter().zip(jm.iter_mut()) {
-                let n = env.entries.len();
-                am.g.clear();
-                am.g.resize(n * m1, 0.0);
-                am.dg_ds.clear();
-                am.dg_ds.resize(n * m1, 0.0);
-                am.t.clear();
-                am.t.resize(m1 * 4, 0.0);
-                am.coords.clear();
-                am.coords.resize(n, [0.0f32; 4]);
-            }
-        }
-        // Bound the stacked intermediates so they stay cache-sized; chunking
-        // is bitwise-invisible because every row is independent.
-        const EMB_CHUNK: usize = 4096;
-        let mut locs = std::mem::take(&mut ws.locs);
-        for (ty, emb_net) in self.emb32.iter().enumerate() {
-            // Gather this species' entries across the whole batch, in
-            // (job, atom, entry) order.
-            locs.clear();
-            let mut svals = ws.take32(0);
-            for (ji, je) in envs.iter().enumerate() {
-                for (ai, env) in je.iter().enumerate() {
-                    for (k, e) in env.entries.iter().enumerate() {
-                        if e.typ as usize == ty {
-                            locs.push((ji as u32, ai as u32, k as u32));
-                            svals.push(e.s as f32);
-                        }
-                    }
-                }
-            }
-            if locs.is_empty() {
-                ws.put32(svals);
-                continue;
-            }
-            for (chunk_locs, chunk_s) in locs.chunks(EMB_CHUNK).zip(svals.chunks(EMB_CHUNK)) {
-                let rows = chunk_locs.len();
-                // Stacked value rows `[1, s]` and tangent rows `[0, 1]`,
-                // augmented column first.
-                let mut val = ws.take32(rows * 2);
-                let mut tan = ws.take32(rows * 2);
-                for (r, &s) in chunk_s.iter().enumerate() {
-                    val[r * 2] = 1.0;
-                    val[r * 2 + 1] = s;
-                    tan[r * 2 + 1] = 1.0;
-                }
-                for ((_, _, act, resnet, ind, outd), baug) in emb_net.layers.iter().zip(&emb_net.aug) {
-                    let (ind, outd) = (*ind, *outd);
-                    let mut pre = ws.take32(rows * outd);
-                    let mut dpre = ws.take32(rows * outd);
-                    gemm::batched_nn_f32(rows, 1, outd, ind + 1, &val, baug, &mut pre);
-                    gemm::batched_nn_f32(rows, 1, outd, ind + 1, &tan, baug, &mut dpre);
-                    if let Some(t) = tally {
-                        t.record(rows, outd, ind + 1, PrecClass::F32);
-                        t.record(rows, outd, ind + 1, PrecClass::F32);
-                    }
-                    stats.fused_gemms += 2;
-                    stats.fused_rows += 2 * rows as u64;
-                    let mut val_out = ws.take32(rows * (outd + 1));
-                    let mut tan_out = ws.take32(rows * (outd + 1));
-                    for r in 0..rows {
-                        let prer = &pre[r * outd..(r + 1) * outd];
-                        let dprer = &dpre[r * outd..(r + 1) * outd];
-                        let vo = &mut val_out[r * (outd + 1)..(r + 1) * (outd + 1)];
-                        let to = &mut tan_out[r * (outd + 1)..(r + 1) * (outd + 1)];
-                        vo[0] = 1.0;
-                        for o in 0..outd {
-                            let (v, dfac) = act.value_grad_f32(prer[o]);
-                            vo[1 + o] = v;
-                            to[1 + o] = (dfac as f32) * dprer[o];
-                        }
-                        let vi = &val[r * (ind + 1)..(r + 1) * (ind + 1)];
-                        let ti = &tan[r * (ind + 1)..(r + 1) * (ind + 1)];
-                        match resnet {
-                            Resnet::None => {}
-                            Resnet::Identity => {
-                                for i in 0..ind {
-                                    vo[1 + i] += vi[1 + i];
-                                    to[1 + i] += ti[1 + i];
-                                }
-                            }
-                            Resnet::Doubling => {
-                                for i in 0..ind {
-                                    vo[1 + i] += vi[1 + i];
-                                    vo[1 + i + ind] += vi[1 + i];
-                                    to[1 + i] += ti[1 + i];
-                                    to[1 + i + ind] += ti[1 + i];
-                                }
-                            }
-                        }
-                    }
-                    ws.put32(std::mem::replace(&mut val, val_out));
-                    ws.put32(std::mem::replace(&mut tan, tan_out));
-                    ws.put32(pre);
-                    ws.put32(dpre);
-                }
-                // Scatter the final rows (stride m1+1; column 0 is the
-                // augmentation) into the per-atom embedding buffers.
-                for (r, &(ji, ai, k)) in chunk_locs.iter().enumerate() {
-                    let am = &mut embeds[ji as usize][ai as usize];
-                    let (k, off) = (k as usize, r * (m1 + 1) + 1);
-                    am.g[k * m1..(k + 1) * m1].copy_from_slice(&val[off..off + m1]);
-                    am.dg_ds[k * m1..(k + 1) * m1].copy_from_slice(&tan[off..off + m1]);
-                }
-                ws.put32(val);
-                ws.put32(tan);
-            }
-            ws.put32(svals);
-        }
-        ws.locs = locs;
-        for (je, jm) in envs.iter().zip(embeds.iter_mut()) {
-            for (env, am) in je.iter().zip(jm.iter_mut()) {
-                for (k, e) in env.entries.iter().enumerate() {
-                    let c64 = e.coords();
-                    let c = [c64[0] as f32, c64[1] as f32, c64[2] as f32, c64[3] as f32];
-                    am.coords[k] = c;
-                    for m in 0..m1 {
-                        let gv = am.g[k * m1 + m];
-                        for (cc, &cv) in c.iter().enumerate() {
-                            am.t[m * 4 + cc] += gv * cv * inv_nm;
-                        }
-                    }
-                }
-            }
-        }
-        phases.embedding_s = t0.elapsed().as_secs_f64();
-
-        // Pass 3: fitting, stacked by central species across all jobs. The
-        // descriptor row D is pure per atom (computed here in the solo loop
-        // order); the net forward/backward then runs once per species as
-        // layer-wise batched GEMMs over all stacked rows.
-        let t0 = wall_now();
-        let mut efit: Vec<Vec<f32>> = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        let mut de_dd: Vec<Vec<f32>> = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        for j in jobs.iter() {
-            efit.push(ws.take32(j.atoms.nlocal));
-            de_dd.push(ws.take32(j.atoms.nlocal * m1 * m2));
-        }
-        let mut row_of = std::mem::take(&mut ws.row_of);
-        for (ty, fit) in self.fit32.iter().enumerate() {
-            row_of.clear();
-            for (ji, job) in jobs.iter().enumerate() {
-                for i in 0..job.atoms.nlocal {
-                    if job.atoms.typ[i] as usize == ty {
-                        row_of.push((ji, i));
-                    }
-                }
-            }
-            let rows = row_of.len();
-            if rows == 0 {
-                continue;
-            }
-            let mut d_stacked = ws.take32(rows * m1 * m2);
-            for (r, &(ji, i)) in row_of.iter().enumerate() {
-                let t = &embeds[ji][i].t;
-                let drow = &mut d_stacked[r * m1 * m2..(r + 1) * m1 * m2];
-                for a in 0..m1 {
-                    for b in 0..m2 {
-                        let mut acc = 0.0f32;
-                        for c in 0..4 {
-                            acc += t[a * 4 + c] * t[b * 4 + c];
-                        }
-                        drow[a * m2 + b] = acc;
-                    }
-                }
-            }
-            let (energies, grads) =
-                fit_batched(fit, rows, d_stacked, f16_first, self, &mut stats, ws);
-            for (r, &(ji, i)) in row_of.iter().enumerate() {
-                efit[ji][i] = energies[r];
-                de_dd[ji][i * m1 * m2..(i + 1) * m1 * m2]
-                    .copy_from_slice(&grads[r * m1 * m2..(r + 1) * m1 * m2]);
-            }
-            ws.put32(energies);
-            ws.put32(grads);
-        }
-        ws.row_of = row_of;
-
-        // Pass 4: per-job chain rule and force scatter, in exactly the solo
-        // pass-3 structure — per-chunk f64 buffers over `atom_chunks`,
-        // energies summed in atom order, chunks merged in chunk order — so
-        // every f64 accumulation happens in the solo order.
-        let mut outs = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        for (ji, job) in jobs.iter_mut().enumerate() {
-            let atoms = job.atoms;
-            let chunks = atom_chunks(atoms.nlocal);
-            struct ChunkOut {
-                energy: f64,
-                virial: f64,
-                forces: Vec<Vec3>,
-            }
-            let mut couts: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect(); // dpmd-allow D7: O(chunks) slots per job
-            {
-                let (envs, embeds) = (&envs[ji], &embeds[ji]);
-                let (efit, de_dd) = (&efit[ji], &de_dd[ji]);
-                let nall = atoms.len();
-                pool.scope(|sc| {
-                    for (range, slot) in chunks.iter().zip(couts.iter_mut()) {
-                        let range = range.clone(); // dpmd-allow D7: Range clone is Copy-sized, no heap
-                        sc.spawn(move || {
-                            let mut buf = vec![Vec3::ZERO; nall]; // dpmd-allow D7: one force buffer per chunk, amortized over the chunk's atoms
-                            let mut energy = 0.0f64;
-                            let mut virial = 0.0f64;
-                            // dT scratch hoisted out of the atom loop
-                            // (accumulated, so reset per atom) — mirrors
-                            // the solo pass-3 chunk scratch.
-                            let mut dt = vec![0.0f32; m1 * 4]; // dpmd-allow D7: per-chunk scratch, reused per atom
-                            for i in range {
-                                let env = &envs[i];
-                                let emb = &embeds[i];
-                                let ti = atoms.typ[i] as usize;
-                                let t = &emb.t;
-                                energy += efit[i] as f64 + self.model.energy_bias[ti];
-                                let grad = &de_dd[i * m1 * m2..(i + 1) * m1 * m2];
-
-                                dt.fill(0.0);
-                                for a in 0..m1 {
-                                    for b in 0..m2 {
-                                        let aab = grad[a * m2 + b];
-                                        for c in 0..4 {
-                                            dt[a * 4 + c] += aab * t[b * 4 + c];
-                                            dt[b * 4 + c] += aab * t[a * 4 + c];
-                                        }
-                                    }
-                                }
-                                for (k, e) in env.entries.iter().enumerate() {
-                                    let c = emb.coords[k];
-                                    let mut de_ds = 0.0f32;
-                                    let mut de_drt = [0.0f32; 4];
-                                    for m in 0..m1 {
-                                        let mut de_dg = 0.0f32;
-                                        for cc in 0..4 {
-                                            de_dg += dt[m * 4 + cc] * c[cc];
-                                            de_drt[cc] += dt[m * 4 + cc] * emb.g[k * m1 + m];
-                                        }
-                                        de_ds += de_dg * inv_nm * emb.dg_ds[k * m1 + m];
-                                    }
-                                    for v in &mut de_drt {
-                                        *v *= inv_nm;
-                                    }
-                                    let grads = e.coord_grads();
-                                    let inv_r = 1.0 / e.r;
-                                    let dsdd = [
-                                        e.ds_dr * e.disp.x * inv_r,
-                                        e.ds_dr * e.disp.y * inv_r,
-                                        e.ds_dr * e.disp.z * inv_r,
-                                    ];
-                                    let mut de_dd_vec = Vec3::ZERO;
-                                    for axis in 0..3 {
-                                        let mut v = de_ds as f64 * dsdd[axis];
-                                        for cc in 0..4 {
-                                            v += de_drt[cc] as f64 * grads[cc][axis];
-                                        }
-                                        de_dd_vec[axis] = v;
-                                    }
-                                    let j = e.j as usize;
-                                    buf[j] -= de_dd_vec;
-                                    buf[i] += de_dd_vec;
-                                    virial += de_dd_vec.dot(e.disp);
-                                }
-                            }
-                            *slot = Some(ChunkOut { energy, virial, forces: buf });
-                        });
-                    }
+        pool.scope(|sc| {
+            for tile in tiles.iter_mut() {
+                let envs = &envs[tile.job][tile.atoms.start..tile.atoms.end];
+                let embeds = &mut tile.embeds;
+                sc.spawn(move || {
+                    let mut scratch = EmbScratch::default();
+                    embeds.extend(envs.iter().map(|env| self.embed_atom32(env, &mut scratch)));
                 });
             }
-            let mut total_e = 0.0f64;
-            let mut virial = 0.0f64;
-            for cout in couts.into_iter().flatten() {
-                total_e += cout.energy;
-                virial += cout.virial;
-                for (f, b) in job.forces.iter_mut().zip(&cout.forces) {
-                    *f += *b;
-                }
+        });
+        phases.embedding_s = t0.elapsed().as_secs_f64();
+
+        // Pass 3: fitting + chain rule, one f64 force buffer per tile.
+        let t0 = wall_now();
+        pool.scope(|sc| {
+            for tile in tiles.iter_mut() {
+                let atoms = jobs[tile.job].atoms;
+                let envs = &envs[tile.job][tile.atoms.start..tile.atoms.end];
+                sc.spawn(move || {
+                    tile.out = Some(self.fit_tile(atoms, tile.atoms.start, envs, &tile.embeds));
+                });
             }
-            outs.push(PotentialOutput { energy: total_e, virial: -virial });
-        }
+        });
         phases.fitting_s = t0.elapsed().as_secs_f64();
-        for v in efit {
-            ws.put32(v);
+
+        // Deterministic fixed-order reduction: tiles fold into their job in
+        // tile (= chunk) order.
+        let t0 = wall_now();
+        for tile in tiles {
+            let (out, tout) = (&mut outs[tile.job], tile.out.expect("the fitting scope ran every tile"));
+            out.energy += tout.energy;
+            out.virial += tout.virial;
+            for (f, b) in jobs[tile.job].forces.iter_mut().zip(&tout.forces) {
+                *f += *b;
+            }
+            stats.fused_gemms += tout.gemms;
+            stats.fused_rows += tout.rows;
         }
-        for v in de_dd {
-            ws.put32(v);
+        for out in &mut outs {
+            out.virial = -out.virial;
         }
-        ws.embeds = embeds;
+        phases.reduction_s = t0.elapsed().as_secs_f64();
 
         stats.phases = phases;
         *self.last_phases.lock().unwrap() = Some(phases);
@@ -680,62 +247,76 @@ mod tests {
     use super::*;
     use crate::config::DeepPotConfig;
     use crate::model::DeepPotModel;
-    use minimd::lattice::{fcc_copper, water_box};
+    use minimd::lattice::water_box;
     use minimd::neighbor::ListKind;
 
-    fn copper_system(perturb_seed: u64) -> (SimBox, Atoms, NeighborList) {
-        let (bx, mut atoms) = fcc_copper(3, 3, 3);
-        for (k, p) in atoms.pos.iter_mut().enumerate() {
-            let h = (k as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(perturb_seed);
-            p.x += 0.03 * (((h >> 16) & 0xff) as f64 / 255.0 - 0.5);
-            p.y += 0.03 * (((h >> 24) & 0xff) as f64 / 255.0 - 0.5);
-            p.z += 0.03 * (((h >> 32) & 0xff) as f64 / 255.0 - 0.5);
-        }
-        let mut nl = NeighborList::new(5.0, 0.5, ListKind::Full);
+    fn water_system(cells: usize, seed: u64) -> (SimBox, Atoms, NeighborList) {
+        let (bx, atoms) = water_box(cells, cells, cells, seed);
+        let mut nl = NeighborList::new(4.0, 0.5, ListKind::Full);
         nl.build(&atoms, &bx);
         (bx, atoms, nl)
     }
 
-    /// The whole design hinges on this: any number of jobs, evaluated in one
-    /// batched call, must reproduce each job's solo evaluation bit for bit.
+    /// Co-batch isolation: a job's energy, virial and forces are bitwise
+    /// the same evaluated alone, among other jobs and at another position
+    /// in the call, through a reused workspace or a fresh one. The jobs
+    /// cover the tile shapes: species mixed inside a tile (A), tiles
+    /// holding no atom of one species (B — the `rows == 0` skip), and a
+    /// system shorter than one chunk (C).
     #[test]
-    fn batched_jobs_are_bitwise_identical_to_solo() {
+    fn co_batched_jobs_are_bitwise_isolated() {
+        let a = water_system(2, 31);
+        let mut b = water_system(2, 32);
+        b.1.typ[..8].fill(0);
+        b.1.typ[8..16].fill(1);
+        let c = water_system(1, 33);
+        assert!(c.1.nlocal < 8 && atom_chunks(c.1.nlocal).len() == 1);
+        let systems = [&a, &b, &c];
+
         for precision in [Precision::Mix32, Precision::Mix16, Precision::Double] {
-            let model = DeepPotModel::new(DeepPotConfig::tiny(1, 5.0));
-            let engine = DpEngine::new(model, precision);
-            let systems: Vec<_> = (0..3).map(|s| copper_system(1000 + s)).collect();
+            let engine = DpEngine::new(DeepPotModel::new(DeepPotConfig::tiny(2, 4.0)), precision);
+            let mut shared_ws = BatchWorkspace::new();
+            let mut eval = |order: &[usize], reuse: bool| {
+                let mut bufs: Vec<Vec<Vec3>> =
+                    order.iter().map(|&s| vec![Vec3::ZERO; systems[s].1.len()]).collect();
+                let mut jobs: Vec<BatchJob> = order
+                    .iter()
+                    .zip(bufs.iter_mut())
+                    .map(|(&s, forces)| {
+                        let (bx, atoms, nl) = systems[s];
+                        BatchJob { atoms, nl, bx, forces }
+                    })
+                    .collect();
+                let (outs, stats) = if reuse {
+                    engine.energy_forces_batched_with(&mut jobs, &mut shared_ws)
+                } else {
+                    engine.energy_forces_batched(&mut jobs)
+                };
+                assert_eq!(stats.jobs, order.len());
+                if precision == Precision::Double {
+                    assert_eq!(stats.solo_fallbacks, order.len() as u64);
+                } else {
+                    assert_eq!(stats.solo_fallbacks, 0);
+                    assert_eq!(stats.fused_gemms > 0, !order.is_empty(), "fitting GEMMs must stack");
+                    assert!(order.is_empty() || stats.fused_rows > stats.fused_gemms, "rows must stack");
+                }
+                (outs, bufs)
+            };
 
-            let solo: Vec<_> = systems
-                .iter()
-                .map(|(bx, atoms, nl)| {
-                    let mut f = vec![Vec3::ZERO; atoms.len()];
-                    let out = engine.energy_forces(atoms, nl, bx, &mut f);
-                    (out, f)
-                })
-                .collect();
-
-            let mut force_bufs: Vec<Vec<Vec3>> =
-                systems.iter().map(|(_, atoms, _)| vec![Vec3::ZERO; atoms.len()]).collect();
-            let mut jobs: Vec<BatchJob> = systems
-                .iter()
-                .zip(force_bufs.iter_mut())
-                .map(|((bx, atoms, nl), forces)| BatchJob { atoms, nl, bx, forces })
-                .collect();
-            let (outs, stats) = engine.energy_forces_batched(&mut jobs);
-
-            assert_eq!(outs.len(), 3);
-            for (ji, ((out_solo, f_solo), out_b)) in solo.iter().zip(&outs).enumerate() {
-                assert_eq!(out_solo.energy, out_b.energy, "{precision:?} job {ji} energy");
-                assert_eq!(out_solo.virial, out_b.virial, "{precision:?} job {ji} virial");
-                assert_eq!(f_solo, &force_bufs[ji], "{precision:?} job {ji} forces");
+            let alone: Vec<_> = (0..3).map(|s| eval(&[s], false)).collect();
+            for order in [&[0usize, 1, 2][..], &[2, 0], &[1, 1]] {
+                for reuse in [true, false] {
+                    let (outs, bufs) = eval(order, reuse);
+                    assert_eq!(outs.len(), order.len());
+                    for (pos, &s) in order.iter().enumerate() {
+                        let what = format!("{precision:?} job {s} at {pos} of {order:?}, reuse {reuse}");
+                        assert_eq!(alone[s].0[0], outs[pos], "{what}: energy/virial");
+                        assert_eq!(alone[s].1[0], bufs[pos], "{what}: forces");
+                    }
+                }
             }
-            if precision == Precision::Double {
-                assert_eq!(stats.solo_fallbacks, 3);
-            } else {
-                assert_eq!(stats.solo_fallbacks, 0);
-                assert!(stats.fused_gemms > 0, "fitting GEMMs must fuse");
-                assert!(stats.fused_rows > stats.fused_gemms, "rows must stack");
-            }
+            let (outs, bufs) = eval(&[], true);
+            assert!(outs.is_empty() && bufs.is_empty());
         }
     }
 
@@ -783,9 +364,7 @@ mod tests {
     fn batched_multi_species_matches_solo() {
         let model = DeepPotModel::new(DeepPotConfig::tiny(2, 4.0));
         let engine = DpEngine::new(model, Precision::Mix32);
-        let (bx, atoms) = water_box(2, 2, 2, 31);
-        let mut nl = NeighborList::new(4.0, 0.5, ListKind::Full);
-        nl.build(&atoms, &bx);
+        let (bx, atoms, nl) = water_system(2, 31);
 
         let mut f_solo = vec![Vec3::ZERO; atoms.len()];
         let out_solo = engine.energy_forces(&atoms, &nl, &bx, &mut f_solo);

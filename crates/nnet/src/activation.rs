@@ -63,9 +63,9 @@ impl Activation {
     /// functions of the activation value itself).
     ///
     /// **Bitwise contract:** returns exactly
-    /// `(self.apply_f32(x), self.derivative(x as f64))` — the batched
-    /// inference path relies on this to halve the transcendental count while
-    /// staying bit-identical to the solo path, and
+    /// `(self.apply_f32(x), self.derivative(x as f64))` — the force
+    /// pipeline's embedding and fitting sweeps rely on this to halve the
+    /// transcendental count without changing a bit, and
     /// `tests::fused_value_grad_is_bitwise_identical` enforces it.
     #[inline]
     pub fn value_grad_f32(self, x: f32) -> (f32, f64) {

@@ -111,8 +111,9 @@ impl MetricsRegistry {
     }
 }
 
-/// No-op trace buffer (capture disabled).
-#[derive(Clone, Copy, Debug, Default)]
+/// No-op trace buffer (capture disabled). Not `Copy`, like the capturing
+/// buffer it stands in for, so callers `clone()` it in both builds.
+#[derive(Clone, Debug, Default)]
 pub struct TraceBuffer;
 
 impl TraceBuffer {

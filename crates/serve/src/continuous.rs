@@ -3,9 +3,9 @@
 //! deadline, with typed backpressure at the admission queue.
 //!
 //! The LLM-serving insight transplanted to MD: a fixed round-robin loop
-//! lets the fused GEMMs drain as replicas finish, while continuous batching
+//! lets the fused rounds drain as replicas finish, while continuous batching
 //! refills the batch every round from an admission queue, keeping the
-//! stacked fitting-net GEMMs tall for the whole run. Time is a **logical
+//! pool's passes full of tiles for the whole run. Time is a **logical
 //! round counter** — wall clocks are banned on deterministic paths
 //! (analyzer rule D4), so arrivals, deadlines, and pauses are all specified
 //! in rounds (see [`crate::script`]).

@@ -4,10 +4,11 @@
 //! Each scheduler round runs the first Verlet half of every admitted
 //! replica, then evaluates **all admitted replicas' forces in one fused
 //! call** ([`DpEngine::energy_forces_batched`]) before completing their
-//! steps. The fused call stacks same-species fitting rows from every
-//! replica into single batched GEMMs and walks the embedding pass
-//! type-grouped across the whole batch — the paper's type-sorted batching,
-//! applied across replicas.
+//! steps. The fused call is the engine's one force pipeline fed one job
+//! per replica: every replica is cut into tiles of a few atoms, and the
+//! tiles of all replicas share one embedding pass and one fitting pass on
+//! the pool (type-sorted stacked GEMMs inside each tile, never across
+//! replicas).
 //!
 //! Two front ends share that fused round:
 //!

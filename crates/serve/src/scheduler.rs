@@ -77,9 +77,6 @@ pub struct BatchScheduler {
     /// Admission bound per round (backpressure).
     cap: InFlightCap,
     obs: Option<ServeObs>,
-    /// Stacked-buffer reuse across rounds (see
-    /// [`deepmd::batch::BatchWorkspace`]): the fused passes allocate their
-    /// intermediates once, not once per round.
     workspace: BatchWorkspace,
 }
 
@@ -271,9 +268,9 @@ impl BatchScheduler {
         }
     }
 
-    /// Step every replica to its target one at a time through the solo
-    /// engine path — the determinism reference and the bench baseline the
-    /// batched path is compared against.
+    /// Step every replica to its target one at a time, each step its own
+    /// single-job call of the force pipeline — the determinism reference
+    /// and the bench baseline [`run`](Self::run) is compared against.
     pub fn run_sequential(&mut self) -> u64 {
         let mut steps = 0u64;
         for r in &mut self.replicas {
