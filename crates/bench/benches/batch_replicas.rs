@@ -1,33 +1,40 @@
-//! Batched vs. sequential multi-replica throughput: 8 Cu replicas stepped
-//! through one shared engine, either one replica at a time
-//! (`run_sequential`) or with one force-pipeline call per round over every
-//! admitted replica (`run`, and the continuous service).
+//! Fused vs. one-at-a-time service throughput: 8 Cu tenants through one
+//! `ContinuousScheduler`, the same arrival script served twice — at
+//! `InFlightCap::All` (every admitted tenant shares each round's one
+//! force-pipeline call) and at `InFlightCap::AtMost(1)` (one trajectory at a
+//! time, each round a single-job call). One scheduler, one code path; the
+//! cap is the only difference.
 //!
-//! Both modes run the same pipeline (`deepmd::batch`) over the same tiles
-//! and produce bit-identical trajectories (`tests/batch_determinism.rs`).
-//! They differ only in whether tiles of different replicas share a
-//! `pool.scope`: a 32-atom replica is four tiles, so a round of eight fills
-//! a pool that one replica alone cannot, and opens one embedding and one
-//! fitting scope per round instead of per replica. Nothing is stacked
-//! across replicas, so there is no cross-replica GEMM margin to gate; what
-//! this bench guards is that serving a round together never costs
-//! throughput, and that absolute served throughput does not fall.
+//! Both runs produce bit-identical trajectories
+//! (`tests/serve_continuous.rs`). They differ only in whether tiles of
+//! different tenants share a `pool.scope`: a 32-atom tenant is four tiles,
+//! so a round of eight fills a pool that one tenant alone cannot, and opens
+//! one embedding and one fitting scope per round instead of per tenant.
+//! Nothing is stacked across tenants, so there is no cross-tenant GEMM
+//! margin to gate; what this bench guards is that serving a round together
+//! never costs throughput, and that absolute served throughput does not
+//! fall.
 //!
-//! Measurement is interleaved best-of-N because CI hosts are noisy: each
-//! rep rebuilds both schedulers from identical [`EngineParts`] and times a
-//! full sequential pass against a full batched pass back to back.
+//! Every row times full service turnaround — scheduler construction,
+//! attach (lattice, velocities, neighbour list) and the fused initial force
+//! evaluation included on both sides — because that is the work a service
+//! does per tenant. Measurement is interleaved best-of-N because CI hosts
+//! are noisy: each rep serves the script at cap 1 and at cap all back to
+//! back from identical [`EngineParts`](dpmd_core::EngineParts).
 //!
-//! Emits `BENCH_batch.json` at the repo root. Every row carries two bars,
-//! both checked in CI against the committed record: `speedup ≥ 0.95` (a
-//! no-regression floor, not a claimed margin) and `batched_steps_per_s` not
-//! below the last record committed before the pipelines were merged.
+//! Emits `BENCH_batch.json` at the repo root (`sequential_*` = cap 1,
+//! `batched_*` = cap all). Every row carries two bars, both checked in CI
+//! against the committed record: `speedup ≥ 0.95` (a no-regression floor,
+//! not a claimed margin) and `batched_steps_per_s` not below the last
+//! record committed before the force pipelines were merged.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use deepmd::config::DeepPotConfig;
 use dpmd_core::prelude::{DeepPotModel, Precision};
 use dpmd_core::Engine;
-use dpmd_serve::{ArrivalScript, BatchScheduler, ContinuousScheduler, InFlightCap};
+use dpmd_serve::{ArrivalScript, ContinuousScheduler, InFlightCap};
 use serde::Value;
 
 fn num<T: std::fmt::Display>(v: T) -> Value {
@@ -49,12 +56,21 @@ struct Config {
     name: &'static str,
     model: DeepPotConfig,
     cells: usize,
-    steps: u64,
-    /// `Some(script)`: measure the continuous-batching service driving this
-    /// deterministic arrival schedule instead of the fixed-fleet scheduler.
-    /// The sequential baseline is identical either way (same seeds, same
-    /// steps), so speedups are comparable across rows.
-    script: Option<&'static str>,
+    /// The arrival schedule served (fleet size and steps per tenant are
+    /// its `tenants` and `steps`).
+    script: ArrivalScript,
+}
+
+/// Serve `cfg.script` to completion at `cap`; returns the wall time of the
+/// whole service turnaround and the atoms served.
+fn serve(cfg: &Config, cap: InFlightCap) -> (f64, usize) {
+    let p = parts(cfg);
+    let t0 = Instant::now();
+    let mut served = ContinuousScheduler::new(p, cap, cfg.script.queue_capacity);
+    let outcome = served.run_script(&cfg.script);
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(outcome.rejected.is_empty());
+    (wall, served.tenants().iter().map(|t| t.sim.atoms.nlocal).sum())
 }
 
 fn parts(cfg: &Config) -> dpmd_core::EngineParts {
@@ -73,26 +89,23 @@ fn main() {
             name: "cu_serving",
             model: DeepPotConfig::tiny(1, 6.0),
             cells: 2,
-            steps: 30,
-            script: None,
+            script: ArrivalScript::fixed(REPLICAS, 30),
         },
         // Production-sized fitting net (240^3).
         Config {
             name: "cu_production",
             model: DeepPotConfig::copper(),
             cells: 2,
-            steps: 5,
-            script: None,
+            script: ArrivalScript::fixed(REPLICAS, 5),
         },
-        // The production model under the continuous-batching service:
-        // tenants arrive staggered over the first rounds and the admission
-        // queue keeps the fused batch full until the tail drains.
+        // The production model with tenants arriving staggered over the
+        // first rounds: the admission queue keeps the fused batch full
+        // until the tail drains.
         Config {
             name: "cu_production_continuous",
             model: DeepPotConfig::copper(),
             cells: 2,
-            steps: 10,
-            script: Some("seed=2024;tenants=8;steps=10;window=2"),
+            script: ArrivalScript::parse("seed=2024;tenants=8;steps=10;window=2").unwrap(),
         },
     ];
 
@@ -101,61 +114,23 @@ fn main() {
         let (mut best_seq, mut best_bat) = (f64::MAX, f64::MAX);
         let mut natoms = 0;
         for _ in 0..REPS {
-            match cfg.script {
-                // Fixed-fleet rows: scheduler construction (which includes
-                // each replica's solo initial force evaluation) happens
-                // outside the timed region on both sides — this measures
-                // pure stepping throughput.
-                None => {
-                    let mut seq = BatchScheduler::new(parts(cfg), REPLICAS, cfg.steps);
-                    let t0 = Instant::now();
-                    seq.run_sequential();
-                    best_seq = best_seq.min(t0.elapsed().as_secs_f64());
-
-                    let mut bat = BatchScheduler::new(parts(cfg), REPLICAS, cfg.steps);
-                    let t0 = Instant::now();
-                    bat.run();
-                    best_bat = best_bat.min(t0.elapsed().as_secs_f64());
-                    natoms = bat.replicas().iter().map(|r| r.sim.atoms.nlocal).sum();
-                }
-                // Continuous row: full service turnaround — trajectory
-                // construction and initialization included on BOTH sides,
-                // because that is the work a long-running service actually
-                // does per tenant. The baseline pays one initial force
-                // evaluation per tenant; the service evaluates a round's
-                // newcomers in one call too.
-                Some(spec) => {
-                    let script = ArrivalScript::parse(spec).unwrap();
-                    assert_eq!(script.tenants, REPLICAS, "script fleet must match baseline");
-                    assert_eq!(script.steps, cfg.steps, "script steps must match baseline");
-
-                    let p = parts(cfg);
-                    let t0 = Instant::now();
-                    let mut seq = BatchScheduler::new(p, REPLICAS, cfg.steps);
-                    seq.run_sequential();
-                    best_seq = best_seq.min(t0.elapsed().as_secs_f64());
-
-                    let p = parts(cfg);
-                    let t0 = Instant::now();
-                    let mut served = ContinuousScheduler::new(p, InFlightCap::All, usize::MAX);
-                    let outcome = served.run_script(&script);
-                    best_bat = best_bat.min(t0.elapsed().as_secs_f64());
-                    assert!(outcome.rejected.is_empty());
-                    natoms = served.tenants().iter().map(|t| t.sim.atoms.nlocal).sum();
-                }
-            }
+            best_seq = best_seq.min(serve(cfg, InFlightCap::AtMost(NonZeroUsize::MIN)).0);
+            let (wall, atoms) = serve(cfg, InFlightCap::All);
+            best_bat = best_bat.min(wall);
+            natoms = atoms;
         }
-        let steps_total = REPLICAS as f64 * cfg.steps as f64;
+        let (fleet, steps) = (cfg.script.tenants, cfg.script.steps);
+        let steps_total = fleet as f64 * steps as f64;
         let speedup = best_seq / best_bat;
         println!(
-            "{:>14}: {REPLICAS} replicas x {} steps ({natoms} atoms) \
+            "{:>14}: {fleet} replicas x {steps} steps ({natoms} atoms) \
              sequential {best_seq:.3}s batched {best_bat:.3}s speedup {speedup:.2}x",
-            cfg.name, cfg.steps,
+            cfg.name,
         );
         entries.push(obj(vec![
             ("name", s(cfg.name)),
-            ("replicas", num(REPLICAS)),
-            ("steps_per_replica", num(cfg.steps)),
+            ("replicas", num(fleet)),
+            ("steps_per_replica", num(steps)),
             ("atoms_total", num(natoms)),
             ("sequential_s", num(best_seq)),
             ("batched_s", num(best_bat)),
@@ -173,7 +148,7 @@ fn main() {
             "acceptance",
             Value::Array(
                 // Throughput floors: the `batched_steps_per_s` of the last
-                // record committed with two pipelines (this host class).
+                // record committed with two force pipelines (this host class).
                 [("cu_serving", 3035.9), ("cu_production", 771.9), ("cu_production_continuous", 830.8)]
                     .into_iter()
                     .map(|(name, floor)| {

@@ -10,6 +10,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use dpmd_core::prelude::*;
 
@@ -37,7 +38,7 @@ fn usage() {
     println!("       dpmd md [--water] [--cells N] [--steps N] [--threads N] [--timing]");
     println!("               [--profile FILE] [--trace FILE]");
     println!("       dpmd md batch --replicas N --steps S [--cells N] [--water]");
-    println!("               [--precision P] [--in-flight K|all] [--sequential] [--profile FILE]");
+    println!("               [--precision P] [--in-flight K|all] [--threads N] [--profile FILE]");
     println!("       dpmd md serve --script SPEC [--cells N] [--water] [--precision P]");
     println!("               [--in-flight K|all] [--threads N] [--profile FILE]");
     println!("       dpmd validate-obs <profile.json> [trace.json]");
@@ -67,16 +68,10 @@ fn usage() {
     println!("  --profile F  write the deterministic metrics snapshot (JSON) to F");
     println!("  --trace F    write the per-step span tree as a Chrome trace to F");
     println!("               (load in chrome://tracing or https://ui.perfetto.dev)");
-    println!("\nmd batch: many replicas stepped through one engine with fused");
-    println!("          (batched) force evaluation; bit-identical to solo runs");
+    println!("\nmd batch: a fixed fleet through the service — shorthand for");
+    println!("          md serve --script \"tenants=N;steps=S;window=1\"");
     println!("  --replicas N   independent trajectories (default 4)");
     println!("  --steps S      steps per replica (default 10)");
-    println!("  --in-flight K  admit at most K replicas per round; a positive");
-    println!("                 count or 'all' (default). 0 is rejected: it used");
-    println!("                 to silently mean unlimited");
-    println!("  --sequential   step replicas one at a time (the baseline path)");
-    println!("  --precision P  double | fp32 (default) | fp16 — fusion needs a");
-    println!("                 mixed-precision path; double falls back to solo");
     println!("\nmd serve: continuous-batching multi-tenant service; tenants");
     println!("          attach/detach mid-flight via a deterministic arrival");
     println!("          script (logical rounds, no wall clocks). Trajectories");
@@ -85,6 +80,10 @@ fn usage() {
     println!("                 window=W queue=N at=ID@R prio=ID:class");
     println!("                 deadline=ID@R pause=ID@R+K  (class: interactive |");
     println!("                 standard | batch; queue full => typed rejection)");
+    println!("  --in-flight K  admit at most K tenants per round; a positive");
+    println!("                 count or 'all' (default). 1 steps one trajectory");
+    println!("                 at a time; 0 is rejected");
+    println!("  --precision P  double | fp32 (default) | fp16");
     println!("\nvalidate-obs: check --profile/--trace outputs against the schema");
     println!("\nanalyze: determinism & safety linter over the workspace sources");
     println!("  (rules D1-D6: hash-order, float reductions, SAFETY comments,");
@@ -99,158 +98,78 @@ fn usage() {
     println!("                      resolve (unresolved sites are listed)");
 }
 
-/// Parse `--in-flight` into a typed cap. The old path fed the value through
-/// a default-0 integer parse, so `--in-flight 0`, `--in-flight -3`, and
-/// `--in-flight lots` all silently meant "unlimited"; now anything that
-/// isn't a positive count or `all` is a hard, explained error.
-fn parse_in_flight(args: &[String]) -> Result<dpmd_serve::InFlightCap, String> {
-    match flag_value(args, "--in-flight") {
-        None => Ok(dpmd_serve::InFlightCap::All),
-        Some(v) => v.parse().map_err(|e| format!("--in-flight: {e}")),
-    }
+/// The part of a run that `md`, `md batch` and `md serve` set up the same
+/// way: an engine builder over the untrained tiny model (an untrained model
+/// evaluates the full pipeline at realistic cost; CLI runs are about
+/// dynamics and timing, not accuracy) with `--water`, `--cells`,
+/// `--precision` and `--threads` applied, observing into `registry` /
+/// `tracebuf` when `--profile` or `--trace` asks for output.
+struct MdSetup {
+    builder: EngineBuilder,
+    registry: MetricsRegistry,
+    tracebuf: TraceBuffer,
+    water: bool,
 }
 
-/// `dpmd md batch`: the multi-replica batch scheduler surface.
-/// One-line precision/kernel banner for the `md` surfaces: which dispatch
-/// class the process's f32 GEMM hot path selected (scalar / avx2 / neon —
-/// the `double` path never touches it; `DPMD_FORCE_SCALAR=1` pins scalar).
-fn print_dispatch_class(precision: &str) {
+fn md_setup(
+    args: &[String],
+    default_cells: usize,
+    default_precision: &str,
+) -> Result<MdSetup, String> {
+    let cells = parse_flag(args, "--cells", default_cells)?;
+    let water = args.iter().any(|a| a == "--water");
+    let (registry, tracebuf) = (MetricsRegistry::new(), TraceBuffer::new());
+    let mut builder = Engine::builder().seed(2024);
+    if flag_value(args, "--profile").is_some() || flag_value(args, "--trace").is_some() {
+        builder = builder.observe(registry.clone(), tracebuf.clone());
+    }
+    builder = if water { builder.water_cells(cells) } else { builder.copper_cells(cells) };
+    let precision = flag_value(args, "--precision").map_or(default_precision, String::as_str);
+    builder = builder.precision(match precision {
+        "double" => Precision::Double,
+        "fp32" => Precision::Mix32,
+        "fp16" => Precision::Mix16,
+        other => return Err(format!("unknown --precision '{other}' (use double | fp32 | fp16)")),
+    });
+    if let Some(n) = parse_opt(args, "--threads")? {
+        builder = builder.threads(n);
+    }
+    // Which dispatch class the process's f32 GEMM hot path selected (scalar
+    // / avx2 / neon — the `double` path never touches it;
+    // `DPMD_FORCE_SCALAR=1` pins scalar).
     println!(
         "precision: {precision}, fp32-gemm dispatch class: {}",
         nnet::gemm::dispatch::active_class().tag()
     );
-}
-
-fn run_md_batch(args: &[String]) -> bool {
-    let replicas = parse_flag(args, "--replicas", 4);
-    let steps = parse_flag(args, "--steps", 10) as u64;
-    let cells = parse_flag(args, "--cells", 2);
-    let in_flight = match parse_in_flight(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return false;
-        }
-    };
-    let water = args.iter().any(|a| a == "--water");
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let profile_path = flag_value(args, "--profile");
-
-    let registry = dpmd_obs::MetricsRegistry::new();
-    let tracebuf = dpmd_obs::TraceBuffer::new();
-    let mut builder = Engine::builder().seed(2024);
-    if profile_path.is_some() {
-        builder = builder.observe(registry.clone(), tracebuf.clone());
-    }
-    builder = if water { builder.water_cells(cells) } else { builder.copper_cells(cells) };
-    builder = match flag_value(args, "--precision").map(String::as_str) {
-        Some("fp32") | None => builder.precision(Precision::Mix32),
-        Some("fp16") => builder.precision(Precision::Mix16),
-        Some("double") => builder.precision(Precision::Double),
-        Some(other) => {
-            eprintln!("unknown --precision '{other}' (use double | fp32 | fp16)");
-            return false;
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            builder = builder.threads(n);
-        }
-    }
-    print_dispatch_class(flag_value(args, "--precision").map(String::as_str).unwrap_or("fp32"));
     let ntypes = if water { 2 } else { 1 };
-    let parts =
-        builder.with_model(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 6.0))).build_parts();
-    let mut sched =
-        dpmd_serve::BatchScheduler::new(parts, replicas, steps).in_flight_cap(in_flight);
-
-    let t0 = dpmd_obs::clock::wall_now();
-    let (mode, rounds) = if sequential {
-        ("sequential", sched.run_sequential())
-    } else {
-        ("batched", sched.run())
-    };
-    let wall = t0.elapsed().as_secs_f64();
-
-    let natoms: usize = sched.replicas().iter().map(|r| r.sim.atoms.nlocal).sum();
-    println!(
-        "{mode}: {replicas} replicas x {steps} steps ({natoms} atoms total) in {wall:.3} s ({rounds} rounds)",
-    );
-    for r in sched.replicas() {
-        let th = r.sim.thermo();
-        println!(
-            "replica {:>3} (seed {:>6})  pe {:>12.4}  etot {:>12.4}  T {:>8.2} K",
-            r.id, r.seed, th.pe, th.etotal, th.temperature
-        );
-    }
-    if let Some(path) = profile_path {
-        let snap = registry.snapshot_deterministic();
-        let n = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("--profile {path}: {e}");
-            return false;
-        }
-        println!("profile: wrote {n} metrics to {path}");
-    }
-    true
+    builder = builder.with_model(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 6.0)));
+    Ok(MdSetup { builder, registry, tracebuf, water })
 }
 
-/// `dpmd md serve`: the continuous-batching multi-tenant service, driven by
-/// a deterministic arrival script (wall clocks are banned on deterministic
+/// Write the deterministic metrics snapshot to the `--profile` path, if one
+/// was given.
+fn write_profile(args: &[String], registry: &MetricsRegistry) -> Result<(), String> {
+    let Some(path) = flag_value(args, "--profile") else { return Ok(()) };
+    let snap = registry.snapshot_deterministic();
+    let n = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
+    std::fs::write(path, snap.to_json()).map_err(|e| format!("--profile {path}: {e}"))?;
+    println!("profile: wrote {n} metrics to {path}");
+    Ok(())
+}
+
+/// `dpmd md serve` (and `md batch`, whose fixed fleet is just another
+/// script): the continuous-batching multi-tenant service, driven by a
+/// deterministic arrival script (wall clocks are banned on deterministic
 /// paths, so "when tenants show up" is derived from a seed).
-fn run_md_serve(args: &[String]) -> bool {
-    let Some(spec) = flag_value(args, "--script") else {
-        eprintln!("md serve requires --script SPEC (try --script \"tenants=4;steps=10;window=3\")");
-        return false;
-    };
-    let script = match dpmd_serve::ArrivalScript::parse(spec) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad --script spec: {e}");
-            return false;
-        }
-    };
-    let cells = parse_flag(args, "--cells", 2);
-    let in_flight = match parse_in_flight(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return false;
-        }
-    };
-    let water = args.iter().any(|a| a == "--water");
-    let profile_path = flag_value(args, "--profile");
-
-    let registry = dpmd_obs::MetricsRegistry::new();
-    let tracebuf = dpmd_obs::TraceBuffer::new();
-    let mut builder = Engine::builder().seed(2024);
-    if profile_path.is_some() {
-        builder = builder.observe(registry.clone(), tracebuf.clone());
-    }
-    builder = if water { builder.water_cells(cells) } else { builder.copper_cells(cells) };
-    builder = match flag_value(args, "--precision").map(String::as_str) {
-        Some("fp32") | None => builder.precision(Precision::Mix32),
-        Some("fp16") => builder.precision(Precision::Mix16),
-        Some("double") => builder.precision(Precision::Double),
-        Some(other) => {
-            eprintln!("unknown --precision '{other}' (use double | fp32 | fp16)");
-            return false;
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            builder = builder.threads(n);
-        }
-    }
-    print_dispatch_class(flag_value(args, "--precision").map(String::as_str).unwrap_or("fp32"));
-    let ntypes = if water { 2 } else { 1 };
-    let parts =
-        builder.with_model(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 6.0))).build_parts();
+fn run_md_serve(args: &[String], script: &dpmd_serve::ArrivalScript) -> Result<(), String> {
+    let in_flight = parse_flag(args, "--in-flight", dpmd_serve::InFlightCap::All)?;
+    let MdSetup { builder, registry, .. } = md_setup(args, 2, "fp32")?;
+    let parts = builder.build_parts();
 
     let mut served =
         dpmd_serve::ContinuousScheduler::new(parts, in_flight, script.queue_capacity);
     let t0 = dpmd_obs::clock::wall_now();
-    let outcome = served.run_script(&script);
+    let outcome = served.run_script(script);
     let wall = t0.elapsed().as_secs_f64();
 
     let done: u64 = served.tenants().iter().map(|t| t.done_steps()).sum();
@@ -288,16 +207,7 @@ fn run_md_serve(args: &[String]) -> bool {
             deadline_note,
         );
     }
-    if let Some(path) = profile_path {
-        let snap = registry.snapshot_deterministic();
-        let n = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("--profile {path}: {e}");
-            return false;
-        }
-        println!("profile: wrote {n} metrics to {path}");
-    }
-    true
+    write_profile(args, &registry)
 }
 
 /// `dpmd validate-obs <profile.json> [trace.json]`: schema-check the files
@@ -339,28 +249,14 @@ fn validate_obs(args: &[String]) -> bool {
 /// `dpmd md --faults <spec>`: the fault-injection surface. Runs the
 /// distributed LJ driver clean and faulted side by side and reports the
 /// fault/recovery counters plus the bitwise verdict.
-fn run_faulted(args: &[String], spec: &str) -> bool {
-    let plan = match FaultPlan::parse(spec) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            return false;
-        }
-    };
-    let cells = parse_flag(args, "--cells", 6);
-    let steps = parse_flag(args, "--steps", 12) as u64;
-    let scheme = match args
-        .iter()
-        .position(|a| a == "--scheme")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+fn run_faulted(args: &[String], spec: &str) -> Result<(), String> {
+    let plan = FaultPlan::parse(spec).map_err(|e| format!("bad --faults spec: {e}"))?;
+    let cells = parse_flag(args, "--cells", 6)?;
+    let steps: u64 = parse_flag(args, "--steps", 12)?;
+    let scheme = match flag_value(args, "--scheme").map(String::as_str) {
         Some("p2p") => ExchangeScheme::RankP2p,
         Some("node") | None => ExchangeScheme::NodeBased,
-        Some(other) => {
-            eprintln!("unknown --scheme '{other}' (use node | p2p)");
-            return false;
-        }
+        Some(other) => return Err(format!("unknown --scheme '{other}' (use node | p2p)")),
     };
     println!("fault plan: {plan:?}");
     println!("scheme: {scheme:?}, {steps} steps, {cells} cells/edge\n");
@@ -374,62 +270,48 @@ fn run_faulted(args: &[String], spec: &str) -> bool {
             format!("DIVERGED (max drift {:.3e} A)", report.max_drift)
         }
     );
-    report.bitwise_identical
+    if report.bitwise_identical {
+        Ok(())
+    } else {
+        Err("faulted trajectory diverged from the fault-free run".into())
+    }
 }
 
 /// `dpmd md`: run functional MD, optionally printing the per-step
 /// phase-timing breakdown the threaded force pipeline records.
-fn run_md(args: &[String]) -> bool {
-    if args.get(1).map(String::as_str) == Some("batch") {
-        return run_md_batch(args);
+fn run_md(args: &[String]) -> Result<(), String> {
+    match args.get(1).map(String::as_str) {
+        Some("batch") => {
+            let replicas = parse_flag(args, "--replicas", 4)?;
+            let steps = parse_flag(args, "--steps", 10)?;
+            if replicas == 0 || steps == 0 {
+                return Err("--replicas and --steps must be at least 1".into());
+            }
+            return run_md_serve(args, &dpmd_serve::ArrivalScript::fixed(replicas, steps));
+        }
+        Some("serve") => {
+            let spec = flag_value(args, "--script").ok_or(
+                "md serve requires --script SPEC (try --script \"tenants=4;steps=10;window=3\")",
+            )?;
+            let script = dpmd_serve::ArrivalScript::parse(spec)
+                .map_err(|e| format!("bad --script spec: {e}"))?;
+            return run_md_serve(args, &script);
+        }
+        _ => {}
     }
-    if args.get(1).map(String::as_str) == Some("serve") {
-        return run_md_serve(args);
+    if let Some(spec) = flag_value(args, "--faults") {
+        return run_faulted(args, spec);
     }
-    if let Some(spec) =
-        args.iter().position(|a| a == "--faults").and_then(|i| args.get(i + 1))
-    {
-        return run_faulted(args, &spec.clone());
-    }
-    let cells = parse_flag(args, "--cells", 3);
-    let steps = parse_flag(args, "--steps", 20) as u64;
-    let water = args.iter().any(|a| a == "--water");
+    let steps: u64 = parse_flag(args, "--steps", 20)?;
     let timing = args.iter().any(|a| a == "--timing");
-    let profile_path = flag_value(args, "--profile");
-    let trace_path = flag_value(args, "--trace");
-
-    let registry = dpmd_obs::MetricsRegistry::new();
-    let tracebuf = dpmd_obs::TraceBuffer::new();
-    let mut builder = Engine::builder().seed(2024);
-    if profile_path.is_some() || trace_path.is_some() {
-        builder = builder.observe(registry.clone(), tracebuf.clone());
-    }
-    builder = if water { builder.water_cells(cells) } else { builder.copper_cells(cells) };
-    match flag_value(args, "--precision").map(String::as_str) {
-        Some("double") | None => {}
-        Some("fp32") => builder = builder.precision(Precision::Mix32),
-        Some("fp16") => builder = builder.precision(Precision::Mix16),
-        Some(other) => {
-            eprintln!("unknown --precision '{other}' (use double | fp32 | fp16)");
-            return false;
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            builder = builder.threads(n);
-        }
-    }
-    // An untrained model evaluates the full pipeline at realistic cost; the
-    // CLI run is about dynamics and timing, not accuracy.
-    let ntypes = if water { 2 } else { 1 };
-    let mut engine = builder.with_model(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 6.0))).build();
+    let MdSetup { builder, registry, tracebuf, water } = md_setup(args, 3, "double")?;
+    let mut engine = builder.build();
     let natoms = engine.simulation().atoms.nlocal;
     println!(
         "system: {} ({natoms} atoms), dt = {} fs, {steps} steps",
         if water { "water" } else { "copper" },
         engine.timestep_fs(),
     );
-    print_dispatch_class(flag_value(args, "--precision").map(String::as_str).unwrap_or("double"));
 
     if timing {
         println!(
@@ -470,31 +352,34 @@ fn run_md(args: &[String]) -> bool {
             100.0 * sums.0 / sums.1
         );
     }
-    if let Some(path) = profile_path {
-        let snap = registry.snapshot_deterministic();
-        let n = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("--profile {path}: {e}");
-            return false;
-        }
-        println!("profile: wrote {n} metrics to {path}");
-    }
-    if let Some(path) = trace_path {
-        if let Err(e) = std::fs::write(path, tracebuf.to_chrome_json()) {
-            eprintln!("--trace {path}: {e}");
-            return false;
-        }
+    write_profile(args, &registry)?;
+    if let Some(path) = flag_value(args, "--trace") {
+        std::fs::write(path, tracebuf.to_chrome_json())
+            .map_err(|e| format!("--trace {path}: {e}"))?;
         println!("trace: wrote {} events to {path}", tracebuf.len());
     }
-    true
+    Ok(())
 }
 
-fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value following `flag`, parsed as `T`; `None` when the flag is
+/// absent. A flag that is present with a missing or unparsable value
+/// (garbage, negative or fractional where a count is expected) is an error
+/// naming the flag — never a silent fall-back to the default.
+fn parse_opt<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let v = args.get(i + 1).ok_or_else(|| format!("{flag}: missing value"))?;
+    v.parse().map(Some).map_err(|e| format!("{flag}: invalid value '{v}': {e}"))
+}
+
+/// As [`parse_opt`], with `default` standing in for an absent flag.
+fn parse_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    Ok(parse_opt(args, flag)?.unwrap_or(default))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
@@ -569,20 +454,26 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let points = parse_flag(&args, "--points", 5);
-    let iters = parse_flag(&args, "--iters", 10_000);
+    let (points, iters) =
+        match (parse_flag(&args, "--points", 5), parse_flag(&args, "--iters", 10_000)) {
+            (Ok(p), Ok(i)) => (p, i),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
     match cmd.as_str() {
         "list" | "--help" | "-h" => {
             usage();
             ExitCode::SUCCESS
         }
-        "md" => {
-            if run_md(&args) {
-                ExitCode::SUCCESS
-            } else {
+        "md" => match run_md(&args) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{e}");
                 ExitCode::FAILURE
             }
-        }
+        },
         "validate-obs" => {
             if validate_obs(&args) {
                 ExitCode::SUCCESS
@@ -615,5 +506,41 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn numeric_flags_default_when_absent_and_parse_when_valid() {
+        let a = args("md batch --replicas 6 --threads 2");
+        assert_eq!(parse_flag(&a, "--replicas", 4usize), Ok(6));
+        assert_eq!(parse_flag(&a, "--steps", 10u64), Ok(10), "absent flag takes the default");
+        assert_eq!(parse_opt::<usize>(&a, "--threads"), Ok(Some(2)));
+        assert_eq!(parse_opt::<usize>(&a, "--cells"), Ok(None));
+    }
+
+    #[test]
+    fn present_but_unparsable_values_are_errors_naming_the_flag() {
+        for (line, flag) in [
+            ("md batch --replicas lots", "--replicas"),
+            ("md --steps -3", "--steps"),
+            ("md --cells 2.5", "--cells"),
+            ("md serve --threads x", "--threads"),
+            ("md --threads", "--threads"),
+        ] {
+            let err = parse_opt::<usize>(&args(line), flag).unwrap_err();
+            assert!(err.starts_with(flag), "'{line}': error must name the flag, got '{err}'");
+            assert!(parse_flag(&args(line), flag, 7usize).is_err(), "'{line}': no silent default");
+        }
+        let zero = args("md serve --in-flight 0");
+        let cap = parse_flag(&zero, "--in-flight", dpmd_serve::InFlightCap::All);
+        assert!(cap.unwrap_err().contains("admit nothing"), "the cap's own explanation survives");
     }
 }

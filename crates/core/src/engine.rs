@@ -15,6 +15,13 @@ use minimd::sim::{Simulation, StepTiming, Thermo};
 use minimd::units::FEMTOSECOND;
 use nnet::precision::Precision;
 
+/// Neighbour-list skin of every simulation built from [`EngineParts`], Å
+/// (the paper's setting).
+pub const SKIN_A: f64 = 2.0;
+/// Neighbour-list rebuild cadence of those simulations, steps (the paper's
+/// setting).
+pub const REBUILD_EVERY: u64 = 50;
+
 /// Which physical system the engine sets up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SystemKind {
@@ -154,8 +161,8 @@ impl EngineBuilder {
     }
 
     /// Train (if needed) and return the resolved pieces without assembling a
-    /// simulation — the batch scheduler (`dpmd-serve`) uses this to stamp
-    /// out many replicas over one trained model, varying only the seed.
+    /// simulation — the serving scheduler (`dpmd-serve`) uses this to stamp
+    /// out many tenants over one trained model, varying only the seed.
     pub fn build_parts(self) -> EngineParts {
         let model: DeepPotModel = match self.model.clone() {
             Some(m) => m,
@@ -203,7 +210,9 @@ impl EngineBuilder {
 /// The resolved output of [`EngineBuilder::build_parts`]: a trained (or
 /// supplied) model plus every setting needed to assemble simulations over
 /// it. [`Engine::assemble`] consumes one; `dpmd-serve` keeps one and builds
-/// R replica simulations from it, varying [`seed`](Self::seed) per replica.
+/// every tenant's simulation from it, varying [`seed`](Self::seed) per
+/// tenant. Both take the force engine from [`dp_engine`](Self::dp_engine)
+/// and the neighbour-list settings from [`SKIN_A`] / [`REBUILD_EVERY`].
 pub struct EngineParts {
     /// The trained/supplied model (compression already applied).
     pub model: DeepPotModel,
@@ -237,6 +246,22 @@ impl EngineParts {
         (bx, atoms)
     }
 
+    /// The force engine these settings call for: the model at
+    /// [`precision`](Self::precision), on a private pool when
+    /// [`threads`](Self::threads) is set, with its eval/GEMM counters
+    /// registered when observing (before any force evaluation, so they
+    /// cover the whole run).
+    pub fn dp_engine(&self) -> DpEngine {
+        let mut dp = DpEngine::new(self.model.clone(), self.precision);
+        if let Some(n) = self.threads {
+            dp = dp.with_pool(Arc::new(ThreadPool::new(n)));
+        }
+        if let Some((reg, _)) = &self.obs {
+            dp.attach_obs(reg);
+        }
+        dp
+    }
+
     /// The integrator (time-step + thermostat) these settings call for.
     pub fn integrator(&self) -> VelocityVerlet {
         let mut vv = VelocityVerlet::new(self.timestep_fs * FEMTOSECOND);
@@ -264,17 +289,8 @@ impl Engine {
     fn assemble(parts: EngineParts) -> Engine {
         let (bx, atoms) = parts.initial_state();
         let vv = parts.integrator();
-        let mut dp = DpEngine::new(parts.model, parts.precision);
-        if let Some(n) = parts.threads {
-            dp = dp.with_pool(Arc::new(ThreadPool::new(n)));
-        }
-        if let Some((reg, _)) = &parts.obs {
-            // Attach before the initial force evaluation in Simulation::new
-            // so eval/GEMM counters cover the whole run.
-            dp.attach_obs(reg);
-        }
-        // Paper settings: skin 2 Å, rebuild every 50 steps.
-        let mut sim = Simulation::new(bx, atoms, Box::new(dp), vv, 2.0, 50);
+        let dp = parts.dp_engine();
+        let mut sim = Simulation::new(bx, atoms, Box::new(dp), vv, SKIN_A, REBUILD_EVERY);
         if let Some((reg, trace)) = &parts.obs {
             sim.attach_obs(reg, trace);
         }

@@ -45,5 +45,5 @@ pub mod prelude {
     pub use nnet::precision::Precision;
 }
 
-pub use engine::{Engine, EngineBuilder, EngineParts};
+pub use engine::{Engine, EngineBuilder, EngineParts, REBUILD_EVERY, SKIN_A};
 pub use performance::Performance;

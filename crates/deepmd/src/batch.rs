@@ -3,7 +3,7 @@
 //! [`DpEngine::evaluate`] is the only `Mix32`/`Mix16` force evaluation in
 //! the workspace: [`DpEngine::energy_forces`] (and through it the
 //! [`minimd::potential::Potential`] adapter) feeds it one job, the
-//! schedulers in `dpmd-serve` feed it one job per running tenant. It
+//! scheduler in `dpmd-serve` feeds it one job per running tenant. It
 //!
 //! 1. builds each job's environments (`crate::descriptor`);
 //! 2. cuts the work into **tiles** — `(job, atom range)` for every range of
@@ -40,7 +40,7 @@
 //!    energies, force scatter, virial) runs inside one tile in atom order,
 //!    and tiles fold into their job in chunk order on the calling thread.
 //!
-//! `tests/batch_determinism.rs` and `tests/determinism.rs` check the
+//! `tests/serve_continuous.rs` and `tests/determinism.rs` check the
 //! end-to-end consequence: trajectories bit-identical at any batch size and
 //! thread count.
 

@@ -128,21 +128,7 @@ impl Simulation {
         skin: f64,
         rebuild_every: u64,
     ) -> Self {
-        let nl = NeighborList::new(potential.cutoff(), skin, ListKind::Full);
-        let mut sim = Simulation {
-            bx,
-            atoms,
-            potential,
-            integrator,
-            nl,
-            rebuild_every,
-            step: 0,
-            last: Thermo::default(),
-            last_virial: 0.0,
-            series: StepSeries::new(),
-            obs: None,
-        };
-        sim.nl.build(&sim.atoms, &sim.bx);
+        let mut sim = Self::new_deferred(bx, atoms, potential, integrator, skin, rebuild_every);
         sim.recompute_forces();
         sim
     }

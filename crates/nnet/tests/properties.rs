@@ -285,4 +285,38 @@ proptest! {
             }
         }
     }
+
+    /// `gemm::batched_nn_*` must equal per-call `auto_nn_*` exactly for any
+    /// shape and batch size.
+    #[test]
+    fn batched_gemm_equals_per_call_auto(
+        batch in 1usize..6,
+        m in 1usize..5,
+        n in 1usize..12,
+        k in 1usize..12,
+        seed in 0u64..1000,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a: Vec<f64> = (0..batch * m * k).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let b: Vec<f64> = (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let mut c_batched = vec![0.0f64; batch * m * n];
+        nnet::gemm::batched_nn_f64(batch, m, n, k, &a, &b, &mut c_batched);
+        let mut c_solo = vec![0.0f64; batch * m * n];
+        for s in 0..batch {
+            nnet::gemm::auto_nn_f64(m, n, k, &a[s * m * k..(s + 1) * m * k], &b, &mut c_solo[s * m * n..(s + 1) * m * n]);
+        }
+        prop_assert_eq!(&c_batched, &c_solo);
+
+        let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
+        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
+        let mut c32_batched = vec![0.0f32; batch * m * n];
+        nnet::gemm::batched_nn_f32(batch, m, n, k, &a32, &b32, &mut c32_batched);
+        let mut c32_solo = vec![0.0f32; batch * m * n];
+        for s in 0..batch {
+            nnet::gemm::auto_nn_f32(m, n, k, &a32[s * m * k..(s + 1) * m * k], &b32, &mut c32_solo[s * m * n..(s + 1) * m * n]);
+        }
+        prop_assert_eq!(&c32_batched, &c32_solo);
+    }
 }

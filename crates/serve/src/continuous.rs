@@ -17,22 +17,42 @@
 //! never *what* they compute. Enforced by `tests/serve_continuous.rs`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use deepmd::batch::{BatchJob, BatchWorkspace};
+use deepmd::batch::{BatchEvalStats, BatchJob};
 use deepmd::engine::DpEngine;
-use dpmd_core::EngineParts;
+use dpmd_core::{EngineParts, REBUILD_EVERY, SKIN_A};
 use dpmd_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
+use minimd::potential::PotentialOutput;
 use minimd::sim::{Simulation, StepInFlight};
 use minimd::vec3::Vec3;
 
-use crate::queue::{AdmissionQueue, AdmitError, InFlightCap, QueueEntry};
-use crate::scheduler::occupancy_bounds;
+use crate::queue::{AdmissionQueue, AdmitError, InFlightCap, Priority, QueueEntry};
 use crate::script::ArrivalScript;
-use crate::tenant::{Tenant, TenantObs, TenantSpec, TenantState};
+use crate::tenant::{Tenant, TenantSpec, TenantState};
 use crate::SharedDp;
 
-/// Metric handles for the continuous service (`serve.cont.*`,
-/// `serve.queue.*`; per-tenant counters live on each [`Tenant`]).
+/// Bucket edges for the `serve.cont.occupancy` histogram: the power-of-two
+/// ladder plus the exact in-flight cap and fleet size, so a full-batch round
+/// at the cap always lands in its own bucket instead of straddling an edge.
+/// Sorted and deduplicated — the registry requires ascending bounds.
+fn occupancy_bounds(cap: Option<usize>, fleet: usize) -> Vec<u64> {
+    let mut b: Vec<u64> = vec![1, 2, 4, 8, 16, 32]; // dpmd-allow D7: histogram bounds built once per scheduler construction
+    if let Some(c) = cap {
+        b.push(c as u64);
+    }
+    if fleet > 0 {
+        b.push(fleet as u64);
+    }
+    b.sort_unstable();
+    b.dedup();
+    b
+}
+
+/// Metric handles for the service (`serve.cont.*`, `serve.queue.*`, and the
+/// per-class aggregates `serve.class.*`, indexed by [`Priority::rank`]).
+/// Nothing is registered per tenant, so the metric key set does not depend
+/// on how many tenants attach.
 struct ContObs {
     reg: MetricsRegistry,
     rounds: Counter,
@@ -45,6 +65,8 @@ struct ContObs {
     deadline_missed: Counter,
     queue_depth: Gauge,
     queue_wait: Histogram,
+    class_steps: [Counter; 3],
+    class_queue_wait: [Counter; 3],
     /// Registered lazily on the first tick, once the cap is known (the
     /// registry fixes histogram bounds at first registration).
     occupancy: Option<Histogram>,
@@ -72,7 +94,6 @@ pub struct ContinuousScheduler {
     /// canonical fused-job order).
     running: Vec<usize>,
     round: u64,
-    workspace: BatchWorkspace,
     obs: Option<ContObs>,
     // Tick scratch, allocated once here and reused every round.
     admit_scratch: Vec<QueueEntry>,
@@ -84,17 +105,14 @@ pub struct ContinuousScheduler {
 
 impl ContinuousScheduler {
     /// An empty service over one shared engine built from `parts`. Tenant
-    /// `id` will draw its initial state from seed `parts.seed + id` —
-    /// the same mapping as [`crate::BatchScheduler`], so solo references
-    /// are directly comparable.
+    /// `id` will draw its initial state from seed `parts.seed + id`, so its
+    /// solo reference is an [`Engine`](dpmd_core::Engine) built with that
+    /// seed.
     pub fn new(parts: EngineParts, cap: InFlightCap, queue_capacity: usize) -> Self {
-        let mut dp = DpEngine::new(parts.model.clone(), parts.precision);
-        if let Some(n) = parts.threads {
-            dp = dp.with_pool(Arc::new(dpmd_threads::ThreadPool::new(n)));
-        }
-        if let Some((reg, _)) = &parts.obs {
-            dp.attach_obs(reg);
-        }
+        let class_counters = |reg: &MetricsRegistry, what: &str| {
+            [Priority::Interactive, Priority::Standard, Priority::Batch]
+                .map(|c| reg.counter(&format!("serve.class.{c}.{what}"), Unit::Count))
+        };
         let obs = parts.obs.as_ref().map(|(reg, _)| ContObs {
             reg: reg.clone(),
             rounds: reg.counter("serve.cont.rounds", Unit::Count),
@@ -111,23 +129,20 @@ impl ContinuousScheduler {
                 Unit::Count,
                 &[0, 1, 2, 4, 8, 16, 32],
             ),
+            class_steps: class_counters(reg, "steps"),
+            class_queue_wait: class_counters(reg, "queue_wait_rounds"),
             occupancy: None,
         });
         let base_seed = parts.seed;
         ContinuousScheduler {
-            engine: Arc::new(dp),
+            engine: Arc::new(parts.dp_engine()),
             parts,
             base_seed,
             cap,
-            queue: if queue_capacity == usize::MAX {
-                AdmissionQueue::unbounded()
-            } else {
-                AdmissionQueue::bounded(queue_capacity)
-            },
+            queue: AdmissionQueue::bounded(queue_capacity),
             tenants: Vec::new(),
             running: Vec::new(),
             round: 0,
-            workspace: BatchWorkspace::new(),
             obs,
             admit_scratch: Vec::new(),
             toks: Vec::new(),
@@ -175,13 +190,12 @@ impl ContinuousScheduler {
             atoms,
             Box::new(SharedDp(Arc::clone(&self.engine))),
             vv,
-            2.0,
-            50,
+            SKIN_A,
+            REBUILD_EVERY,
         );
         if let Some((reg, trace)) = &self.parts.obs {
             sim.attach_obs(reg, trace);
         }
-        let obs = self.obs.as_ref().map(|o| TenantObs::register(&o.reg, spec.id));
         self.tenants.push(Tenant {
             id: spec.id,
             seed: self.parts.seed,
@@ -196,7 +210,6 @@ impl ContinuousScheduler {
             sim,
             trace: Vec::with_capacity(spec.steps as usize),
             needs_init: true,
-            obs,
         });
         Ok(idx)
     }
@@ -274,9 +287,7 @@ impl ContinuousScheduler {
             if let Some(o) = &self.obs {
                 o.admissions.inc();
                 o.queue_wait.record(wait);
-            }
-            if let Some(to) = &t.obs {
-                to.queue_wait.add(wait);
+                o.class_queue_wait[t.priority.rank() as usize].add(wait);
             }
             self.running.push(e.tenant);
         }
@@ -307,30 +318,14 @@ impl ContinuousScheduler {
             }
         }
         if !self.init_scratch.is_empty() {
-            for &idx in &self.init_scratch {
+            let (outs, stats, _) = fused_forces(
+                &self.engine,
+                &mut self.tenants,
+                &self.init_scratch,
+                &mut self.force_bufs,
+            );
+            for (&idx, out) in self.init_scratch.iter().zip(outs) {
                 let t = &mut self.tenants[idx];
-                let mut f = std::mem::take(&mut t.sim.atoms.force);
-                f.fill(Vec3::ZERO);
-                self.force_bufs.push(f);
-            }
-            let (outs, stats) = {
-                let tenants = &self.tenants;
-                let mut jobs: Vec<BatchJob<'_>> = self
-                    .init_scratch
-                    .iter()
-                    .zip(self.force_bufs.iter_mut())
-                    .map(|(&idx, forces)| {
-                        let sim = &tenants[idx].sim;
-                        BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
-                    })
-                    .collect(); // dpmd-allow D5: per-round borrow of the newcomers; cannot be stored across rounds
-                self.engine.energy_forces_batched_with(&mut jobs, &mut self.workspace)
-            };
-            for ((&idx, buf), out) in
-                self.init_scratch.iter().zip(self.force_bufs.drain(..)).zip(outs)
-            {
-                let t = &mut self.tenants[idx];
-                t.sim.atoms.force = buf;
                 t.sim.initialize_forces(out);
                 t.needs_init = false;
             }
@@ -340,49 +335,25 @@ impl ContinuousScheduler {
             }
         }
 
-        // Phase A: first Verlet half + neighbour maintenance per tenant;
-        // force buffers leave the atom arrays so the batch jobs can borrow
-        // the simulations immutably.
+        // Phase A: first Verlet half + neighbour maintenance per tenant.
         for &idx in &self.running {
-            let t = &mut self.tenants[idx];
-            self.toks.push(t.sim.begin_step());
-            let mut f = std::mem::take(&mut t.sim.atoms.force);
-            f.fill(Vec3::ZERO);
-            self.force_bufs.push(f);
+            self.toks.push(self.tenants[idx].sim.begin_step());
         }
 
         // Phase B: one fused force evaluation over the whole running set.
-        let t_force = dpmd_obs::clock::wall_now();
-        let (outs, stats) = {
-            let tenants = &self.tenants;
-            let mut jobs: Vec<BatchJob<'_>> = self
-                .running
-                .iter()
-                .zip(self.force_bufs.iter_mut())
-                .map(|(&idx, forces)| {
-                    let sim = &tenants[idx].sim;
-                    BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
-                })
-                .collect(); // dpmd-allow D5: per-round borrow of the tenants; cannot be stored across rounds
-            self.engine.energy_forces_batched_with(&mut jobs, &mut self.workspace)
-        };
-        let t_force_end = dpmd_obs::clock::wall_now();
+        let (outs, stats, force_span) =
+            fused_forces(&self.engine, &mut self.tenants, &self.running, &mut self.force_bufs);
 
-        // Phase C: restore forces, complete steps, retire finished tenants.
+        // Phase C: complete steps, retire finished tenants. The per-tenant
+        // wall split of a fused evaluation isn't separable, so each
+        // tenant's series records the batch-aggregate phases.
         self.finished_scratch.clear();
-        for (((&idx, tok), buf), out) in self
-            .running
-            .iter()
-            .zip(self.toks.drain(..))
-            .zip(self.force_bufs.drain(..))
-            .zip(outs)
-        {
+        for ((&idx, tok), out) in self.running.iter().zip(self.toks.drain(..)).zip(outs) {
             let t = &mut self.tenants[idx];
-            t.sim.atoms.force = buf;
-            let thermo = t.sim.complete_step(out, stats.phases, (t_force, t_force_end), tok);
+            let thermo = t.sim.complete_step(out, stats.phases, force_span, tok);
             t.trace.push(thermo);
-            if let Some(to) = &t.obs {
-                to.steps.inc();
+            if let Some(o) = &self.obs {
+                o.class_steps[t.priority.rank() as usize].inc();
             }
             if t.finished() {
                 t.state = TenantState::Finished { round };
@@ -442,5 +413,54 @@ impl ContinuousScheduler {
             }
             self.tick();
         }
+    }
+}
+
+/// One fused force evaluation over `tenants[idxs]`, in `idxs` order: each
+/// tenant's force array leaves its atoms zeroed so the batch jobs can
+/// borrow the simulations immutably, the engine evaluates every job in one
+/// call, and the arrays go back holding the new forces. Returns the
+/// per-tenant outputs, the call's statistics and its wall-clock span.
+fn fused_forces(
+    engine: &DpEngine,
+    tenants: &mut [Tenant],
+    idxs: &[usize],
+    force_bufs: &mut Vec<Vec<Vec3>>,
+) -> (Vec<PotentialOutput>, BatchEvalStats, (Instant, Instant)) {
+    for &idx in idxs {
+        let mut f = std::mem::take(&mut tenants[idx].sim.atoms.force);
+        f.fill(Vec3::ZERO);
+        force_bufs.push(f);
+    }
+    let t_force = dpmd_obs::clock::wall_now();
+    let (outs, stats) = {
+        let mut jobs: Vec<BatchJob<'_>> = idxs
+            .iter()
+            .zip(force_bufs.iter_mut())
+            .map(|(&idx, forces)| {
+                let sim = &tenants[idx].sim;
+                BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
+            })
+            .collect(); // dpmd-allow D7: per-round borrow of the tenants; cannot be stored across rounds
+        engine.energy_forces_batched(&mut jobs)
+    };
+    let t_force_end = dpmd_obs::clock::wall_now();
+    for (&idx, buf) in idxs.iter().zip(force_bufs.drain(..)) {
+        tenants[idx].sim.atoms.force = buf;
+    }
+    (outs, stats, (t_force, t_force_end))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn occupancy_bounds_contain_cap_and_fleet_exactly() {
+        assert_eq!(occupancy_bounds(Some(3), 5), vec![1, 2, 3, 4, 5, 8, 16, 32]);
+        assert_eq!(occupancy_bounds(None, 8), vec![1, 2, 4, 8, 16, 32]);
+        // A cap on a ladder edge must not produce duplicate bounds.
+        assert_eq!(occupancy_bounds(Some(8), 8), vec![1, 2, 4, 8, 16, 32]);
+        assert_eq!(occupancy_bounds(Some(48), 64), vec![1, 2, 4, 8, 16, 32, 48, 64]);
     }
 }

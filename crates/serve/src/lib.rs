@@ -1,46 +1,43 @@
-//! # dpmd-serve — batched multi-replica MD, fixed-fleet and continuous
+//! # dpmd-serve — many MD trajectories through one shared engine
 //!
 //! One process, many independent trajectories, one shared [`DpEngine`].
 //! Each scheduler round runs the first Verlet half of every admitted
-//! replica, then evaluates **all admitted replicas' forces in one fused
+//! tenant, then evaluates **all admitted tenants' forces in one fused
 //! call** ([`DpEngine::energy_forces_batched`]) before completing their
 //! steps. The fused call is the engine's one force pipeline fed one job
-//! per replica: every replica is cut into tiles of a few atoms, and the
-//! tiles of all replicas share one embedding pass and one fitting pass on
+//! per tenant: every tenant is cut into tiles of a few atoms, and the
+//! tiles of all tenants share one embedding pass and one fitting pass on
 //! the pool (type-sorted stacked GEMMs inside each tile, never across
-//! replicas).
+//! tenants).
 //!
-//! Two front ends share that fused round:
+//! [`ContinuousScheduler`] (module [`continuous`]) is the only step loop:
+//! a long-running multi-tenant service. Tenants ([`tenant`]) attach and
+//! detach mid-flight through a priority/deadline-ordered
+//! [`AdmissionQueue`] ([`queue`]) with typed backpressure
+//! ([`AdmitError`]), driven by a deterministic seed-derived arrival script
+//! ([`script`]) because wall clocks are banned on deterministic paths
+//! (analyzer rule D4). A fixed fleet of R replicas × S steps is the script
+//! [`ArrivalScript::fixed`]`(R, S)` — everyone arrives in round 1 — and
+//! "one trajectory at a time" is [`InFlightCap::AtMost`]`(1)`.
 //!
-//! - [`BatchScheduler`] (module [`scheduler`]): a fixed fleet known up
-//!   front, stepped round-robin to completion. The bench baseline and the
-//!   determinism reference.
-//! - [`ContinuousScheduler`] (module [`continuous`]): a long-running
-//!   multi-tenant service. Tenants ([`tenant`]) attach and detach
-//!   mid-flight through a priority/deadline-ordered [`AdmissionQueue`]
-//!   ([`queue`]) with typed backpressure ([`AdmitError`]), driven by a
-//!   deterministic seed-derived arrival script ([`script`]) because wall
-//!   clocks are banned on deterministic paths (analyzer rule D4).
-//!
-//! **Determinism guarantee:** every replica/tenant trajectory is
-//! bit-identical to the same seed stepped solo
-//! ([`BatchScheduler::run_sequential`]), at any batch size, in-flight cap
-//! ([`InFlightCap`]), priority class, arrival schedule, and thread-pool
-//! width. Batching changes *when* GEMMs run, never *what* they compute;
-//! per-replica integration state never leaves its own `Simulation`.
-//! Enforced end-to-end by `tests/batch_determinism.rs` and
+//! **Determinism guarantee:** every tenant trajectory is bit-identical to
+//! the same seed stepped solo (its own `dpmd_core::Engine`, its own pool),
+//! at any fleet size, in-flight cap ([`InFlightCap`]), priority class,
+//! arrival schedule, and thread-pool width. Batching changes *when* GEMMs
+//! run, never *what* they compute; per-tenant integration state never
+//! leaves its own `Simulation`. Enforced end-to-end by
 //! `tests/serve_continuous.rs`.
 //!
-//! Metrics (when observing): `serve.replicas` (gauge), `serve.rounds` /
-//! `serve.steps` / `serve.batch.gemm.fused` / `serve.batch.gemm.fused_rows`
-//! (counters) and `serve.batch.occupancy` (histogram) from the fixed-fleet
-//! scheduler; `serve.cont.*` (rounds, steps, admissions, rejections,
-//! detaches, deadline_missed, occupancy), `serve.queue.depth` /
-//! `serve.queue.wait_rounds`, and per-tenant
-//! `serve.tenant.NNN.{steps,queue_wait_rounds}` from the continuous
-//! service. Occupancy histograms register their bucket edges once the cap
-//! and fleet are known, so full-batch rounds at the cap land in a dedicated
-//! bucket; idle (zero-admission) rounds are never recorded as occupancy.
+//! Metrics (when observing): `serve.cont.*` (rounds, steps, admissions,
+//! rejections, detaches, deadline_missed, gemm.fused, gemm.fused_rows,
+//! occupancy), `serve.queue.depth` / `serve.queue.wait_rounds`, and the
+//! per-class aggregates
+//! `serve.class.{interactive,standard,batch}.{steps,queue_wait_rounds}` —
+//! a fixed key set however many tenants attach (per-tenant numbers are
+//! fields of [`Tenant`]). The occupancy histogram registers its bucket
+//! edges once the cap and fleet are known, so full-batch rounds at the cap
+//! land in a dedicated bucket; idle (zero-admission) rounds are never
+//! recorded as occupancy.
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
 // in dpmd-threads); everything else is safe Rust by construction.
@@ -48,13 +45,11 @@
 
 pub mod continuous;
 pub mod queue;
-pub mod scheduler;
 pub mod script;
 pub mod tenant;
 
 pub use continuous::{ContinuousScheduler, ScriptOutcome};
 pub use queue::{AdmissionQueue, AdmitError, InFlightCap, Priority, QueueEntry};
-pub use scheduler::{BatchScheduler, Replica};
 pub use script::ArrivalScript;
 pub use tenant::{Tenant, TenantSpec, TenantState};
 
@@ -68,9 +63,8 @@ use minimd::simbox::SimBox;
 
 /// A [`Potential`] that delegates to a shared engine, so many
 /// [`Simulation`](minimd::sim::Simulation)s can run over one set of
-/// weights. Used for each replica's initial force evaluation and for the
-/// sequential (solo) stepping path; the batched path bypasses `compute`
-/// and calls the engine directly.
+/// weights. The scheduler's fused rounds bypass `compute` and call the
+/// engine directly; the trait object supplies the cutoff and phase times.
 pub(crate) struct SharedDp(pub(crate) Arc<DpEngine>);
 
 impl Potential for SharedDp {

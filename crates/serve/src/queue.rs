@@ -8,11 +8,11 @@
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 
-/// How many replicas/tenants may share a fused round.
+/// How many tenants may share a fused round.
 ///
-/// This replaces the old `max_in_flight == 0` sentinel, which silently meant
-/// "unlimited" and let a typo'd or negative CLI value turn the bound off.
-/// `All` is now spelled out, and every bounded cap is non-zero by type.
+/// "No bound" is spelled out as [`All`](InFlightCap::All) and every bounded
+/// cap is non-zero by type: a count of 0 once silently meant "unlimited",
+/// which let a typo'd or negative CLI value turn the bound off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum InFlightCap {
     /// No bound: every runnable tenant is admitted each round.
@@ -39,17 +39,6 @@ impl InFlightCap {
         match self {
             InFlightCap::All => None,
             InFlightCap::AtMost(n) => Some(n.get()),
-        }
-    }
-
-    /// Lossless upgrade of the legacy count convention (`0` = unlimited),
-    /// kept for [`BatchScheduler::max_in_flight`] compatibility.
-    ///
-    /// [`BatchScheduler::max_in_flight`]: crate::BatchScheduler::max_in_flight
-    pub fn from_legacy_count(k: usize) -> Self {
-        match NonZeroUsize::new(k) {
-            Some(n) => InFlightCap::AtMost(n),
-            None => InFlightCap::All,
         }
     }
 }
@@ -275,12 +264,6 @@ mod tests {
         assert!(neg.contains("negative"), "{neg}");
         let junk = "many".parse::<InFlightCap>().unwrap_err();
         assert!(junk.contains("positive count or 'all'"), "{junk}");
-    }
-
-    #[test]
-    fn legacy_count_maps_zero_to_all() {
-        assert_eq!(InFlightCap::from_legacy_count(0), InFlightCap::All);
-        assert_eq!(InFlightCap::from_legacy_count(5).bound(), 5);
     }
 
     #[test]

@@ -82,6 +82,14 @@ fn parse_at(v: &str, clause: &str) -> Result<(usize, u64), String> {
 }
 
 impl ArrivalScript {
+    /// A fixed fleet: `tenants` tenants of `steps` steps each, all arriving
+    /// in round 1 with default class and no deadlines or pauses (the script
+    /// `tenants=R;steps=S;window=1`). Admission then degenerates to id
+    /// order, and running tenants hold their slot until they finish.
+    pub fn fixed(tenants: usize, steps: u64) -> Self {
+        ArrivalScript { tenants, steps, window: 1, ..Self::default() }
+    }
+
     /// Parse a `;`-separated script spec (see the module docs for the
     /// clause table). Unknown clauses and malformed values are errors.
     pub fn parse(spec: &str) -> Result<Self, String> {

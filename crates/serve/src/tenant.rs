@@ -3,7 +3,6 @@
 //! optional step deadline, arrival/admission bookkeeping, and an optional
 //! scripted pause that detaches it mid-flight.
 
-use dpmd_obs::{Counter, MetricsRegistry, Unit};
 use minimd::sim::{Simulation, Thermo};
 
 use crate::queue::Priority;
@@ -13,8 +12,7 @@ use crate::queue::Priority;
 #[derive(Clone, Copy, Debug)]
 pub struct TenantSpec {
     /// Tenant id; also the seed offset (`parts.seed + id`), so a tenant is
-    /// bit-comparable with the [`BatchScheduler`](crate::BatchScheduler)
-    /// replica of the same id.
+    /// bit-comparable with a solo engine built from that seed.
     pub id: usize,
     /// Steps the tenant wants in total.
     pub steps: u64,
@@ -55,22 +53,6 @@ pub enum TenantState {
     },
 }
 
-/// Per-tenant metric handles (registered at attach — not on the hot path).
-pub(crate) struct TenantObs {
-    pub(crate) steps: Counter,
-    pub(crate) queue_wait: Counter,
-}
-
-impl TenantObs {
-    pub(crate) fn register(reg: &MetricsRegistry, id: usize) -> Self {
-        TenantObs {
-            steps: reg.counter(&format!("serve.tenant.{id:03}.steps"), Unit::Count),
-            queue_wait: reg
-                .counter(&format!("serve.tenant.{id:03}.queue_wait_rounds"), Unit::Count),
-        }
-    }
-}
-
 /// One attached trajectory plus its service-level state.
 pub struct Tenant {
     /// Tenant id (== seed offset; see [`TenantSpec::id`]).
@@ -100,7 +82,6 @@ pub struct Tenant {
     /// The sim was built deferred; its initial forces still need one
     /// (fused) evaluation before the first step.
     pub(crate) needs_init: bool,
-    pub(crate) obs: Option<TenantObs>,
 }
 
 impl Tenant {
