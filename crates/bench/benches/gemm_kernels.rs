@@ -1,23 +1,29 @@
-//! Dispatch-class GEMM microkernel bench (the tentpole acceptance bench for
-//! the explicit-SIMD kernels): GF/s per precision × shape class for the
-//! cache-blocked baseline, the portable scalar dispatch rule, and the
-//! machine's native kernel (`dpmd-simd`, AVX2/NEON).
+//! GEMM kernel bench: GF/s of the scalar-class kernel (`blocked`), the
+//! machine's native kernel (`dpmd-simd`, AVX2/NEON) and the software-fp16
+//! kernel, over the shape classes the force pipeline actually issues.
 //!
-//! Shape classes mirror the engine's real GEMM population: the paper's
-//! dedicated tall-skinny fitting-net calls (M ∈ {1, 2, 3} against 240-wide
-//! layers), the type-sorted stacked embedding panels (many rows, narrow K),
-//! and a square-ish panel as the blocked kernel's home turf.
+//! The classes were read off a shape dump of two-step `copper()` (864 atoms,
+//! Mix32) and `water()` (648 atoms, Mix16) runs, not guessed:
+//!
+//! * fitting tiles — a tile's atoms of one species stacked into one call per
+//!   layer: 3–8 rows (median 6) on water, 13–14 on Cu, against the 240×240
+//!   hidden layers (≈ 75 % of all GEMM flops in both runs) and the 64→240
+//!   first layer, which `Mix16` runs on the fp16 kernel;
+//! * embedding layers — one call per (atom, neighbour species) over the
+//!   type-sorted neighbours with the bias folded in as a column: `rows×8×2`
+//!   then `rows×16×9`, rows = 176 on Cu and 25–68 (median 49) on water;
+//! * a 64×240×240 panel as the large-M reference point.
 //!
 //! Emits `BENCH_gemm.json` at the repo root. The acceptance records require
-//! the native kernel to beat the blocked baseline by the committed margin on
-//! the tall-skinny f32 classes — but only when a native class exists: on a
-//! scalar-only host (or under `DPMD_FORCE_SCALAR=1`) the gate is recorded as
-//! not applicable and CI skips it.
+//! the native kernel to beat the scalar kernel by the committed margin on
+//! the two hidden-layer fitting-tile classes — but only when a native class
+//! exists: on a scalar-only host the gate is recorded as not applicable and
+//! CI skips it.
 
 use std::time::Instant;
 
-use nnet::gemm::dispatch;
-use nnet::gemm::{blocked, naive};
+use nnet::f16::F16;
+use nnet::gemm::{self, dispatch, naive};
 use serde::Value;
 
 fn num<T: std::fmt::Display>(v: T) -> Value {
@@ -35,59 +41,46 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// Interleaved best-of reps; within a rep the kernel runs `iters` times.
 const REPS: usize = 7;
 
-type GemmF32<'a> = &'a mut dyn FnMut(&[f32], &[f32], &mut [f32]);
-type GemmF64<'a> = &'a mut dyn FnMut(&[f64], &[f64], &mut [f64]);
-
 struct Shape {
     class: &'static str,
     m: usize,
     n: usize,
     k: usize,
     iters: usize,
+    /// Also time the fp16 kernel (the shapes `Mix16` issues in binary16).
+    f16: bool,
 }
 
-const SHAPES: [Shape; 5] = [
-    // Fitting-net forward/backward rows (the paper's M ≤ 3 specialization).
-    Shape { class: "tall_skinny_m1", m: 1, n: 240, k: 240, iters: 4000 },
-    Shape { class: "tall_skinny_m2", m: 2, n: 240, k: 240, iters: 2000 },
-    Shape { class: "tall_skinny_m3", m: 3, n: 240, k: 240, iters: 1500 },
-    // Type-sorted stacked embedding panel: many rows, narrow widths.
-    Shape { class: "embed_stack", m: 64, n: 8, k: 5, iters: 20000 },
-    // Square-ish panel, the blocked kernel's design point.
-    Shape { class: "panel", m: 64, n: 240, k: 240, iters: 80 },
+const SHAPES: [Shape; 9] = [
+    Shape { class: "fit_hidden_m6", m: 6, n: 240, k: 240, iters: 800, f16: false },
+    Shape { class: "fit_hidden_m14", m: 14, n: 240, k: 240, iters: 400, f16: false },
+    Shape { class: "fit_first_m6", m: 6, n: 240, k: 64, iters: 3000, f16: true },
+    Shape { class: "fit_first_m14", m: 14, n: 240, k: 64, iters: 1500, f16: true },
+    Shape { class: "embed_l1_m49", m: 49, n: 8, k: 2, iters: 40000, f16: false },
+    Shape { class: "embed_l2_m49", m: 49, n: 16, k: 9, iters: 20000, f16: false },
+    Shape { class: "embed_l1_m176", m: 176, n: 8, k: 2, iters: 10000, f16: false },
+    Shape { class: "embed_l2_m176", m: 176, n: 16, k: 9, iters: 5000, f16: false },
+    Shape { class: "panel", m: 64, n: 240, k: 240, iters: 80, f16: false },
 ];
+
+/// The fitting-tile classes the acceptance bars gate.
+const GATED: [&str; 2] = ["fit_hidden_m6", "fit_hidden_m14"];
 
 fn fill32(len: usize, seed: u64) -> Vec<f32> {
     let h = |i: u64| (((i ^ seed).wrapping_mul(0x9e3779b97f4a7c15) >> 17) & 0xffff) as f32 / 65536.0 - 0.5;
     (0..len as u64).map(h).collect()
 }
 
-/// Best GF/s over REPS interleaved repetitions of `iters` calls.
-fn rate_f32(sh: &Shape, a: &[f32], b: &[f32], f: GemmF32) -> f64 {
+/// Best GF/s over REPS repetitions of `iters` calls of `f(c)`.
+fn rate(sh: &Shape, f: &mut dyn FnMut(&mut [f32])) -> f64 {
     let mut c = vec![0.0f32; sh.m * sh.n];
-    let flops = (2 * sh.m * sh.n * sh.k * sh.iters) as f64;
+    let flops = (gemm::flops(sh.m, sh.n, sh.k) * sh.iters as u64) as f64;
     let mut best = f64::MAX;
-    f(a, b, &mut c); // warm
+    f(&mut c); // warm
     for _ in 0..REPS {
         let t0 = Instant::now();
         for _ in 0..sh.iters {
-            f(a, b, &mut c);
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(&c);
-    flops / best / 1e9
-}
-
-fn rate_f64(sh: &Shape, a: &[f64], b: &[f64], f: GemmF64) -> f64 {
-    let mut c = vec![0.0f64; sh.m * sh.n];
-    let flops = (2 * sh.m * sh.n * sh.k * sh.iters) as f64;
-    let mut best = f64::MAX;
-    f(a, b, &mut c);
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for _ in 0..sh.iters {
-            f(a, b, &mut c);
+            f(&mut c);
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
@@ -105,54 +98,44 @@ fn main() {
         let (m, n, k) = (sh.m, sh.n, sh.k);
         let a32 = fill32(m * k, 1);
         let b32 = fill32(k * n, 2);
-        let a64: Vec<f64> = a32.iter().map(|&x| x as f64).collect();
-        let b64: Vec<f64> = b32.iter().map(|&x| x as f64).collect();
+        let (a, b) = (std::hint::black_box(&a32[..]), &b32[..]);
 
         // Correctness pin before timing: whatever we are about to measure
         // agrees with naive within fold-reassociation tolerance.
-        {
-            let mut want = vec![0.0f32; m * n];
-            naive::gemm_nn_f32(m, n, k, &a32, &b32, &mut want);
-            for kern in [Some(scalar), native].into_iter().flatten() {
-                let mut got = vec![0.0f32; m * n];
-                kern.nn_f32(m, n, k, &a32, &b32, &mut got);
-                for (w, g) in want.iter().zip(&got) {
-                    assert!((w - g).abs() <= 1e-4 * w.abs().max(1.0), "{} wrong", sh.class);
-                }
+        let mut want = vec![0.0f32; m * n];
+        naive::gemm_nn_f32(m, n, k, a, b, &mut want);
+        for kern in [Some(scalar), native].into_iter().flatten() {
+            let mut got = vec![0.0f32; m * n];
+            kern.nn_f32(m, n, k, a, b, &mut got);
+            for (w, g) in want.iter().zip(&got) {
+                assert!((w - g).abs() <= 1e-4 * w.abs().max(1.0), "{} wrong", sh.class);
             }
         }
 
-        let bl32 = rate_f32(sh, &a32, &b32, &mut |a, b, c| blocked::gemm_nn_f32(m, n, k, a, b, c));
-        let sc32 = rate_f32(sh, &a32, &b32, &mut |a, b, c| scalar.nn_f32(m, n, k, a, b, c));
-        let nat32 = native.map(|kern| rate_f32(sh, &a32, &b32, &mut |a, b, c| kern.nn_f32(m, n, k, a, b, c)));
-        let bl64 = rate_f64(sh, &a64, &b64, &mut |a, b, c| blocked::gemm_nn_f64(m, n, k, a, b, c));
-        let sc64 = rate_f64(sh, &a64, &b64, &mut |a, b, c| scalar.nn_f64(m, n, k, a, b, c));
-        let nat64 = native.map(|kern| rate_f64(sh, &a64, &b64, &mut |a, b, c| kern.nn_f64(m, n, k, a, b, c)));
+        let sc = rate(sh, &mut |c| scalar.nn_f32(m, n, k, a, b, c));
+        let nat = native.map(|kern| rate(sh, &mut |c| kern.nn_f32(m, n, k, a, b, c)));
+        let f16 = sh.f16.then(|| {
+            let a16: Vec<F16> = a32.iter().map(|&x| F16::from_f32(x)).collect();
+            let b16: Vec<F16> = b32.iter().map(|&x| F16::from_f32(x)).collect();
+            rate(sh, &mut |c| gemm::gemm_nn_f16(m, n, k, std::hint::black_box(&a16), &b16, c))
+        });
 
-        let spd = nat32.map(|nv| nv / bl32);
+        let show = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.2}"));
         println!(
-            "{:>15} {m}x{n}x{k}: f32 blocked {bl32:7.2} scalar {sc32:7.2} native {:>7} GF/s \
-             (native/blocked {})  f64 blocked {bl64:6.2} scalar {sc64:6.2} native {:>6}",
+            "{:>14} {m:>3}x{n}x{k}: f32 scalar {sc:6.2} native {:>6} GF/s (native/scalar {:>5})  f16 {:>5}",
             sh.class,
-            nat32.map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
-            spd.map(|v| format!("{v:.2}x")).unwrap_or_else(|| "n/a".into()),
-            nat64.map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
+            show(nat),
+            show(nat.map(|v| v / sc)),
+            show(f16),
         );
-        let mut fields = vec![
-            ("class", s(sh.class)),
-            ("m", num(m)),
-            ("n", num(n)),
-            ("k", num(k)),
-            ("f32_blocked_gfs", num(bl32)),
-            ("f32_scalar_gfs", num(sc32)),
-            ("f64_blocked_gfs", num(bl64)),
-            ("f64_scalar_gfs", num(sc64)),
-        ];
-        if let (Some(n32), Some(n64)) = (nat32, nat64) {
-            fields.push(("f32_native_gfs", num(n32)));
-            fields.push(("f64_native_gfs", num(n64)));
-            fields.push(("f32_native_vs_blocked", num(n32 / bl32)));
-            fields.push(("f64_native_vs_blocked", num(n64 / bl64)));
+        let mut fields =
+            vec![("class", s(sh.class)), ("m", num(m)), ("n", num(n)), ("k", num(k)), ("f32_scalar_gfs", num(sc))];
+        if let Some(nat) = nat {
+            fields.push(("f32_native_gfs", num(nat)));
+            fields.push(("f32_native_vs_scalar", num(nat / sc)));
+        }
+        if let Some(f16) = f16 {
+            fields.push(("f16_gfs", num(f16)));
         }
         entries.push(obj(fields));
     }
@@ -162,22 +145,22 @@ fn main() {
         ("mode", s("interleaved-best-of-reps")),
         ("reps", num(REPS)),
         ("native_class", s(native_tag)),
-        // Gated only when a native class exists on the host; the margins
-        // carry slack below the committed measurements (see BENCH_gemm.json).
+        // Gated only when a native class exists on the host; the margin
+        // carries slack below the committed measurements (see BENCH_gemm.json).
         (
             "acceptance",
-            Value::Array(vec![
-                obj(vec![
-                    ("class", s("tall_skinny_m1")),
-                    ("metric", s("f32_native_vs_blocked")),
-                    ("min_speedup", num(1.3)),
-                ]),
-                obj(vec![
-                    ("class", s("tall_skinny_m3")),
-                    ("metric", s("f32_native_vs_blocked")),
-                    ("min_speedup", num(1.3)),
-                ]),
-            ]),
+            Value::Array(
+                GATED
+                    .iter()
+                    .map(|&class| {
+                        obj(vec![
+                            ("class", s(class)),
+                            ("metric", s("f32_native_vs_scalar")),
+                            ("min_speedup", num(1.3)),
+                        ])
+                    })
+                    .collect(),
+            ),
         ),
         ("classes", Value::Array(entries)),
     ]);

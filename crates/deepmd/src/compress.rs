@@ -154,10 +154,22 @@ impl CompressedEmbedding {
         }
     }
 
-    /// Table memory footprint in bytes (for the perf model: compressed
-    /// embedding trades GEMMs for table lookups).
-    pub fn table_bytes(&self) -> usize {
-        self.n_intervals * self.m1 * 6 * std::mem::size_of::<f64>()
+    /// Model-file rules for a table serving an `m1`-wide embedding: a
+    /// non-empty finite domain, `n_intervals × m1` coefficient rows, all
+    /// finite.
+    pub(crate) fn check(&self, m1: usize) -> Result<(), String> {
+        let domain = self.s_min.is_finite() && self.s_max.is_finite() && self.s_min < self.s_max;
+        let shaped = self.m1 == m1
+            && self.n_intervals > 0
+            && self.coeffs.len() == self.n_intervals
+            && self.coeffs.iter().all(|row| row.len() == m1);
+        if !(domain && shaped) {
+            return Err(format!("widths: not a {m1}-feature table over a non-empty domain"));
+        }
+        if !self.coeffs.iter().flatten().flatten().all(|c| c.is_finite()) {
+            return Err("finite: table holds a non-finite coefficient".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -218,12 +230,5 @@ mod tests {
         for f in 0..net.m1() {
             assert!((d_below[f] - d_above[f]).abs() < 1e-6, "feature {f}");
         }
-    }
-
-    #[test]
-    fn table_bytes_accounting() {
-        let net = EmbeddingNet::new(&[4, 8], 15);
-        let table = CompressedEmbedding::build(&net, 0.0, 1.0, 10);
-        assert_eq!(table.table_bytes(), 10 * 8 * 6 * 8);
     }
 }

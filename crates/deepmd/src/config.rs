@@ -36,17 +36,34 @@ impl DeepPotConfig {
         self.m1() * self.m2
     }
 
+    /// Check internal consistency, naming the first broken rule.
+    pub fn check(&self) -> Result<(), String> {
+        let rule = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        rule(self.ntypes > 0, "need at least one species")?;
+        rule(
+            self.rcut > 0.0 && self.rcut_smth >= 0.0 && self.rcut_smth < self.rcut,
+            "need 0 <= rcut_smth < rcut",
+        )?;
+        rule(self.nmax > 0, "nmax must be positive")?;
+        rule(
+            !self.embedding_widths.is_empty() && !self.fitting_widths.is_empty(),
+            "embedding and fitting nets need at least one layer",
+        )?;
+        rule(
+            self.embedding_widths.iter().chain(&self.fitting_widths).all(|&w| w > 0),
+            "layer widths must be positive",
+        )?;
+        rule(self.m2 > 0 && self.m2 <= self.m1(), "M2 must be within M1")
+    }
+
     /// Validate internal consistency.
     ///
     /// # Panics
-    /// On contradictory settings.
+    /// On contradictory settings, with [`check`](Self::check)'s message.
     pub fn validate(&self) {
-        assert!(self.ntypes > 0, "need at least one species");
-        assert!(self.rcut > 0.0 && self.rcut_smth >= 0.0 && self.rcut_smth < self.rcut);
-        assert!(self.nmax > 0);
-        assert!(!self.embedding_widths.is_empty());
-        assert!(self.m2 > 0 && self.m2 <= self.m1(), "M2 must be within M1");
-        assert!(!self.fitting_widths.is_empty());
+        if let Err(rule) = self.check() {
+            panic!("invalid DeepPotConfig: {rule}");
+        }
     }
 
     /// Paper-shaped copper model: r_c = 8 Å, 512-neighbour budget, fitting

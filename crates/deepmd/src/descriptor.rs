@@ -93,7 +93,7 @@ impl EnvEntry {
 /// The environment of one central atom: its neighbours within `r_c`.
 #[derive(Clone, Debug, Default)]
 pub struct Environment {
-    /// Entries, in neighbour-list order (or type-sorted — see `typesort`).
+    /// Entries, in neighbour-list order.
     pub entries: Vec<EnvEntry>,
 }
 

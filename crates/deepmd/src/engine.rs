@@ -168,11 +168,11 @@ impl Fit32 {
                     gemm::batched_nn_f16(rows, 1, n, k, a16, w16, out);
                     PrecClass::F16
                 } else {
-                    gemm::batched_nn_f32(rows, 1, n, k, a, w, out);
+                    gemm::auto_nn_f32(rows, n, k, a, w, out);
                     PrecClass::F32
                 };
                 if let Some(t) = tally {
-                    t.record(rows, n, k, prec);
+                    t.record(rows, prec);
                 }
             };
         for (li, (w, _, b, act, resnet, ind, outd)) in self.layers.iter().enumerate() {
@@ -322,10 +322,9 @@ impl DpEngine {
     }
 
     /// Register this engine's metrics on `reg` and start recording: one
-    /// evaluation counter per precision path, and the GEMM call tally.
-    /// Embedding and fitting GEMMs are both type-sorted with data-dependent
-    /// row counts, so no exact shape is pre-registered; the tally's
-    /// always-on per-precision M-class counters cover them.
+    /// evaluation counter per precision path, and the GEMM call tally
+    /// (embedding and fitting GEMMs are both type-sorted with data-dependent
+    /// row counts, so it is keyed by M-class, not by exact shape).
     pub fn attach_obs(&mut self, reg: &MetricsRegistry) {
         self.obs = Some(DpObs {
             evals: [
@@ -333,7 +332,7 @@ impl DpEngine {
                 reg.counter("deepmd.eval.fp32.calls", Unit::Count),
                 reg.counter("deepmd.eval.fp16.calls", Unit::Count),
             ],
-            gemm: GemmTally::register(reg, &[]),
+            gemm: GemmTally::register(reg),
         });
     }
 
@@ -411,11 +410,11 @@ impl DpEngine {
                 scratch.pre.resize(rows * outd, 0.0);
                 scratch.dpre.clear();
                 scratch.dpre.resize(rows * outd, 0.0);
-                gemm::batched_nn_f32(rows, 1, outd, ind + 1, &scratch.val, baug, &mut scratch.pre);
-                gemm::batched_nn_f32(rows, 1, outd, ind + 1, &scratch.tan, baug, &mut scratch.dpre);
+                gemm::auto_nn_f32(rows, outd, ind + 1, &scratch.val, baug, &mut scratch.pre);
+                gemm::auto_nn_f32(rows, outd, ind + 1, &scratch.tan, baug, &mut scratch.dpre);
                 if let Some(tl) = tally {
-                    tl.record(rows, outd, ind + 1, PrecClass::F32);
-                    tl.record(rows, outd, ind + 1, PrecClass::F32);
+                    tl.record(rows, PrecClass::F32);
+                    tl.record(rows, PrecClass::F32);
                 }
                 scratch.val_next.clear();
                 scratch.val_next.resize(rows * (outd + 1), 0.0);

@@ -20,8 +20,12 @@
 //!    mirroring §III-B3 ([`engine`]);
 //! 6. **training** against reference potentials standing in for AIMD labels
 //!    (Adam, energy-matching loss) ([`train`], [`dataset`]);
-//! 7. the **type-sorted environment layout** vs the baseline
-//!    slice-and-concat handling of multi-species systems ([`typesort`]).
+//! 7. the **type-sorted layout** of multi-species systems: the mixed
+//!    pipeline groups a central atom's neighbours by species into one
+//!    stacked embedding GEMM per species (`DpEngine::embed_atom32`) and a
+//!    tile's atoms by central species into one stacked fitting GEMM per
+//!    species (`DpEngine::fit_tile`), scattering results back in place —
+//!    no slice-and-concat copies.
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
 // in dpmd-threads); everything else is safe Rust by construction.
@@ -38,7 +42,6 @@ pub mod fitting;
 pub mod graph_exec;
 pub mod model;
 pub mod train;
-pub mod typesort;
 
 pub use config::DeepPotConfig;
 pub use engine::DpEngine;

@@ -13,6 +13,7 @@ use minimd::neighbor::NeighborList;
 use minimd::potential::{ForcePhases, Potential, PotentialOutput};
 use minimd::simbox::SimBox;
 use minimd::vec3::Vec3;
+use nnet::layers::{Mlp, Resnet};
 use nnet::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +39,55 @@ pub struct DeepPotModel {
     /// the baseline work [33] already deploys on Fugaku.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub compressed: Option<Vec<CompressedEmbedding>>,
+}
+
+/// Why [`DeepPotModel::from_json`] rejected a model file.
+#[derive(Debug)]
+pub enum ModelFileError {
+    /// Not JSON, or not the JSON of a `DeepPotModel`.
+    Parse(serde_json::Error),
+    /// Well-formed, but breaks the structural rule named in the message
+    /// (`config:`, `counts:`, `widths:` or `finite:`).
+    Invalid(String),
+}
+
+impl std::fmt::Display for ModelFileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelFileError::Parse(e) => write!(f, "model file does not parse: {e}"),
+            ModelFileError::Invalid(rule) => write!(f, "model file is invalid: {rule}"),
+        }
+    }
+}
+
+impl std::error::Error for ModelFileError {}
+
+/// One net of a model file: layer `l` must map `widths[l-1]` (`in_dim` for
+/// the first) to `widths[l]` with buffers of exactly that size, a skip its
+/// widths allow, and finite parameters.
+fn check_mlp(what: &str, mlp: &Mlp, in_dim: usize, widths: &[usize]) -> Result<(), String> {
+    if mlp.layers.len() != widths.len() {
+        return Err(format!("widths: {what} has {} layers, config says {}", mlp.layers.len(), widths.len()));
+    }
+    let mut ind = in_dim;
+    for (l, (layer, &outd)) in mlp.layers.iter().zip(widths).enumerate() {
+        let shaped = (layer.w.rows(), layer.w.cols()) == (ind, outd)
+            && Some(layer.w.len()) == ind.checked_mul(outd)
+            && layer.b.len() == outd;
+        let skip_fits = match layer.resnet {
+            Resnet::None => true,
+            Resnet::Identity => outd == ind,
+            Resnet::Doubling => Some(outd) == ind.checked_mul(2),
+        };
+        if !(shaped && skip_fits) {
+            return Err(format!("widths: {what} layer {l} is not a {ind}x{outd} layer"));
+        }
+        if !layer.w.as_slice().iter().chain(&layer.b).all(|v| v.is_finite()) {
+            return Err(format!("finite: {what} layer {l} holds a non-finite parameter"));
+        }
+        ind = outd;
+    }
+    Ok(())
 }
 
 /// Per-atom intermediates of the embedding pass, stored between the
@@ -99,11 +149,6 @@ impl DeepPotModel {
         );
     }
 
-    /// Drop the compression tables (back to exact MLP evaluation).
-    pub fn disable_compression(&mut self) {
-        self.compressed = None;
-    }
-
     /// Embedding features and s-derivative for species `typ` at `s`,
     /// through the table when compression is enabled. Writes into the
     /// caller's reused buffers — the per-neighbour inner loop must not
@@ -128,9 +173,44 @@ impl DeepPotModel {
         serde_json::to_string(self).expect("model serialization cannot fail")
     }
 
-    /// Load from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Load a model file, rejecting anything evaluation could not run on:
+    /// a file that parses but breaks a structural rule is an
+    /// [`ModelFileError::Invalid`] naming the rule, never a later panic or
+    /// a silent NaN force.
+    pub fn from_json(s: &str) -> Result<Self, ModelFileError> {
+        let model: DeepPotModel = serde_json::from_str(s).map_err(ModelFileError::Parse)?;
+        model.check().map_err(ModelFileError::Invalid)?;
+        Ok(model)
+    }
+
+    /// The structural rules every evaluator assumes, first failure named.
+    fn check(&self) -> Result<(), String> {
+        let cfg = &self.config;
+        cfg.check().map_err(|rule| format!("config: {rule}"))?;
+        let counts = [
+            ("embeddings", self.embeddings.len()),
+            ("fittings", self.fittings.len()),
+            ("energy_bias", self.energy_bias.len()),
+        ];
+        for (what, len) in counts.into_iter().chain(self.compressed.as_ref().map(|t| ("compressed", t.len()))) {
+            if len != cfg.ntypes {
+                return Err(format!("counts: {what} has {len} entries for ntypes = {}", cfg.ntypes));
+            }
+        }
+        for (t, net) in self.embeddings.iter().enumerate() {
+            check_mlp(&format!("embeddings[{t}]"), &net.mlp, 1, &cfg.embedding_widths)?;
+        }
+        let fit_out: Vec<usize> = cfg.fitting_widths.iter().copied().chain([1]).collect();
+        for (t, net) in self.fittings.iter().enumerate() {
+            check_mlp(&format!("fittings[{t}]"), &net.mlp, cfg.descriptor_len(), &fit_out)?;
+        }
+        for (t, table) in self.compressed.iter().flatten().enumerate() {
+            table.check(cfg.m1()).map_err(|rule| format!("compressed[{t}]: {rule}"))?;
+        }
+        if !self.energy_bias.iter().all(|b| b.is_finite()) {
+            return Err("finite: energy_bias holds a non-finite value".to_string());
+        }
+        Ok(())
     }
 
     /// Embedding pass for one atom: per-neighbour features, their
@@ -187,12 +267,6 @@ impl DeepPotModel {
     pub fn energy(&self, atoms: &Atoms, nl: &NeighborList, bx: &SimBox) -> f64 {
         let envs = build_environments(atoms, nl, bx, self.config.rcut_smth, self.config.rcut);
         (0..atoms.nlocal).map(|i| self.atom_energy(atoms.typ[i], &envs[i])).sum()
-    }
-
-    /// Per-atom energies (for training-bias fitting and diagnostics).
-    pub fn atomic_energies(&self, atoms: &Atoms, nl: &NeighborList, bx: &SimBox) -> Vec<f64> {
-        let envs = build_environments(atoms, nl, bx, self.config.rcut_smth, self.config.rcut);
-        (0..atoms.nlocal).map(|i| self.atom_energy(atoms.typ[i], &envs[i])).collect()
     }
 
     /// Fitting + backward pass for one atom: energy out; force and virial
@@ -536,14 +610,74 @@ mod tests {
         assert!(net.norm() < 1e-8, "net force {net:?}");
     }
 
+    /// The descriptor is a sum over neighbours, so the order they arrive in
+    /// (here: each atom's list re-sorted by neighbour species) may move E
+    /// only at the rounding scale of the f64 additions.
+    #[test]
+    fn sorting_does_not_change_the_energy() {
+        let model = DeepPotModel::new(DeepPotConfig::tiny(2, 5.0));
+        let (bx, atoms) = water_box(3, 3, 3, 22);
+        let mut nl = NeighborList::new(5.0, 0.5, ListKind::Full);
+        nl.build(&atoms, &bx);
+        let e_ref = model.energy(&atoms, &nl, &bx);
+        let mut nl_sorted = nl.clone();
+        for i in 0..atoms.nlocal {
+            let range = nl_sorted.offsets[i]..nl_sorted.offsets[i + 1];
+            nl_sorted.list[range].sort_by_key(|&j| atoms.typ[j as usize]);
+        }
+        assert_ne!(nl.list, nl_sorted.list, "the sort must reorder something");
+        let e_sorted = model.energy(&atoms, &nl_sorted, &bx);
+        assert!((e_ref - e_sorted).abs() < 1e-9, "{e_ref} vs {e_sorted}");
+    }
+
     #[test]
     fn model_json_round_trip_is_exact() {
-        let model = tiny_cu_model();
-        let back = DeepPotModel::from_json(&model.to_json()).unwrap();
+        let mut model = tiny_cu_model();
         let (bx, mut atoms) = cluster(&[[0.0, 0.0, 0.0], [2.0, 0.4, 0.2]], &[0; 2], false);
-        let (e1, _) = eval(&model, &bx, &mut atoms);
-        let (e2, _) = eval(&back, &bx, &mut atoms);
-        assert_eq!(e1, e2);
+        for compress in [false, true] {
+            if compress {
+                model.enable_compression(16);
+            }
+            let back = DeepPotModel::from_json(&model.to_json()).unwrap();
+            let (e1, _) = eval(&model, &bx, &mut atoms);
+            let (e2, _) = eval(&back, &bx, &mut atoms);
+            assert_eq!(e1, e2, "compressed = {compress}");
+        }
+    }
+
+    /// One corrupted file per rule of the loader: each parses, each is
+    /// rejected naming its rule, none panics (here or later in `evaluate`).
+    #[test]
+    fn corrupted_model_files_are_typed_errors() {
+        let model = tiny_cu_model();
+        let good = model.to_json();
+        assert!(DeepPotModel::from_json(&good).is_ok());
+        let corrupt = |edit: &dyn Fn(&mut DeepPotModel)| {
+            let mut m = model.clone();
+            edit(&mut m);
+            m.to_json()
+        };
+        // The first weight of the file overwritten with a literal that
+        // parses to +inf.
+        let at = good.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let end = at + good[at..].find(',').unwrap();
+        let nonfinite = format!("{}1e999{}", &good[..at], &good[end..]);
+        let cases: [(&str, String); 6] = [
+            ("counts: embeddings", corrupt(&|m| m.embeddings.push(m.embeddings[0].clone()))),
+            ("counts: energy_bias", corrupt(&|m| m.energy_bias.clear())),
+            ("widths: fittings[0] layer 0", corrupt(&|m| m.config.m2 = 1)),
+            ("config: M2 must be within M1", corrupt(&|m| m.config.m2 = 100)),
+            ("config: need 0 <= rcut_smth < rcut", good.replace("\"rcut_smth\":2,", "\"rcut_smth\":5,")),
+            ("finite: embeddings[0] layer 0", nonfinite),
+        ];
+        for (rule, file) in &cases {
+            assert!(file != &good, "{rule}: the corruption must change the file");
+            match DeepPotModel::from_json(file) {
+                Err(ModelFileError::Invalid(msg)) => assert!(msg.starts_with(rule), "{rule}: got {msg}"),
+                other => panic!("{rule}: expected Invalid, got {:?}", other.map(|_| ())),
+            }
+        }
+        assert!(matches!(DeepPotModel::from_json("{\"config\":"), Err(ModelFileError::Parse(_))));
     }
 
     #[test]
@@ -563,9 +697,6 @@ mod tests {
         for i in 0..atoms.nlocal {
             assert!((f_exact[i] - f_tab[i]).norm() < 1e-4, "atom {i}");
         }
-        model.disable_compression();
-        let (e_back, _) = eval(&model, &bx, &mut atoms);
-        assert_eq!(e_back, e_exact, "disable restores the exact path");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use minimd::neighbor::{ListKind, NeighborList};
 use nnet::layers::DenseGrads;
 use nnet::matrix::Matrix;
-use rayon::prelude::*;
 
 use crate::dataset::Frame;
 use crate::descriptor::build_environments;
@@ -350,19 +349,17 @@ pub fn train(model: &mut DeepPotModel, frames: &[Frame], cfg: TrainConfig) -> Ve
     let mut adam = Adam::new(cfg.lr, params.len());
     let mut history = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        // Parallel over frames: each yields (loss, grads); reduce by sum.
-        let (loss_sum, grad_sum) = frames
-            .par_iter()
-            .map(|f| frame_loss_and_grads(model, f))
-            .reduce(
-                || (0.0, vec![0.0; params.len()]),
-                |(la, mut ga), (lb, gb)| {
-                    for (a, b) in ga.iter_mut().zip(&gb) {
-                        *a += b;
-                    }
-                    (la + lb, ga)
-                },
-            );
+        // Each frame yields (loss, grads); summed in frame order, so the
+        // trained weights never depend on the core count.
+        let (loss_sum, grad_sum) = frames.iter().map(|f| frame_loss_and_grads(model, f)).fold(
+            (0.0, vec![0.0; params.len()]),
+            |(la, mut ga), (lb, gb)| {
+                for (a, b) in ga.iter_mut().zip(&gb) {
+                    *a += b;
+                }
+                (la + lb, ga)
+            },
+        );
         let n = frames.len() as f64;
         let mean_loss = loss_sum / n;
         let grads: Vec<f64> = grad_sum.iter().map(|g| g / n).collect();

@@ -97,13 +97,6 @@ impl Activation {
     pub fn apply_f32(self, x: f32) -> f32 {
         self.apply(x as f64) as f32
     }
-
-    /// Apply in place over an f32 buffer.
-    pub fn apply_slice_f32(self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.apply_f32(*x);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -245,16 +245,6 @@ impl fmt::Display for F16 {
     }
 }
 
-/// Cast a slice of `f64` to a freshly allocated vector of `F16`.
-pub fn cast_f64_slice(xs: &[f64]) -> Vec<F16> {
-    xs.iter().map(|&x| F16::from_f64(x)).collect()
-}
-
-/// Cast a slice of `f32` to a freshly allocated vector of `F16`.
-pub fn cast_f32_slice(xs: &[f32]) -> Vec<F16> {
-    xs.iter().map(|&x| F16::from_f32(x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

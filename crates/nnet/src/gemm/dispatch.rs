@@ -1,42 +1,38 @@
 //! Runtime kernel dispatch for the f32 inference hot path.
 //!
-//! The engine's GEMMs run on one of the [`DispatchClass`]es defined by
+//! The engine's f32 GEMMs run on one of the [`DispatchClass`]es defined by
 //! `dpmd-simd`:
 //!
-//! * **Scalar** — the portable kernels of this module tree ([`ScalarKernel`]
-//!   routes `m ≤ 3` to the auto-vectorized sve form and larger panels to the
-//!   cache-blocked kernel; the two agree bit for bit with `naive`).
+//! * **Scalar** — [`ScalarKernel`], i.e. [`blocked::gemm_nn_f32`] at every
+//!   `m`: portable Rust, a separately rounded multiply and add per step,
+//!   bit-identical to `naive`.
 //! * **Avx2 / Neon** — the explicit-intrinsics microkernels in `dpmd-simd`,
 //!   using fused multiply-add (one rounding per accumulate instead of two).
 //!
 //! Selection happens **once per process**: the native kernel if the CPU has
 //! one, unless [`FORCE_SCALAR_ENV`] pins the scalar class (how CI proves the
-//! fold-order equivalence of the portable kernels on SIMD machines, and how
+//! fold-order equivalence of the portable kernel on SIMD machines, and how
 //! a trajectory recorded on the scalar class can be reproduced anywhere).
 //! Determinism is bitwise *within* a class — every machine selecting a class
 //! computes identical results, and solo-vs-batched equality holds in every
 //! class because all kernels are row-independent — but the classes are not
 //! bitwise-interchangeable with each other (FMA removes a rounding).
 //!
-//! The f64 `auto_nn_f64` path deliberately stays on the scalar class: it
-//! backs the reference/training executors whose contract is bitwise equality
-//! with the naive graph interpreter across all machines. The native f64
-//! kernels are still exposed (via [`active`]/[`native`]) for benches and
-//! property tests.
+//! f64 is not dispatched: the f64 model is the oracle the mixed pipeline is
+//! checked against, and it calls `naive` directly so its results are the
+//! same bits on every machine.
 
 use std::sync::OnceLock;
 
 pub use dpmd_simd::{native, native_class, DispatchClass, Kernel};
 
-use super::{blocked, simd, SVE_GEMM_M_THRESHOLD};
+use super::blocked;
 
 /// Environment variable that pins dispatch to the scalar class for the whole
 /// process (any non-empty value other than `0`).
 pub const FORCE_SCALAR_ENV: &str = "DPMD_FORCE_SCALAR";
 
-/// The portable scalar-class kernel: the paper's dispatch rule over the
-/// auto-vectorized sve kernel (`m ≤ 3`) and the cache-blocked kernel, both
-/// bitwise-identical to `naive` at every shape.
+/// The portable scalar-class kernel: [`blocked::gemm_nn_f32`].
 pub struct ScalarKernel;
 
 impl Kernel for ScalarKernel {
@@ -45,19 +41,7 @@ impl Kernel for ScalarKernel {
     }
 
     fn nn_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        if m <= SVE_GEMM_M_THRESHOLD {
-            simd::gemm_nn_f32(m, n, k, a, b, c);
-        } else {
-            blocked::gemm_nn_f32(m, n, k, a, b, c);
-        }
-    }
-
-    fn nn_f64(&self, m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        if m <= SVE_GEMM_M_THRESHOLD {
-            simd::gemm_nn_f64(m, n, k, a, b, c);
-        } else {
-            blocked::gemm_nn_f64(m, n, k, a, b, c);
-        }
+        blocked::gemm_nn_f32(m, n, k, a, b, c);
     }
 }
 
@@ -96,32 +80,6 @@ pub fn active_class() -> DispatchClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::naive;
-
-    /// The scalar kernel must preserve the legacy dispatch semantics exactly:
-    /// bitwise equal to naive on both sides of the m-threshold.
-    #[test]
-    fn scalar_kernel_is_bitwise_naive() {
-        let kernel = scalar();
-        assert_eq!(kernel.class(), DispatchClass::Scalar);
-        for &(m, n, k) in &[(1usize, 17, 9), (3, 240, 240), (4, 16, 8), (33, 21, 12)] {
-            let a32: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
-            let b32: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect();
-            let mut want = vec![0.0f32; m * n];
-            let mut got = vec![0.0f32; m * n];
-            naive::gemm_nn_f32(m, n, k, &a32, &b32, &mut want);
-            kernel.nn_f32(m, n, k, &a32, &b32, &mut got);
-            assert_eq!(want, got, "f32 {m}x{n}x{k}");
-
-            let a64: Vec<f64> = a32.iter().map(|&x| x as f64).collect();
-            let b64: Vec<f64> = b32.iter().map(|&x| x as f64).collect();
-            let mut want64 = vec![0.0f64; m * n];
-            let mut got64 = vec![0.0f64; m * n];
-            naive::gemm_nn_f64(m, n, k, &a64, &b64, &mut want64);
-            kernel.nn_f64(m, n, k, &a64, &b64, &mut got64);
-            assert_eq!(want64, got64, "f64 {m}x{n}x{k}");
-        }
-    }
 
     /// `active()` is stable within a process and its class matches what the
     /// machine/environment implies.

@@ -1,7 +1,8 @@
 //! Textbook triple-loop GEMM — the reference semantics.
 //!
-//! Deliberately unoptimized: every other kernel in [`crate::gemm`] is tested
-//! against these, and the micro-benchmarks use them as the floor.
+//! Deliberately unoptimized. The f32 form is what [`super::blocked`] is
+//! pinned to bit for bit; the f64 forms are the arithmetic of the f64 model,
+//! the trainer and the graph runtime.
 
 macro_rules! naive_nn {
     ($name:ident, $t:ty) => {
@@ -24,31 +25,26 @@ macro_rules! naive_nn {
     };
 }
 
-macro_rules! naive_nt {
-    ($name:ident, $t:ty) => {
-        /// `C = A·Bᵀ` with `A: m×k`, `B: n×k` (so `Bᵀ: k×n`), `C: m×n`.
-        ///
-        /// # Panics
-        /// If any slice is shorter than its shape requires.
-        pub fn $name(m: usize, n: usize, k: usize, a: &[$t], b: &[$t], c: &mut [$t]) {
-            assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc: $t = 0.0;
-                    for p in 0..k {
-                        acc += a[i * k + p] * b[j * k + p];
-                    }
-                    c[i * n + j] = acc;
-                }
-            }
-        }
-    };
-}
-
 naive_nn!(gemm_nn_f64, f64);
 naive_nn!(gemm_nn_f32, f32);
-naive_nt!(gemm_nt_f64, f64);
-naive_nt!(gemm_nt_f32, f32);
+
+/// `C = A·Bᵀ` in f64 with `A: m×k`, `B: n×k` (so `Bᵀ: k×n`), `C: m×n` —
+/// the trainer's input-gradient product `dpre · Wᵀ`.
+///
+/// # Panics
+/// If any slice is shorter than its shape requires.
+pub fn gemm_nt_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for p in 0..k {
+                acc += a[i * k + p] * b[j * k + p];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -12,12 +12,16 @@
 //!   (e.g. `ActGrad` re-evaluates the activation the forward pass already
 //!   computed) that the paper's kernel-trimming removes;
 //! * a [`Session`] that interprets the graph, allocating every intermediate
-//!   per run (the dynamic-allocation behaviour the direct path eliminates)
-//!   and accounting a fixed per-run scheduling overhead in its [`RunStats`].
+//!   per run (the dynamic-allocation behaviour a preallocated pipeline
+//!   eliminates) and accounting a fixed per-run scheduling overhead in its
+//!   [`RunStats`].
 //!
 //! The overhead is *accounted*, not slept: `RunStats::framework_overhead_ns`
-//! feeds the performance model, while the functional outputs are bit-exact
-//! f64 results used to validate the direct executor.
+//! feeds the performance model. The functional outputs are bit-exact f64
+//! results, and because the gradients come from generic reverse-mode
+//! autodiff they are a derivation of the forces independent of the
+//! hand-written backward passes in [`crate::layers`] and `deepmd::model`
+//! (`deepmd::graph_exec` builds the whole Deep Potential this way).
 
 use std::collections::HashMap;
 
@@ -81,65 +85,6 @@ pub enum Op {
     PadCols(NodeId, usize, usize, NodeId),
     /// Reshape to the shape of the second operand (gradient of `Reshape`).
     ReshapeLike(NodeId, NodeId),
-    /// Fused dense layer `act(x·W + b)` — produced by the fusion optimizer
-    /// (`crate::fuse`); one kernel launch, one output tensor.
-    FusedDense(NodeId, NodeId, NodeId, Activation),
-}
-
-impl Op {
-    /// Clone this op with every operand id rewritten by `f` — the primitive
-    /// graph rewrites are built from.
-    pub fn clone_remapped(&self, f: &dyn Fn(NodeId) -> NodeId) -> Op {
-        match self {
-            Op::Input(n) => Op::Input(n.clone()),
-            Op::Param(m) => Op::Param(m.clone()),
-            Op::MatMulNN(a, b) => Op::MatMulNN(f(*a), f(*b)),
-            Op::MatMulNT(a, b) => Op::MatMulNT(f(*a), f(*b)),
-            Op::MatMulTN(a, b) => Op::MatMulTN(f(*a), f(*b)),
-            Op::Add(a, b) => Op::Add(f(*a), f(*b)),
-            Op::AddBias(a, b) => Op::AddBias(f(*a), f(*b)),
-            Op::ColSum(a) => Op::ColSum(f(*a)),
-            Op::Mul(a, b) => Op::Mul(f(*a), f(*b)),
-            Op::Scale(a, s) => Op::Scale(f(*a), *s),
-            Op::Activation(a, act) => Op::Activation(f(*a), *act),
-            Op::ActGrad(a, act) => Op::ActGrad(f(*a), *act),
-            Op::SumAll(a) => Op::SumAll(f(*a)),
-            Op::BroadcastLike(a, b) => Op::BroadcastLike(f(*a), f(*b)),
-            Op::ConcatCols(a, b) => Op::ConcatCols(f(*a), f(*b)),
-            Op::SliceCols(a, lo, hi) => Op::SliceCols(f(*a), *lo, *hi),
-            Op::Transpose(a) => Op::Transpose(f(*a)),
-            Op::Reshape(a, r, c) => Op::Reshape(f(*a), *r, *c),
-            Op::PadCols(a, lo, hi, like) => Op::PadCols(f(*a), *lo, *hi, f(*like)),
-            Op::ReshapeLike(a, like) => Op::ReshapeLike(f(*a), f(*like)),
-            Op::FusedDense(x, w, b, act) => Op::FusedDense(f(*x), f(*w), f(*b), *act),
-        }
-    }
-
-    /// Operand ids of this op, in order.
-    pub fn operand_ids(&self) -> Vec<NodeId> {
-        match self {
-            Op::Input(_) | Op::Param(_) => vec![],
-            Op::MatMulNN(a, b)
-            | Op::MatMulNT(a, b)
-            | Op::MatMulTN(a, b)
-            | Op::Add(a, b)
-            | Op::AddBias(a, b)
-            | Op::Mul(a, b)
-            | Op::BroadcastLike(a, b)
-            | Op::ConcatCols(a, b)
-            | Op::ReshapeLike(a, b) => vec![*a, *b],
-            Op::ColSum(a)
-            | Op::Scale(a, _)
-            | Op::Activation(a, _)
-            | Op::ActGrad(a, _)
-            | Op::SumAll(a)
-            | Op::SliceCols(a, _, _)
-            | Op::Transpose(a)
-            | Op::Reshape(a, _, _) => vec![*a],
-            Op::PadCols(a, _, _, like) => vec![*a, *like],
-            Op::FusedDense(x, w, b, _) => vec![*x, *w, *b],
-        }
-    }
 }
 
 /// A computation graph: nodes are appended in topological order (operands
@@ -186,11 +131,6 @@ impl Graph {
                 check(a);
                 check(like);
             }
-            Op::FusedDense(x, w, b, _) => {
-                check(x);
-                check(w);
-                check(b);
-            }
             Op::Input(_) | Op::Param(_) => {}
         }
         self.nodes.push(op);
@@ -210,19 +150,6 @@ impl Graph {
     /// Number of nodes in the graph.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The op at index `i`.
-    ///
-    /// # Panics
-    /// If `i` is out of range.
-    pub fn op(&self, i: usize) -> &Op {
-        &self.nodes[i]
-    }
-
-    /// Operand ids of node `id`.
-    pub fn operands(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes[id.0].operand_ids()
     }
 
     /// `true` when the graph has no nodes.
@@ -260,7 +187,6 @@ impl Graph {
             Op::Reshape(_, _, cols) => Some(*cols),
             Op::PadCols(_, _, _, like) => self.static_cols(*like),
             Op::ReshapeLike(_, like) => self.static_cols(*like),
-            Op::FusedDense(_, w, _, _) => self.static_cols(*w),
         }
     }
 
@@ -282,7 +208,6 @@ impl Graph {
             Op::Reshape(_, rows, _) => Some(*rows),
             Op::PadCols(_, _, _, like) => self.static_rows(*like),
             Op::ReshapeLike(_, like) => self.static_rows(*like),
-            Op::FusedDense(x, _, _, _) => self.static_rows(*x),
         }
     }
 
@@ -401,9 +326,6 @@ impl Graph {
                 }
                 Op::PadCols(..) | Op::ReshapeLike(..) => {
                     panic!("gradient of gradient is not supported by this runtime");
-                }
-                Op::FusedDense(..) => {
-                    panic!("build gradients before running the fusion optimizer");
                 }
             }
         }
@@ -618,17 +540,6 @@ impl Session {
                     let like = val(like);
                     assert_eq!(x.len(), like.len(), "reshape-like element count");
                     Matrix::from_vec(like.rows(), like.cols(), x.as_slice().to_vec())
-                }
-                Op::FusedDense(x, w, b, act) => {
-                    let (x, w, b) = (val(x), val(w), val(b));
-                    let (m, k, n) = (x.rows(), x.cols(), w.cols());
-                    assert_eq!(k, w.rows(), "fused dense inner dim");
-                    assert_eq!(b.cols(), n, "fused dense bias width");
-                    let mut c = Matrix::zeros(m, n);
-                    naive::gemm_nn_f64(m, n, k, x.as_slice(), w.as_slice(), c.as_mut_slice());
-                    stats.matmul_flops += crate::gemm::flops(m, n, k);
-                    crate::direct::fused_bias_act(m, n, c.as_mut_slice(), b.as_slice(), *act);
-                    c
                 }
             };
             if !matches!(op, Op::Input(_) | Op::Param(_)) {

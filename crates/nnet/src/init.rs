@@ -1,90 +1,14 @@
-//! Deterministic weight initialization and model I/O.
+//! Deterministic weight initialization.
 //!
-//! The original DeePMD-kit keeps TensorFlow around *solely* to load trained
-//! model parameters (§III-B1: "we retain the TensorFlow library solely for
-//! loading model parameters"). The analog here is a plain JSON checkpoint
-//! format readable without the graph runtime.
+//! Every draw comes from a caller-seeded `StdRng`, so a model built from a
+//! seed is the same bits on every machine. (Model files are
+//! `deepmd::DeepPotModel::{to_json, from_json}`.)
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::layers::{Dense, Mlp, Resnet};
-use crate::matrix::Matrix;
-
-/// Serializable checkpoint for one dense layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LayerCheckpoint {
-    /// Input width.
-    pub in_dim: usize,
-    /// Output width.
-    pub out_dim: usize,
-    /// Row-major `in_dim × out_dim` weights.
-    pub weights: Vec<f64>,
-    /// Bias of length `out_dim`.
-    pub bias: Vec<f64>,
-    /// Activation function.
-    pub act: Activation,
-    /// Residual style.
-    pub resnet: Resnet,
-}
-
-/// Serializable checkpoint for a whole MLP.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MlpCheckpoint {
-    /// Layers in application order.
-    pub layers: Vec<LayerCheckpoint>,
-}
-
-impl From<&Mlp> for MlpCheckpoint {
-    fn from(mlp: &Mlp) -> Self {
-        MlpCheckpoint {
-            layers: mlp
-                .layers
-                .iter()
-                .map(|l| LayerCheckpoint {
-                    in_dim: l.in_dim(),
-                    out_dim: l.out_dim(),
-                    weights: l.w.as_slice().to_vec(),
-                    bias: l.b.clone(),
-                    act: l.act,
-                    resnet: l.resnet,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl MlpCheckpoint {
-    /// Reconstruct the MLP.
-    ///
-    /// # Panics
-    /// If a layer's buffer lengths don't match its declared shape.
-    pub fn restore(&self) -> Mlp {
-        Mlp::new(
-            self.layers
-                .iter()
-                .map(|l| Dense {
-                    w: Matrix::from_vec(l.in_dim, l.out_dim, l.weights.clone()),
-                    b: l.bias.clone(),
-                    act: l.act,
-                    resnet: l.resnet,
-                })
-                .collect(),
-        )
-    }
-
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialization cannot fail")
-    }
-
-    /// Deserialize from a JSON string.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-}
 
 /// Build an MLP with the given hidden widths, Xavier-initialized from `seed`.
 ///
@@ -149,16 +73,6 @@ mod tests {
         assert_eq!(a.layers[0].w, b.layers[0].w);
         let c = build_mlp(2, &[8], 1, Activation::Tanh, 8);
         assert_ne!(a.layers[0].w, c.layers[0].w);
-    }
-
-    #[test]
-    fn checkpoint_round_trips_exactly() {
-        let mlp = build_mlp(3, &[6, 6], 2, Activation::Tanh, 42);
-        let ckpt = MlpCheckpoint::from(&mlp);
-        let json = ckpt.to_json();
-        let back = MlpCheckpoint::from_json(&json).unwrap().restore();
-        let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1);
-        assert_eq!(mlp.forward_infer(&x), back.forward_infer(&x));
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
     /// Forward pass returning the output and the cache for backprop.
     pub fn forward(&self, x: &Matrix<f64>) -> (Matrix<f64>, DenseCache) {
         let batch = x.rows();
@@ -212,11 +207,6 @@ impl Mlp {
     /// Output dimension of the last layer.
     pub fn out_dim(&self) -> usize {
         self.layers.last().map_or(0, Dense::out_dim)
-    }
-
-    /// Total trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Dense::param_count).sum()
     }
 
     /// Forward pass collecting per-layer caches.
@@ -357,12 +347,5 @@ mod tests {
     fn doubling_requires_double_width() {
         let mut rng = StdRng::seed_from_u64(46);
         let _ = Dense::xavier(4, 6, Activation::Tanh, Resnet::Doubling, &mut rng);
-    }
-
-    #[test]
-    fn param_count_adds_up() {
-        let mut rng = StdRng::seed_from_u64(47);
-        let mlp = tiny_mlp(&mut rng);
-        assert_eq!(mlp.param_count(), (3 * 6 + 6) + (6 * 6 + 6) + (6 + 1));
     }
 }

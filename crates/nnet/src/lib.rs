@@ -5,19 +5,23 @@
 //! * [`f16`] — software IEEE 754 binary16 with round-to-nearest-even, the
 //!   storage type of the paper's fp16 fitting-net GEMM;
 //! * [`matrix`] — a dense row-major matrix over [`Scalar`] element types;
-//! * [`gemm`] — GEMM kernels: a naive reference, a cache-blocked "BLAS-like"
-//!   kernel, and the paper's tall-and-skinny **sve-gemm** specialization
-//!   (M ≤ 3) in NN and NT forms, plus an fp16-storage/fp32-accumulate kernel;
+//! * [`gemm`] — GEMM kernels in three tiers: the `naive` reference fold
+//!   (all f64 arithmetic runs on it), the portable `blocked` f32 kernel of
+//!   the scalar dispatch class, and the runtime-dispatched AVX2/NEON f32
+//!   microkernels of `dpmd-simd`; plus the fp16-storage/fp32-accumulate
+//!   kernel of the `MIX-fp16` path;
 //! * [`activation`] — activations used by Deep Potential (tanh and friends);
-//! * [`layers`] — fully connected layers with analytic backward passes;
+//! * [`layers`] — fully connected layers with analytic backward passes (the
+//!   f64 model and the trainer);
 //! * [`graph`] — a small computation-graph runtime standing in for the
 //!   TensorFlow 2.2 baseline (sessions, per-run scheduling overhead, autodiff
-//!   that materializes redundant gradient kernels);
-//! * [`direct`] — the "TensorFlow removed" execution path: preallocated
-//!   workspaces, fused kernels, zero framework overhead;
-//! * [`init`] — deterministic weight initialization and JSON model I/O;
-//! * [`stats`] — GEMM call accounting by M×N×K shape class and precision
-//!   for the observability layer (no-op unless `dpmd-obs/capture` is on).
+//!   that materializes redundant gradient kernels) — and, because that
+//!   autodiff is generic, an independent derivation to check the
+//!   hand-written backward passes against;
+//! * [`init`] — deterministic weight initialization;
+//! * [`precision`] — the paper's three precision modes;
+//! * [`stats`] — GEMM call accounting by M-shape class and precision for
+//!   the observability layer (no-op unless `dpmd-obs/capture` is on).
 //!
 //! The crate is deliberately dependency-light and deterministic: every random
 //! draw is seeded, so experiments are reproducible bit-for-bit at a given
@@ -28,9 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod activation;
-pub mod direct;
 pub mod f16;
-pub mod fuse;
 pub mod gemm;
 pub mod graph;
 pub mod init;

@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::f16::F16;
-
 /// The three precision configurations evaluated in the paper.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Precision {
@@ -34,38 +32,6 @@ impl Precision {
             Precision::Mix16 => "MIX-fp16",
         }
     }
-
-    /// Relative GEMM throughput vs f64 on a 512-bit SIMD unit: lanes double
-    /// with each halving of the element width.
-    pub fn gemm_speedup_vs_f64(self) -> f64 {
-        match self {
-            Precision::Double => 1.0,
-            Precision::Mix32 => 2.0,
-            Precision::Mix16 => 4.0,
-        }
-    }
-}
-
-/// Round-trip a value through this precision's *storage* type.
-///
-/// Used to inject the storage rounding of a precision path into scalars that
-/// never touch a matrix (e.g. tabulated coefficients).
-pub fn quantize(p: Precision, x: f64) -> f64 {
-    match p {
-        Precision::Double => x,
-        Precision::Mix32 => x as f32 as f64,
-        Precision::Mix16 => F16::from_f64(x).to_f64(),
-    }
-}
-
-/// Cast an f64 slice to f32.
-pub fn to_f32_vec(xs: &[f64]) -> Vec<f32> {
-    xs.iter().map(|&x| x as f32).collect()
-}
-
-/// Cast an f64 slice to software f16.
-pub fn to_f16_vec(xs: &[f64]) -> Vec<F16> {
-    xs.iter().map(|&x| F16::from_f64(x)).collect()
 }
 
 #[cfg(test)]
@@ -73,34 +39,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantize_is_identity_for_double() {
-        let x = 0.123_456_789_012_345_68;
-        assert_eq!(quantize(Precision::Double, x), x);
-        assert_ne!(quantize(Precision::Mix32, x), x);
-        assert_ne!(quantize(Precision::Mix16, x), x);
-    }
-
-    #[test]
-    fn quantize_error_ordering() {
-        // Coarser precision ⇒ larger rounding error, monotonically.
-        let x = std::f64::consts::PI;
-        let e32 = (quantize(Precision::Mix32, x) - x).abs();
-        let e16 = (quantize(Precision::Mix16, x) - x).abs();
-        assert!(e16 > e32);
-        assert!(e32 > 0.0);
-    }
-
-    #[test]
     fn labels_match_paper() {
         assert_eq!(Precision::Double.label(), "Double");
         assert_eq!(Precision::Mix32.label(), "MIX-fp32");
         assert_eq!(Precision::Mix16.label(), "MIX-fp16");
-    }
-
-    #[test]
-    fn simd_speedups_double_per_halving() {
-        assert_eq!(Precision::Double.gemm_speedup_vs_f64(), 1.0);
-        assert_eq!(Precision::Mix32.gemm_speedup_vs_f64(), 2.0);
-        assert_eq!(Precision::Mix16.gemm_speedup_vs_f64(), 4.0);
     }
 }

@@ -1,14 +1,11 @@
 //! GEMM call accounting for the observability layer.
 //!
-//! The paper's optimization story is dominated by a handful of GEMM shape
-//! classes (the tall-and-skinny M ≤ 3 fitting-net calls, the per-neighbour
-//! embedding matvecs), so the profile keys call counts by `M×N×K` shape and
-//! precision class rather than by call site. [`GemmTally`] is a fixed table
-//! of pre-registered `(shape, counter)` slots: recording is a linear scan
-//! over a short slice plus one relaxed atomic increment — no allocation, no
-//! locking, no hashing on the hot path. Shapes nobody registered fall into a
-//! shared `nnet.gemm.other.calls` bucket, so the counters always sum to the
-//! total number of calls.
+//! The force pipeline's cost is dominated by a handful of GEMM shape
+//! classes (per-tile stacked fitting calls, type-sorted embedding panels),
+//! so the profile keys call counts by precision and M-dimension class
+//! rather than by call site. [`GemmTally`] is a fixed table of counters:
+//! recording is two relaxed atomic increments — no allocation, no locking,
+//! no hashing on the hot path.
 //!
 //! With the `capture` feature of `dpmd-obs` disabled the counters are ZSTs
 //! and everything here compiles to nothing.
@@ -18,11 +15,9 @@ use std::sync::Arc;
 use dpmd_obs::{Counter, MetricsRegistry};
 
 /// Precision class of a GEMM call (storage type of the operands; the f16
-/// kernels still accumulate in f32, per the paper's fp16-sve-gemm).
+/// kernel still accumulates in f32, per the paper's fp16-sve-gemm).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrecClass {
-    /// f64 storage and accumulation (reference path).
-    F64,
     /// f32 storage and accumulation.
     F32,
     /// binary16 storage, f32 accumulation.
@@ -30,36 +25,21 @@ pub enum PrecClass {
 }
 
 impl PrecClass {
-    /// Short tag used in metric names (`fp64`/`fp32`/`fp16`).
+    /// In discriminant order: the counter table is indexed by `p as usize`.
+    const ALL: [PrecClass; 2] = [PrecClass::F32, PrecClass::F16];
+
+    /// Short tag used in metric names (`fp32`/`fp16`).
     pub fn tag(self) -> &'static str {
         match self {
-            PrecClass::F64 => "fp64",
             PrecClass::F32 => "fp32",
             PrecClass::F16 => "fp16",
         }
     }
-
-    fn bits(self) -> u64 {
-        match self {
-            PrecClass::F64 => 0,
-            PrecClass::F32 => 1,
-            PrecClass::F16 => 2,
-        }
-    }
 }
 
-/// Bit-pack a GEMM shape + precision into one comparable key (16 bits per
-/// dimension — far beyond any shape this codebase runs — plus 2 tag bits).
-#[inline]
-pub fn shape_key(m: usize, n: usize, k: usize, p: PrecClass) -> u64 {
-    ((m as u64 & 0xFFFF) << 34) | ((n as u64 & 0xFFFF) << 18) | ((k as u64 & 0xFFFF) << 2) | p.bits()
-}
-
-/// M-dimension shape classes of the dispatch rule, from the dedicated
-/// tall-skinny rows up to large stacked panels. The class tally (always
-/// registered, independent of the exact-shape slots) is what shows the
-/// call-count shift when type-sorting batches per-neighbour matvecs into
-/// multi-row GEMMs.
+/// M-dimension shape classes, from single rows up to large stacked panels.
+/// The class tally is what shows the call-count shift when type-sorting
+/// batches per-neighbour matvecs into multi-row GEMMs.
 const M_CLASS_TAGS: [&str; 6] = ["m1", "m2", "m3", "m4_8", "m9_64", "m65p"];
 
 #[inline]
@@ -74,14 +54,11 @@ fn m_class(m: usize) -> usize {
     }
 }
 
-/// Pre-registered per-shape GEMM call counters plus an `other` overflow
-/// bucket, per-precision M-shape-class counters, and a per-process dispatch
-/// class counter. Cloning is cheap (the tables are shared).
+/// Per-precision M-shape-class GEMM call counters plus a per-process
+/// dispatch class counter. Cloning is cheap (the table is shared).
 #[derive(Clone, Debug)]
 pub struct GemmTally {
-    slots: Arc<Vec<(u64, Counter)>>,
-    other: Counter,
-    /// `nnet.gemm.{prec}.{mclass}.calls`, indexed `prec_idx * 6 + m_class`.
+    /// `nnet.gemm.{prec}.{mclass}.calls`, indexed `prec * 6 + m_class`.
     classes: Arc<Vec<Counter>>,
     /// `nnet.gemm.dispatch.{scalar|avx2|neon}.calls` — one per record, named
     /// for the class the f32 hot path dispatches to in this process.
@@ -89,53 +66,29 @@ pub struct GemmTally {
 }
 
 impl GemmTally {
-    /// Register counters for the given `(m, n, k, precision)` shape classes
-    /// (duplicates collapse to one slot). Metric names look like
-    /// `nnet.gemm.fp16.m1n32k64.calls`.
-    pub fn register(reg: &MetricsRegistry, shapes: &[(usize, usize, usize, PrecClass)]) -> Self {
+    /// Register the counters: `nnet.gemm.dispatch.{class}.calls` and one
+    /// `nnet.gemm.{fp32|fp16}.{m1|m2|m3|m4_8|m9_64|m65p}.calls` per pair.
+    pub fn register(reg: &MetricsRegistry) -> Self {
         let dispatch_tag = crate::gemm::dispatch::active_class().tag();
         let dispatch = reg.counter(
             &format!("nnet.gemm.dispatch.{dispatch_tag}.calls"),
             dpmd_obs::Unit::Count,
         );
-        let mut classes = Vec::with_capacity(3 * M_CLASS_TAGS.len());
-        for prec in [PrecClass::F64, PrecClass::F32, PrecClass::F16] {
+        let mut classes = Vec::with_capacity(PrecClass::ALL.len() * M_CLASS_TAGS.len());
+        for prec in PrecClass::ALL {
             for tag in M_CLASS_TAGS {
                 let name = format!("nnet.gemm.{}.{tag}.calls", prec.tag());
                 classes.push(reg.counter(&name, dpmd_obs::Unit::Count));
             }
         }
-        let other = reg.counter("nnet.gemm.other.calls", dpmd_obs::Unit::Count);
-        let mut slots: Vec<(u64, Counter)> = Vec::with_capacity(shapes.len());
-        if !reg.is_enabled() {
-            // Capture disabled: keep the slot table empty so record() is a
-            // key pack + empty scan + ZST increments.
-            return GemmTally { slots: Arc::new(slots), other, classes: Arc::new(classes), dispatch };
-        }
-        for &(m, n, k, p) in shapes {
-            let key = shape_key(m, n, k, p);
-            if slots.iter().any(|(s, _)| *s == key) {
-                continue;
-            }
-            let name = format!("nnet.gemm.{}.m{m}n{n}k{k}.calls", p.tag());
-            slots.push((key, reg.counter(&name, dpmd_obs::Unit::Count)));
-        }
-        GemmTally { slots: Arc::new(slots), other, classes: Arc::new(classes), dispatch }
+        GemmTally { classes: Arc::new(classes), dispatch }
     }
 
-    /// Count one GEMM call of the given shape and precision.
+    /// Count one GEMM call with `m` rows at the given precision.
     #[inline]
-    pub fn record(&self, m: usize, n: usize, k: usize, p: PrecClass) {
+    pub fn record(&self, m: usize, p: PrecClass) {
         self.dispatch.inc();
-        self.classes[p.bits() as usize * M_CLASS_TAGS.len() + m_class(m)].inc();
-        let key = shape_key(m, n, k, p);
-        for (s, c) in self.slots.iter() {
-            if *s == key {
-                c.inc();
-                return;
-            }
-        }
-        self.other.inc();
+        self.classes[p as usize * M_CLASS_TAGS.len() + m_class(m)].inc();
     }
 }
 
@@ -143,55 +96,24 @@ impl GemmTally {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shape_key_is_injective_over_small_shapes() {
-        let mut seen = std::collections::HashSet::new();
-        for m in [1usize, 2, 3, 64] {
-            for n in [1usize, 32, 240] {
-                for k in [4usize, 32, 64] {
-                    for p in [PrecClass::F64, PrecClass::F32, PrecClass::F16] {
-                        assert!(seen.insert(shape_key(m, n, k, p)), "collision at {m}x{n}x{k}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn registered_shapes_count_and_unknown_shapes_overflow() {
-        let reg = MetricsRegistry::default();
-        let tally =
-            GemmTally::register(&reg, &[(1, 32, 64, PrecClass::F32), (1, 32, 64, PrecClass::F32)]);
-        if !reg.is_enabled() {
-            return;
-        }
-        tally.record(1, 32, 64, PrecClass::F32);
-        tally.record(1, 32, 64, PrecClass::F32);
-        tally.record(1, 32, 64, PrecClass::F16); // different precision → other
-        tally.record(9, 9, 9, PrecClass::F32);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("nnet.gemm.fp32.m1n32k64.calls"), Some(2));
-        assert_eq!(snap.counter("nnet.gemm.other.calls"), Some(2));
-    }
-
-    /// The always-on class counters see every call (registered or not), and
-    /// the dispatch counter carries the process's active class tag.
+    /// The class counters see every call, and the dispatch counter carries
+    /// the process's active class tag.
     #[test]
     fn shape_class_and_dispatch_counters_accumulate() {
         let reg = MetricsRegistry::default();
-        let tally = GemmTally::register(&reg, &[]);
+        let tally = GemmTally::register(&reg);
         if !reg.is_enabled() {
             return;
         }
-        tally.record(1, 32, 64, PrecClass::F32);
-        tally.record(40, 32, 64, PrecClass::F32);
-        tally.record(40, 32, 64, PrecClass::F16);
-        tally.record(3, 8, 8, PrecClass::F64);
+        tally.record(1, PrecClass::F32);
+        tally.record(40, PrecClass::F32);
+        tally.record(40, PrecClass::F16);
+        tally.record(3, PrecClass::F16);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("nnet.gemm.fp32.m1.calls"), Some(1));
         assert_eq!(snap.counter("nnet.gemm.fp32.m9_64.calls"), Some(1));
         assert_eq!(snap.counter("nnet.gemm.fp16.m9_64.calls"), Some(1));
-        assert_eq!(snap.counter("nnet.gemm.fp64.m3.calls"), Some(1));
+        assert_eq!(snap.counter("nnet.gemm.fp16.m3.calls"), Some(1));
         let tag = crate::gemm::dispatch::active_class().tag();
         assert_eq!(snap.counter(&format!("nnet.gemm.dispatch.{tag}.calls")), Some(4));
     }

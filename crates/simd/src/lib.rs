@@ -10,7 +10,7 @@
 //!
 //! Kernels are grouped into **dispatch classes** ([`DispatchClass`]):
 //!
-//! * `Scalar` — the portable auto-vectorized kernels in `nnet::gemm`
+//! * `Scalar` — the portable blocked kernel in `nnet::gemm`
 //!   (one multiply **and one add rounding** per accumulation step).
 //! * `Avx2` — x86_64 AVX2+FMA microkernels in this crate.
 //! * `Neon` — aarch64 NEON microkernels in this crate.
@@ -26,19 +26,24 @@
 //! `c[i][j]` is the fold `acc = fma(a[i][p], b[p][j], acc)` for `p = 0..k`
 //! ascending, with `acc` seeded at `+0.0`. The fold never depends on `m`, on
 //! the row-group an output row landed in, or on the column-strip width —
-//! scalar tails use [`f32::mul_add`]/[`f64::mul_add`], which are
-//! correctly-rounded fused operations and therefore bit-identical to the
-//! vector lanes. Two consequences, both load-bearing for the engine:
+//! scalar tails use [`f32::mul_add`], a correctly-rounded fused operation
+//! and therefore bit-identical to the vector lanes. Two consequences, both
+//! load-bearing for the engine:
 //!
 //! 1. **Row independence**: stacking rows (batched inference) is
 //!    bitwise-invisible, exactly as for the scalar class.
-//! 2. The portable [`reference_nn_f32`]/[`reference_nn_f64`] folds below
-//!    reproduce the SIMD results **bit for bit**, so tests can pin the
-//!    intrinsics against safe Rust without hardware-specific goldens.
+//! 2. The portable [`reference_nn_f32`] fold below reproduces the SIMD
+//!    results **bit for bit**, so tests can pin the intrinsics against safe
+//!    Rust without hardware-specific goldens.
 //!
-//! NT forms are deliberately absent: the engine pre-transposes every
-//! weight matrix at model build (the paper's NT→NN preprocessing), so the
-//! hot path only ever issues unit-stride NN GEMMs.
+//! The kernels are f32 NN only, because that is all the force pipeline
+//! dispatches. f64 is the oracle precision — the f64 model runs on the
+//! plain `nnet::gemm::naive` fold so that it is the same bits on every
+//! machine and shares no code with what it checks. NT forms are absent
+//! because the engine pre-transposes every weight matrix at model build
+//! (the paper's NT→NN preprocessing), so the hot path only ever issues
+//! unit-stride NN GEMMs. Every `unsafe` block here is therefore one the
+//! production path executes.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -47,7 +52,7 @@
 /// Bitwise determinism is guaranteed *within* a class, never across classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchClass {
-    /// Portable auto-vectorized kernels (two roundings per accumulate).
+    /// Portable blocked kernel (two roundings per accumulate).
     Scalar,
     /// x86_64 AVX2 + FMA microkernels (fused accumulate).
     Avx2,
@@ -66,7 +71,7 @@ impl DispatchClass {
     }
 }
 
-/// A GEMM kernel family: NN (`C = A·B`, row-major, overwrite) in f32 and f64.
+/// A GEMM kernel family: NN (`C = A·B`, row-major, overwrite) in f32.
 ///
 /// Implementations must uphold the per-class fold contract documented at the
 /// crate root; in particular output rows may depend only on (that row of `A`,
@@ -76,8 +81,6 @@ pub trait Kernel: Send + Sync {
     fn class(&self) -> DispatchClass;
     /// `C = A·B` in f32: `A` is `m×k`, `B` is `k×n`, `C` is `m×n`, row-major.
     fn nn_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]);
-    /// `C = A·B` in f64; see [`Kernel::nn_f32`].
-    fn nn_f64(&self, m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]);
 }
 
 /// The native SIMD kernel for this machine, if its class is available:
@@ -122,21 +125,15 @@ fn check_dims_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32])
     assert!(c.len() >= m * n, "C too small: {} < {m}×{n}", c.len());
 }
 
-fn check_dims_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &[f64]) {
-    assert!(a.len() >= m * k, "A too small: {} < {m}×{k}", a.len());
-    assert!(b.len() >= k * n, "B too small: {} < {k}×{n}", b.len());
-    assert!(c.len() >= m * n, "C too small: {} < {m}×{n}", c.len());
-}
-
 // ---------------------------------------------------------------------------
-// Portable fused-fold references.
+// Portable fused-fold reference.
 //
-// These are the *semantic definition* of the SIMD dispatch classes: the
+// This is the *semantic definition* of the SIMD dispatch classes: the
 // ascending-p single-rounding fold every AVX2/NEON kernel must reproduce bit
-// for bit. They are safe Rust (`mul_add` is a correctly-rounded fused op on
-// every target with hardware FMA) and exist so tests and proptests can pin
-// the intrinsics without per-machine golden files. They are not fast; the
-// hot path never calls them.
+// for bit. It is safe Rust (`mul_add` is a correctly-rounded fused op on
+// every target with hardware FMA) and exists so tests and proptests can pin
+// the intrinsics without per-machine golden files. It is not fast; the
+// hot path never calls it.
 
 /// Fused-fold reference `C = A·B` in f32 (bitwise-defines the SIMD classes).
 pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -152,20 +149,6 @@ pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &
     }
 }
 
-/// Fused-fold reference `C = A·B` in f64; see [`reference_nn_f32`].
-pub fn reference_nn_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    check_dims_f64(m, n, k, a, b, c);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f64;
-            for p in 0..k {
-                acc = a[i * k + p].mul_add(b[p * n + j], acc);
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 + FMA (x86_64)
 // ---------------------------------------------------------------------------
@@ -173,15 +156,11 @@ pub fn reference_nn_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
-        _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
-        _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd,
-        _mm256_storeu_ps,
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// f32 lanes per 256-bit register.
     const LF32: usize = 8;
-    /// f64 lanes per 256-bit register.
-    const LF64: usize = 4;
 
     pub(crate) struct Avx2Kernel;
 
@@ -196,12 +175,6 @@ mod avx2 {
             // after `is_x86_feature_detected!` confirmed both avx2 and fma,
             // so the target features `nn_f32` requires are present.
             unsafe { nn_f32(m, n, k, a, b, c) }
-        }
-
-        fn nn_f64(&self, m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-            crate::check_dims_f64(m, n, k, a, b, c);
-            // SAFETY: as for `nn_f32` above — construction implies avx2+fma.
-            unsafe { nn_f64(m, n, k, a, b, c) }
         }
     }
 
@@ -294,88 +267,6 @@ mod avx2 {
             _ => {}
         }
     }
-
-    /// f64 mirror of [`micro_f32`]: `R` rows × `S` four-lane strips.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn micro_f64<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f64],
-        b: &[f64],
-        j: usize,
-        c: &mut [f64],
-    ) {
-        debug_assert!(j + S * LF64 <= n);
-        let bp = b.as_ptr();
-        let mut acc = [[_mm256_setzero_pd(); S]; R];
-        for p in 0..k {
-            let mut bv = [_mm256_setzero_pd(); S];
-            for (s, lane) in bv.iter_mut().enumerate() {
-                // SAFETY: b.len() ≥ k·n (entry asserts), p < k and
-                // j + S·LF64 ≤ n bound every read by k·n.
-                *lane = unsafe { _mm256_loadu_pd(bp.add(p * n + j + s * LF64)) };
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(a[r * k + p]);
-                for (s, cell) in row.iter_mut().enumerate() {
-                    *cell = _mm256_fmadd_pd(av, bv[s], *cell);
-                }
-            }
-        }
-        let cp = c.as_mut_ptr();
-        for (r, row) in acc.iter().enumerate() {
-            for (s, cell) in row.iter().enumerate() {
-                // SAFETY: c.len() ≥ R rows of stride n (entry asserts) and
-                // j + S·LF64 ≤ n bound every store by R·n ≤ c.len().
-                unsafe { _mm256_storeu_pd(cp.add(r * n + j + s * LF64), *cell) };
-            }
-        }
-    }
-
-    /// f64 mirror of [`rows_f32`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn rows_f64<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-    ) {
-        let mut j = 0;
-        while j + S * LF64 <= n {
-            micro_f64::<R, S>(k, n, a, b, j, c);
-            j += S * LF64;
-        }
-        while j + LF64 <= n {
-            micro_f64::<R, 1>(k, n, a, b, j, c);
-            j += LF64;
-        }
-        for jj in j..n {
-            for r in 0..R {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc = a[r * k + p].mul_add(b[p * n + jj], acc);
-                }
-                c[r * n + jj] = acc;
-            }
-        }
-    }
-
-    /// f64 mirror of [`nn_f32`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn nn_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        let mut i = 0;
-        while i + 4 <= m {
-            rows_f64::<4, 2>(k, n, &a[i * k..], b, &mut c[i * n..]);
-            i += 4;
-        }
-        match m - i {
-            1 => rows_f64::<1, 6>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            2 => rows_f64::<2, 4>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            3 => rows_f64::<3, 3>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            _ => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,15 +275,10 @@ mod avx2 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use core::arch::aarch64::{
-        float32x4_t, float64x2_t, vdupq_n_f32, vdupq_n_f64, vfmaq_f32, vfmaq_f64, vld1q_f32,
-        vld1q_f64, vst1q_f32, vst1q_f64,
-    };
+    use core::arch::aarch64::{vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
 
     /// f32 lanes per 128-bit register.
     const LF32: usize = 4;
-    /// f64 lanes per 128-bit register.
-    const LF64: usize = 2;
 
     pub(crate) struct NeonKernel;
 
@@ -409,16 +295,11 @@ mod neon {
             crate::check_dims_f32(m, n, k, a, b, c);
             nn_f32(m, n, k, a, b, c);
         }
-
-        fn nn_f64(&self, m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-            crate::check_dims_f64(m, n, k, a, b, c);
-            nn_f64(m, n, k, a, b, c);
-        }
     }
 
     /// Register tile: `R` output rows × `S` four-lane column strips; the
     /// same ascending-p single-FMA fold as the AVX2 kernels, so the
-    /// portable fused references pin this class bit for bit too.
+    /// portable fused reference pins this class bit for bit too.
     fn micro_f32<const R: usize, const S: usize>(
         k: usize,
         n: usize,
@@ -494,82 +375,6 @@ mod neon {
             _ => {}
         }
     }
-
-    fn micro_f64<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f64],
-        b: &[f64],
-        j: usize,
-        c: &mut [f64],
-    ) {
-        debug_assert!(j + S * LF64 <= n);
-        let bp = b.as_ptr();
-        let mut acc = [[vdupq_n_f64(0.0); S]; R];
-        for p in 0..k {
-            let mut bv = [vdupq_n_f64(0.0); S];
-            for (s, lane) in bv.iter_mut().enumerate() {
-                // SAFETY: entry asserts give b.len() ≥ k·n; p < k and
-                // j + S·LF64 ≤ n bound every lane read by k·n.
-                *lane = unsafe { vld1q_f64(bp.add(p * n + j + s * LF64)) };
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f64(a[r * k + p]);
-                for (s, cell) in row.iter_mut().enumerate() {
-                    *cell = vfmaq_f64(*cell, av, bv[s]);
-                }
-            }
-        }
-        let cp = c.as_mut_ptr();
-        for (r, row) in acc.iter().enumerate() {
-            for (s, cell) in row.iter().enumerate() {
-                // SAFETY: c.len() ≥ R rows of stride n (entry asserts) and
-                // j + S·LF64 ≤ n bound every store by R·n ≤ c.len().
-                unsafe { vst1q_f64(cp.add(r * n + j + s * LF64), *cell) };
-            }
-        }
-    }
-
-    fn rows_f64<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-    ) {
-        let mut j = 0;
-        while j + S * LF64 <= n {
-            micro_f64::<R, S>(k, n, a, b, j, c);
-            j += S * LF64;
-        }
-        while j + LF64 <= n {
-            micro_f64::<R, 1>(k, n, a, b, j, c);
-            j += LF64;
-        }
-        for jj in j..n {
-            for r in 0..R {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc = a[r * k + p].mul_add(b[p * n + jj], acc);
-                }
-                c[r * n + jj] = acc;
-            }
-        }
-    }
-
-    fn nn_f64(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        let mut i = 0;
-        while i + 4 <= m {
-            rows_f64::<4, 4>(k, n, &a[i * k..], b, &mut c[i * n..]);
-            i += 4;
-        }
-        match m - i {
-            1 => rows_f64::<1, 8>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            2 => rows_f64::<2, 6>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            3 => rows_f64::<3, 4>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -606,20 +411,10 @@ mod tests {
         let Some(kernel) = native() else { return };
         let mut rng = Rng(0x9e3779b97f4a7c15);
         for &(m, n, k) in EDGE_SHAPES {
-            let a64: Vec<f64> = (0..m * k).map(|_| rng.next_unit()).collect();
-            let b64: Vec<f64> = (0..k * n).map(|_| rng.next_unit()).collect();
-            let mut want64 = vec![0.0f64; m * n];
-            let mut got64 = vec![1.5f64; m * n]; // poison: kernels overwrite
-            reference_nn_f64(m, n, k, &a64, &b64, &mut want64);
-            kernel.nn_f64(m, n, k, &a64, &b64, &mut got64);
-            if m * n > 0 {
-                assert_eq!(want64, got64, "f64 {m}x{n}x{k} ({:?})", kernel.class());
-            }
-
-            let a32: Vec<f32> = a64.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b64.iter().map(|&x| x as f32).collect();
+            let a32: Vec<f32> = (0..m * k).map(|_| rng.next_unit() as f32).collect();
+            let b32: Vec<f32> = (0..k * n).map(|_| rng.next_unit() as f32).collect();
             let mut want32 = vec![0.0f32; m * n];
-            let mut got32 = vec![1.5f32; m * n];
+            let mut got32 = vec![1.5f32; m * n]; // poison: kernels overwrite
             reference_nn_f32(m, n, k, &a32, &b32, &mut want32);
             kernel.nn_f32(m, n, k, &a32, &b32, &mut got32);
             if m * n > 0 {

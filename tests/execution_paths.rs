@@ -1,12 +1,12 @@
-//! Cross-crate integration: the three execution paths of the fitting net —
-//! the TensorFlow-like graph runtime (baseline), the reference layer
-//! implementation, and the direct executor (rmtf) — must agree numerically
-//! while exhibiting the overhead structure the paper measures.
+//! Cross-crate integration: the two f64 executions of the fitting net — the
+//! TensorFlow-like graph runtime (baseline, generic reverse-mode autodiff)
+//! and the layer implementation with its hand-written ("direct") backward
+//! pass — must agree numerically, while the graph path exhibits the
+//! overhead structure the paper measures.
 
 use std::collections::HashMap;
 
 use dpmd_repro::nnet::activation::Activation;
-use dpmd_repro::nnet::direct::DirectMlp;
 use dpmd_repro::nnet::graph::{Graph, Op, Session, SESSION_FIXED_OVERHEAD_NS};
 use dpmd_repro::nnet::init::build_mlp;
 use dpmd_repro::nnet::layers::Mlp;
@@ -45,21 +45,14 @@ fn graph_layers_and_direct_agree_bitwise_on_the_fitting_net_shape() {
     let mut sess = Session::new(g);
     let feeds: HashMap<String, Matrix<f64>> = [("x".to_string(), x.clone())].into();
     let (outs, stats) = sess.run(&feeds, &[out]);
-    // Direct path.
-    let mut direct = DirectMlp::compile(&mlp, 4);
-    let dout = direct.forward(x.as_slice(), 2);
 
     for r in 0..2 {
         assert_eq!(reference[(r, 0)], outs[0][(r, 0)], "graph row {r}");
-        assert!((reference[(r, 0)] - dout[r]).abs() < 1e-12, "direct row {r}");
     }
     // The overhead structure the paper measures: a fixed 4 ms per session
-    // run on the graph path, none on the direct path.
+    // run on the graph path, and every intermediate freshly allocated.
     assert_eq!(stats.framework_overhead_ns, SESSION_FIXED_OVERHEAD_NS);
     assert!(stats.tensors_allocated > 0, "graph allocates every intermediate");
-    let allocs0 = direct.stats().allocations;
-    direct.forward(x.as_slice(), 2);
-    assert_eq!(direct.stats().allocations, allocs0, "direct path steady state is alloc-free");
 }
 
 #[test]
@@ -80,17 +73,16 @@ fn graph_autodiff_matches_direct_backward() {
     let feeds: HashMap<String, Matrix<f64>> = [("x".to_string(), x.clone())].into();
     let (outs, _) = sess.run(&feeds, &[grads[0]]);
 
-    // Direct backward (NT→NN preconverted).
-    let mut direct = DirectMlp::compile(&mlp, 1);
-    direct.forward(x.as_slice(), 1);
-    let dx = direct.backward_input(1, &[1.0]);
+    // The layers' own hand-written backward pass.
+    let (_, caches) = mlp.forward(&x);
+    let (dx, _) = mlp.backward(&caches, &Matrix::from_vec(1, 1, vec![1.0]));
 
     for c in 0..6 {
         assert!(
-            (outs[0][(0, c)] - dx[c]).abs() < 1e-12,
-            "grad[{c}]: graph {} vs direct {}",
+            (outs[0][(0, c)] - dx[(0, c)]).abs() < 1e-12,
+            "grad[{c}]: graph {} vs layers {}",
             outs[0][(0, c)],
-            dx[c]
+            dx[(0, c)]
         );
     }
 }
