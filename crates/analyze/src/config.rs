@@ -65,7 +65,7 @@ pub struct Config {
     /// the blessed chunk-ordered reduction helpers.
     pub blessed_reductions: Vec<String>,
     /// Path prefixes exempt from D7's transitive-allocation reachability
-    /// (e.g. the capture-gated observability layer).
+    /// (e.g. the observability layer, reached only when attached).
     pub d7_alloc_allow: Vec<String>,
     /// Enumerated legitimate `wall_now` readers (D8): `{file, fn}` entries.
     pub d8_clock_allow: Vec<HotPath>,

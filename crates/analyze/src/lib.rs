@@ -201,8 +201,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     Ok(Report { findings, files_scanned, graph })
 }
 
-/// Record rule hit-counts and scan stats into a metrics registry. With the
-/// `capture` feature off (the default) this is free.
+/// Record rule hit-counts and scan stats into a metrics registry.
 pub fn record_metrics(
     reg: &MetricsRegistry,
     fresh: &[Finding],

@@ -1,7 +1,5 @@
 //! Rule hit-counts flow through dpmd-obs: `record_metrics` must register
-//! per-rule counters plus scan/suppression totals. Built with the obs
-//! `capture` feature (dev-dependency), so the counters are live here even
-//! though library consumers get no-op handles by default.
+//! per-rule counters plus scan/suppression totals.
 
 use dpmd_analyze::diag::{Finding, RuleId};
 use dpmd_analyze::record_metrics;

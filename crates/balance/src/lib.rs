@@ -12,10 +12,7 @@
 //!   vs node-box even split) down to thread granularity;
 //! * [`pair_time`] — the pair-phase time model (atom-by-atom evaluation:
 //!   a rank is as slow as its busiest thread);
-//! * [`ghost`] — the memory-overhead analysis, equations (1) and (2);
-//! * [`rank_lb`] — LAMMPS' border-shifting balancer, implemented so the
-//!   paper's "limited assistance for systems with uniform density" claim
-//!   is measurable against the node-box pooling.
+//! * [`ghost`] — the memory-overhead analysis, equations (1) and (2).
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
 // in dpmd-threads); everything else is safe Rust by construction.
@@ -24,7 +21,6 @@
 pub mod assign;
 pub mod ghost;
 pub mod pair_time;
-pub mod rank_lb;
 pub mod stats;
 
 pub use assign::{lb_rank_loads, nolb_rank_loads};

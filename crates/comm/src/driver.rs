@@ -11,6 +11,11 @@
 //! Its purpose is correctness, not speed: the integration tests pin the
 //! distributed trajectory against the single-box reference step for step,
 //! which is the invariant all of §III-A's optimizations must preserve.
+//!
+//! Metrics ([`DistributedSim::attach_obs`]) and fault injection
+//! ([`DistributedSim::inject_faults`]) are two `Option` fields, both `None`
+//! after construction; every step hands whatever is set to the one exchange
+//! body per direction in [`crate::functional`].
 
 use minimd::atoms::Atoms;
 use minimd::domain::Decomposition;
@@ -18,13 +23,9 @@ use minimd::integrate::VelocityVerlet;
 use minimd::migrate::exchange_atoms;
 use minimd::neighbor::{ListKind, NeighborList};
 use minimd::potential::Potential;
-use minimd::simbox::SimBox;
 
 use crate::fault::{FaultPlan, FaultSession, FaultStats};
-use crate::functional::{
-    exchange_ghosts, exchange_ghosts_observed, exchange_ghosts_recoverable, partition,
-    reverse_forces, reverse_forces_observed, reverse_forces_recoverable, ExchangeScheme,
-};
+use crate::functional::{exchange_ghosts_with, partition, reverse_forces_with, ExchangeScheme};
 use crate::metrics::CommMetrics;
 
 /// A distributed simulation over per-rank atom stores.
@@ -46,7 +47,11 @@ pub struct DistributedSim<'p> {
     pub halo: f64,
     nls: Vec<NeighborList>,
     step: u64,
+    /// Armed by [`inject_faults`](Self::inject_faults); `None` is the plain
+    /// transport.
     faults: Option<FaultSession>,
+    /// Set by [`attach_obs`](Self::attach_obs) — the only copy of the
+    /// handles; the exchange and the fault layer borrow it per call.
     obs: Option<CommMetrics>,
 }
 
@@ -91,9 +96,7 @@ impl<'p> DistributedSim<'p> {
     /// affected steps. With recovery, the trajectory is bit-identical to
     /// the fault-free run — the property `tests/fault_injection.rs` pins.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        let mut session = FaultSession::new(plan);
-        session.obs = self.obs.clone();
-        self.faults = Some(session);
+        self.faults = Some(FaultSession::new(plan));
     }
 
     /// Attach observability: from now on every exchange and reverse
@@ -102,22 +105,13 @@ impl<'p> DistributedSim<'p> {
     /// exchange is not counted — counters start at zero here, which is what
     /// lets tests equate them with per-step message sums.
     pub fn attach_obs(&mut self, registry: &dpmd_obs::MetricsRegistry) {
-        let obs = CommMetrics::register(registry);
-        if let Some(s) = self.faults.as_mut() {
-            s.obs = Some(obs.clone());
-        }
-        self.obs = Some(obs);
+        self.obs = Some(CommMetrics::register(registry));
     }
 
     /// Counters of injected faults and recovery work (None until
     /// [`inject_faults`](Self::inject_faults)).
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.faults.as_ref().map(|s| &s.stats)
-    }
-
-    /// The global box.
-    pub fn boxx(&self) -> SimBox {
-        self.decomp.bx
     }
 
     /// Completed steps.
@@ -134,7 +128,7 @@ impl<'p> DistributedSim<'p> {
             if let Some(s) = self.faults.as_mut() {
                 if s.plan.leader_stalled_at(step) {
                     s.stats.fallback_steps += 1;
-                    if let Some(o) = &s.obs {
+                    if let Some(o) = &self.obs {
                         o.fallback_steps.inc();
                     }
                     return ExchangeScheme::RankP2p;
@@ -144,57 +138,33 @@ impl<'p> DistributedSim<'p> {
         self.scheme
     }
 
-    /// Forward halo exchange for `step`, through the fault layer if armed.
-    fn exchange(&mut self, step: u64) {
-        let scheme = self.effective_scheme(step);
-        match self.faults.as_mut() {
-            Some(session) => exchange_ghosts_recoverable(
-                &self.decomp,
-                &mut self.ranks,
-                self.halo,
-                scheme,
-                false,
-                session,
-                step,
-            ),
-            None => match &self.obs {
-                Some(o) => exchange_ghosts_observed(
-                    &self.decomp,
-                    &mut self.ranks,
-                    self.halo,
-                    scheme,
-                    false,
-                    o,
-                ),
-                None => exchange_ghosts(&self.decomp, &mut self.ranks, self.halo, scheme, false),
-            },
-        }
-    }
-
     fn rebuild(&mut self, step: u64) {
         for a in &mut self.ranks {
             a.clear_ghosts();
         }
         exchange_atoms(&self.decomp, &mut self.ranks);
-        self.exchange(step);
-        let bx = self.decomp.bx;
-        for (a, nl) in self.ranks.iter().zip(&mut self.nls) {
-            nl.build(a, &bx);
-        }
+        self.refresh_ghosts(step);
     }
 
     /// Refresh ghosts for the new positions (the every-step forward
-    /// communication). Ghost membership can change even between cadence
-    /// rebuilds (an atom crossing the r_c shell), which silently shifts
-    /// ghost indices — so this correctness driver rebuilds the per-rank
-    /// neighbour lists every step. (The production code instead keeps the
-    /// ghost *set* frozen between rebuilds and relies on the skin; the
-    /// timing of that path is what the performance model charges.)
+    /// communication, through whatever is attached). Ghost membership can
+    /// change even between cadence rebuilds (an atom crossing the r_c
+    /// shell), which silently shifts ghost indices — so this correctness
+    /// driver rebuilds the per-rank neighbour lists every step. (The
+    /// production code instead keeps the ghost *set* frozen between
+    /// rebuilds and relies on the skin; the timing of that path is what the
+    /// performance model charges.)
     fn refresh_ghosts(&mut self, step: u64) {
-        for a in &mut self.ranks {
-            a.clear_ghosts();
-        }
-        self.exchange(step);
+        let scheme = self.effective_scheme(step);
+        exchange_ghosts_with(
+            &self.decomp,
+            &mut self.ranks,
+            self.halo,
+            scheme,
+            false,
+            self.obs.as_ref(),
+            self.faults.as_mut().map(|s| (s, step)),
+        );
         let bx = self.decomp.bx;
         for (a, nl) in self.ranks.iter().zip(&mut self.nls) {
             nl.build(a, &bx);
@@ -208,15 +178,11 @@ impl<'p> DistributedSim<'p> {
             a.zero_forces();
             energy += self.potential.compute(a, nl, &bx).energy;
         }
-        match self.faults.as_mut() {
-            Some(session) => {
-                reverse_forces_recoverable(&self.decomp, &mut self.ranks, session, step)
-            }
-            None => match &self.obs {
-                Some(o) => reverse_forces_observed(&self.decomp, &mut self.ranks, o),
-                None => reverse_forces(&self.decomp, &mut self.ranks),
-            },
-        }
+        reverse_forces_with(
+            &mut self.ranks,
+            self.obs.as_ref(),
+            self.faults.as_mut().map(|s| (s, step)),
+        );
         energy
     }
 

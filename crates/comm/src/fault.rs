@@ -341,10 +341,6 @@ pub struct FaultSession {
     pub stats: FaultStats,
     /// Staging pool for send payloads (capacity from `plan.pool_bytes`).
     pub pool: MemPool,
-    /// Optional observability mirror: when attached, the transport layer
-    /// records retries/backoffs/pool pressure into the metrics registry
-    /// alongside `stats` (clones share counters with the attacher).
-    pub obs: Option<crate::metrics::CommMetrics>,
     next_seq: HashMap<(u64, u32, u32), u64>,
     last_accepted: HashMap<(u64, u32, u32), u64>,
 }
@@ -360,7 +356,6 @@ impl FaultSession {
             plan,
             stats: FaultStats::default(),
             pool,
-            obs: None,
             next_seq: HashMap::new(),
             last_accepted: HashMap::new(),
         }

@@ -7,6 +7,13 @@
 //! assert that (a) every scheme delivers the same ghost sets and (b) forces
 //! computed per-rank from ghosts equal the global single-box computation —
 //! the invariant that makes the paper's comm optimizations *legal*.
+//!
+//! Each direction has one body ([`exchange_ghosts_with`] forward, its
+//! reverse twin for the force reduction): build the canonical messages,
+//! optionally charge them to a [`CommMetrics`], optionally push them
+//! through a [`FaultSession`]'s recovery protocol, apply.
+//! [`exchange_ghosts`] / [`reverse_forces`] are those bodies with nothing
+//! attached.
 
 use std::collections::HashMap;
 
@@ -84,6 +91,8 @@ fn ghost_shift(decomp: &Decomposition, p: Vec3, lo: Vec3, hi: Vec3) -> Vec3 {
 /// *every* node-box atom (locals of sibling ranks and all node ghosts) to
 /// every rank of the node — the layout of Fig. 5(b) that enables intra-node
 /// load balance.
+///
+/// This is [`exchange_ghosts_with`] with nothing attached.
 pub fn exchange_ghosts(
     decomp: &Decomposition,
     per_rank: &mut [Atoms],
@@ -91,63 +100,47 @@ pub fn exchange_ghosts(
     scheme: ExchangeScheme,
     lb_broadcast: bool,
 ) {
-    assert_eq!(per_rank.len(), decomp.num_ranks());
-    for a in per_rank.iter_mut() {
-        a.clear_ghosts();
-    }
-    let messages = build_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast);
-    apply_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast, &messages);
+    exchange_ghosts_with(decomp, per_rank, rc, scheme, lb_broadcast, None, None);
 }
 
-/// [`exchange_ghosts`] with metric capture: charges the canonical message
-/// set (messages, bytes, per-edge and per-scheme splits) and the resulting
-/// ghost count to `obs` before/after the apply.
-pub fn exchange_ghosts_observed(
-    decomp: &Decomposition,
-    per_rank: &mut [Atoms],
-    rc: f64,
-    scheme: ExchangeScheme,
-    lb_broadcast: bool,
-    obs: &CommMetrics,
-) {
-    assert_eq!(per_rank.len(), decomp.num_ranks());
-    for a in per_rank.iter_mut() {
-        a.clear_ghosts();
-    }
-    let messages = build_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast);
-    obs.count_messages(Some(scheme), ATOM_FORWARD_BYTES, &messages);
-    apply_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast, &messages);
-    obs.record_ghosts(per_rank);
-}
-
-/// [`exchange_ghosts`] over a faulty transport: the same canonical messages
-/// go through [`deliver_reliable`]'s retry/dedup protocol before being
-/// applied, accumulating fault and recovery counters into `session`.
+/// The forward exchange, with its run-time attachments.
 ///
-/// Panics if delivery exhausts its retries (only reachable under
-/// pathological fault plans, e.g. `drop` probabilities near 1).
-pub fn exchange_ghosts_recoverable(
+/// * `obs` — charge the canonical message set (messages, bytes, per-edge
+///   and per-scheme splits) before the apply and the resulting ghost count
+///   after it.
+/// * `faults` — a `(session, step)` pair: the same canonical messages go
+///   through [`deliver_reliable`]'s retry/dedup protocol before being
+///   applied, accumulating fault and recovery counters into the session
+///   (and into `obs`, when both are attached). Panics if delivery exhausts
+///   its retries (only reachable under pathological fault plans, e.g.
+///   `drop` probabilities near 1).
+///
+/// Neither attachment changes what is applied: delivery returns the input
+/// messages in their input order.
+pub fn exchange_ghosts_with(
     decomp: &Decomposition,
     per_rank: &mut [Atoms],
     rc: f64,
     scheme: ExchangeScheme,
     lb_broadcast: bool,
-    session: &mut FaultSession,
-    step: u64,
+    obs: Option<&CommMetrics>,
+    faults: Option<(&mut FaultSession, u64)>,
 ) {
     assert_eq!(per_rank.len(), decomp.num_ranks());
     for a in per_rank.iter_mut() {
         a.clear_ghosts();
     }
-    let messages = build_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast);
-    if let Some(o) = &session.obs {
+    let mut messages = build_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast);
+    if let Some(o) = obs {
         o.count_messages(Some(scheme), ATOM_FORWARD_BYTES, &messages);
     }
-    let delivered =
-        deliver_reliable(session, CHANNEL_FORWARD, step, ATOM_FORWARD_BYTES, &messages)
-            .unwrap_or_else(|e| panic!("forward exchange at step {step}: {e}"));
-    apply_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast, &delivered);
-    if let Some(o) = &session.obs {
+    if let Some((session, step)) = faults {
+        messages =
+            deliver_reliable(session, obs, CHANNEL_FORWARD, step, ATOM_FORWARD_BYTES, &messages)
+                .unwrap_or_else(|e| panic!("forward exchange at step {step}: {e}"));
+    }
+    apply_forward_messages(decomp, per_rank, rc, scheme, lb_broadcast, &messages);
+    if let Some(o) = obs {
         o.record_ghosts(per_rank);
     }
 }
@@ -426,39 +419,29 @@ pub fn ghost_signature(atoms: &Atoms) -> Vec<(u64, [i64; 3])> {
 
 /// Reverse path: accumulate ghost forces back onto their owners ("Newton's
 /// law on"). Ghosts are matched by global id.
-pub fn reverse_forces(decomp: &Decomposition, per_rank: &mut [Atoms]) {
-    let _ = decomp;
-    let messages = build_reverse_messages(per_rank);
-    apply_reverse_messages(per_rank, &messages);
+pub fn reverse_forces(_decomp: &Decomposition, per_rank: &mut [Atoms]) {
+    reverse_forces_with(per_rank, None, None);
 }
 
-/// [`reverse_forces`] with metric capture: charges the canonical reverse
-/// message set to `obs` (no scheme split — the reverse path is shared).
-pub fn reverse_forces_observed(decomp: &Decomposition, per_rank: &mut [Atoms], obs: &CommMetrics) {
-    let _ = decomp;
-    let messages = build_reverse_messages(per_rank);
-    obs.count_messages(None, ATOM_REVERSE_BYTES, &messages);
-    apply_reverse_messages(per_rank, &messages);
-}
-
-/// [`reverse_forces`] over a faulty transport, with the same recovery
-/// protocol (and panic-on-exhausted-retries contract) as
-/// [`exchange_ghosts_recoverable`].
-pub fn reverse_forces_recoverable(
-    decomp: &Decomposition,
+/// The reverse reduction with the same run-time attachments (and the same
+/// panic-on-exhausted-retries contract) as [`exchange_ghosts_with`]. The
+/// reverse path is shared by both schemes, so `obs` is charged without a
+/// scheme split.
+pub(crate) fn reverse_forces_with(
     per_rank: &mut [Atoms],
-    session: &mut FaultSession,
-    step: u64,
+    obs: Option<&CommMetrics>,
+    faults: Option<(&mut FaultSession, u64)>,
 ) {
-    let _ = decomp;
-    let messages = build_reverse_messages(per_rank);
-    if let Some(o) = &session.obs {
+    let mut messages = build_reverse_messages(per_rank);
+    if let Some(o) = obs {
         o.count_messages(None, ATOM_REVERSE_BYTES, &messages);
     }
-    let delivered =
-        deliver_reliable(session, CHANNEL_REVERSE, step, ATOM_REVERSE_BYTES, &messages)
-            .unwrap_or_else(|e| panic!("reverse reduction at step {step}: {e}"));
-    apply_reverse_messages(per_rank, &delivered);
+    if let Some((session, step)) = faults {
+        messages =
+            deliver_reliable(session, obs, CHANNEL_REVERSE, step, ATOM_REVERSE_BYTES, &messages)
+                .unwrap_or_else(|e| panic!("reverse reduction at step {step}: {e}"));
+    }
+    apply_reverse_messages(per_rank, &messages);
 }
 
 /// Assemble the canonical reverse messages: each rank's non-zero ghost

@@ -23,7 +23,8 @@
 //! * [`functional`] — an in-process *functional* ghost exchange that
 //!   actually moves atoms between per-rank stores, used to prove all
 //!   schemes deliver identical ghost sets (the correctness side of the
-//!   performance story);
+//!   performance story). One body per direction; metrics and the fault
+//!   layer are optional arguments to it, not separate entry points;
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   drop/duplicate/reorder/delay individual exchange messages, stall a
 //!   leader rank or TNI, cap the RDMA mempool — every decision keyed off
@@ -33,7 +34,7 @@
 //! * [`metrics`] — the [`CommMetrics`] handle bundle wiring all of the
 //!   above into a `dpmd_obs::MetricsRegistry` (messages/bytes per edge and
 //!   per scheme, transport retries and backoffs, mempool high-water, TNI
-//!   utilization).
+//!   utilization). The driver owns the only copy and lends it per call.
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
 // in dpmd-threads); everything else is safe Rust by construction.

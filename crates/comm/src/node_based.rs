@@ -70,19 +70,6 @@ pub enum Phase {
     Reverse,
 }
 
-/// Simulate one phase (forward or reverse) of the node scheme.
-pub fn simulate_phase(
-    machine: &MachineConfig,
-    decomp: &Decomposition,
-    torus: &Torus3d,
-    plan: &HaloPlan,
-    atoms_per_rank: &[usize],
-    cfg: NodeSchemeConfig,
-    phase: Phase,
-) -> NodeSchemeResult {
-    simulate_inner(machine, decomp, torus, plan, atoms_per_rank, cfg, phase)
-}
-
 /// Forward + reverse of one time-step's halo communication.
 pub fn simulate_round_trip(
     machine: &MachineConfig,
@@ -92,8 +79,8 @@ pub fn simulate_round_trip(
     atoms_per_rank: &[usize],
     cfg: NodeSchemeConfig,
 ) -> NodeSchemeResult {
-    let f = simulate_inner(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Forward);
-    let r = simulate_inner(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Reverse);
+    let f = simulate_faulted(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Forward, &[], 0, None);
+    let r = simulate_faulted(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Reverse, &[], 0, None);
     NodeSchemeResult {
         comm: CommResult {
             total_ns: f.comm.total_ns + r.comm.total_ns,
@@ -114,7 +101,7 @@ pub fn simulate(
     atoms_per_rank: &[usize],
     cfg: NodeSchemeConfig,
 ) -> NodeSchemeResult {
-    simulate_inner(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Forward)
+    simulate_faulted(machine, decomp, torus, plan, atoms_per_rank, cfg, Phase::Forward, &[], 0, None)
 }
 
 /// [`simulate`] with some TNI engines wedged for `stall_ns` on every node:
@@ -147,7 +134,7 @@ pub fn simulate_with_stalled_tnis(
     )
 }
 
-/// Simulate one phase with metric capture: per-TNI message counts (from
+/// Simulate one phase with metrics attached: per-TNI message counts (from
 /// the round-robin assignment) and simulated RDMA bytes are charged to
 /// `obs` (`fugaku.tniN.messages`, `fugaku.rdma.bytes_simulated`).
 #[allow(clippy::too_many_arguments)] // mirrors simulate() plus the metric sink
@@ -162,18 +149,6 @@ pub fn simulate_observed(
     obs: &CommMetrics,
 ) -> NodeSchemeResult {
     simulate_faulted(machine, decomp, torus, plan, atoms_per_rank, cfg, phase, &[], 0, Some(obs))
-}
-
-fn simulate_inner(
-    machine: &MachineConfig,
-    decomp: &Decomposition,
-    torus: &Torus3d,
-    plan: &HaloPlan,
-    atoms_per_rank: &[usize],
-    cfg: NodeSchemeConfig,
-    phase: Phase,
-) -> NodeSchemeResult {
-    simulate_faulted(machine, decomp, torus, plan, atoms_per_rank, cfg, phase, &[], 0, None)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -100,18 +100,6 @@ impl HaloPlan {
         v
     }
 
-    /// Messages a given node sends with an explicit per-atom payload.
-    pub fn node_sends_with(&self, node: usize, bytes_per_atom: usize) -> Vec<(usize, usize)> {
-        let mut v: Vec<(usize, usize)> = self
-            .node_pairs
-            .iter()
-            .filter(|((s, _), _)| *s == node)
-            .map(|(&(_, d), &n)| (d, n * bytes_per_atom))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Messages a given node sends on the *reverse* (force) path: one per
     /// node it received ghosts from, carrying those ghosts' forces.
     pub fn node_reverse_sends(&self, node: usize, bytes_per_atom: usize) -> Vec<(usize, usize)> {

@@ -13,6 +13,7 @@
 //! byte stream is independent of arrival order by construction.
 
 use crate::fault::FaultSession;
+use crate::metrics::CommMetrics;
 
 /// Channel id of the forward (ghost) exchange.
 pub const CHANNEL_FORWARD: u64 = 0x0046_5744; // "FWD"
@@ -109,9 +110,10 @@ struct InFlight {
 /// order). `entry_bytes` sizes the RDMA-pool claim of each payload entry.
 ///
 /// Counters for every injected fault and every recovery action accumulate
-/// into `session.stats`.
+/// into `session.stats`, and are mirrored into `obs` when one is attached.
 pub fn deliver_reliable<T: Clone>(
     session: &mut FaultSession,
+    obs: Option<&CommMetrics>,
     channel: u64,
     step: u64,
     entry_bytes: usize,
@@ -167,7 +169,7 @@ pub fn deliver_reliable<T: Clone>(
                     // Exhausted: defer the send; retried next round after
                     // in-flight blocks free up.
                     session.stats.pool_exhausted += 1;
-                    if let Some(o) = &session.obs {
+                    if let Some(o) = obs {
                         o.pool_exhausted.inc();
                     }
                     continue;
@@ -175,12 +177,12 @@ pub fn deliver_reliable<T: Clone>(
             };
             attempts[slot] = attempt + 1;
             session.stats.messages_sent += 1;
-            if let Some(o) = &session.obs {
+            if let Some(o) = obs {
                 o.transmissions.inc();
             }
             if attempt > 0 {
                 session.stats.retries += 1;
-                if let Some(o) = &session.obs {
+                if let Some(o) = obs {
                     o.retries.inc();
                 }
             }
@@ -233,7 +235,7 @@ pub fn deliver_reliable<T: Clone>(
             session.stats.timeout_rounds += 1;
             let backoff = plan.backoff_base_ns << round.min(20);
             session.stats.backoff_ns += backoff;
-            if let Some(o) = &session.obs {
+            if let Some(o) = obs {
                 o.backoff_ns.add(backoff);
             }
         }
@@ -249,7 +251,7 @@ pub fn deliver_reliable<T: Clone>(
         }
     }
 
-    if let Some(o) = &session.obs {
+    if let Some(o) = obs {
         // Per-message retry count distribution (0 = delivered first try)
         // and the staging pool's occupancy high-water.
         for &a in &attempts {
@@ -264,7 +266,7 @@ pub fn deliver_reliable<T: Clone>(
             rounds,
         }));
     }
-    collect_delivered(session.obs.as_ref(), delivered)
+    collect_delivered(obs, delivered)
 }
 
 /// Collect the slot buffer into canonical order, surfacing an empty slot as
@@ -273,7 +275,7 @@ pub fn deliver_reliable<T: Clone>(
 /// `remaining == 0` every slot is `Some` by construction, so this is the
 /// protocol's last-line invariant check, not a recovery path.
 fn collect_delivered<T>(
-    obs: Option<&crate::metrics::CommMetrics>,
+    obs: Option<&CommMetrics>,
     delivered: Vec<Option<Message<T>>>,
 ) -> Result<Vec<Message<T>>, TransportError> {
     let mut out = Vec::with_capacity(delivered.len());
@@ -306,7 +308,7 @@ mod tests {
     fn clean_plan_delivers_everything_first_round() {
         let mut s = FaultSession::new(FaultPlan::none());
         let msgs = edges(16);
-        let out = deliver_reliable(&mut s, CHANNEL_FORWARD, 1, 8, &msgs).unwrap();
+        let out = deliver_reliable(&mut s, None, CHANNEL_FORWARD, 1, 8, &msgs).unwrap();
         assert_eq!(out, msgs);
         assert_eq!(s.stats.messages_sent, 16);
         assert_eq!(s.stats.retries, 0);
@@ -319,7 +321,7 @@ mod tests {
         let mut s = FaultSession::new(FaultPlan::chaos(42));
         let msgs = edges(64);
         for step in 1..=8 {
-            let out = deliver_reliable(&mut s, CHANNEL_FORWARD, step, 8, &msgs).unwrap();
+            let out = deliver_reliable(&mut s, None, CHANNEL_FORWARD, step, 8, &msgs).unwrap();
             assert_eq!(out, msgs, "step {step}: delivery must be canonical");
         }
         assert!(s.stats.dropped > 0, "chaos plan should have dropped something");
@@ -332,7 +334,7 @@ mod tests {
         let run = |seed| {
             let mut s = FaultSession::new(FaultPlan::chaos(seed));
             for step in 1..=6 {
-                deliver_reliable(&mut s, CHANNEL_FORWARD, step, 8, &edges(48)).unwrap();
+                deliver_reliable(&mut s, None, CHANNEL_FORWARD, step, 8, &edges(48)).unwrap();
             }
             s.stats
         };
@@ -346,7 +348,7 @@ mod tests {
         plan.drop_p = 0.999_999;
         plan.max_retries = 3;
         let mut s = FaultSession::new(plan);
-        let err = deliver_reliable(&mut s, CHANNEL_FORWARD, 1, 8, &edges(4)).unwrap_err();
+        let err = deliver_reliable(&mut s, None, CHANNEL_FORWARD, 1, 8, &edges(4)).unwrap_err();
         let TransportError::Undelivered(d) = err else {
             panic!("expected Undelivered, got {err:?}");
         };
@@ -357,9 +359,8 @@ mod tests {
 
     #[test]
     fn missing_slot_is_a_typed_error_and_counted() {
-        use dpmd_obs::MetricsRegistry;
-        let reg = MetricsRegistry::new();
-        let m = crate::metrics::CommMetrics::register(&reg);
+        let reg = dpmd_obs::MetricsRegistry::new();
+        let m = CommMetrics::register(&reg);
         // Fabricate the invariant breach collect_delivered guards against:
         // slot 1 empty despite a "complete" protocol run.
         let delivered: Vec<Option<Message<u64>>> = vec![
@@ -370,9 +371,7 @@ mod tests {
         let err = collect_delivered(Some(&m), delivered).unwrap_err();
         assert_eq!(err, TransportError::MissingDelivery { slot: 1 });
         assert!(err.to_string().contains("slot 1"));
-        if reg.is_enabled() {
-            assert_eq!(reg.snapshot().counter("transport.missing_slots"), Some(1));
-        }
+        assert_eq!(reg.snapshot().counter("transport.missing_slots"), Some(1));
     }
 
     #[test]
@@ -394,7 +393,7 @@ mod tests {
         plan.pool_bytes = Some(3 * 8);
         let mut s = FaultSession::new(plan);
         let msgs = edges(12);
-        let out = deliver_reliable(&mut s, CHANNEL_FORWARD, 1, 8, &msgs).unwrap();
+        let out = deliver_reliable(&mut s, None, CHANNEL_FORWARD, 1, 8, &msgs).unwrap();
         assert_eq!(out, msgs);
         assert!(s.stats.pool_exhausted > 0, "the tiny pool should have pushed back");
         assert_eq!(s.pool.used(), 0);

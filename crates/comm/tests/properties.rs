@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use dpmd_comm::fault::{FaultPlan, FaultSession};
 use dpmd_comm::functional::{
-    exchange_ghosts, exchange_ghosts_recoverable, ghost_signature, partition, ExchangeScheme,
+    exchange_ghosts, exchange_ghosts_with, ghost_signature, partition, ExchangeScheme,
 };
 use dpmd_comm::plan::{HaloPlan, ATOM_FORWARD_BYTES};
 use minimd::atoms::{copper_species, Atoms};
@@ -104,8 +104,8 @@ proptest! {
             plan.drop_p = drop;
             plan.dup_p = dup;
             let mut session = FaultSession::new(plan);
-            exchange_ghosts_recoverable(
-                &decomp, &mut faulted, rc, scheme, false, &mut session, 1,
+            exchange_ghosts_with(
+                &decomp, &mut faulted, rc, scheme, false, None, Some((&mut session, 1)),
             );
             for r in 0..decomp.num_ranks() {
                 prop_assert_eq!(clean[r].len(), faulted[r].len(), "rank {}", r);
@@ -159,9 +159,9 @@ proptest! {
             let mut per_rank = partition(&decomp, &atoms);
             let mut session = FaultSession::new(FaultPlan::chaos(fseed));
             for step in 1..=3 {
-                exchange_ghosts_recoverable(
+                exchange_ghosts_with(
                     &decomp, &mut per_rank, rc, ExchangeScheme::NodeBased, false,
-                    &mut session, step,
+                    None, Some((&mut session, step)),
                 );
             }
             session.stats

@@ -148,8 +148,8 @@ impl EngineBuilder {
     }
 
     /// Record metrics into `registry` and per-step span trees into `trace`
-    /// (the `md --profile/--trace` path). A no-op unless `dpmd-obs` is
-    /// built with its `capture` feature.
+    /// (the `md --profile/--trace` path). Without this call nothing in the
+    /// engine records: every site tests an `Option` that stays `None`.
     pub fn observe(mut self, registry: MetricsRegistry, trace: TraceBuffer) -> Self {
         self.obs = Some((registry, trace));
         self

@@ -168,11 +168,6 @@ impl Decomposition {
         self.rank_to_node(self.rank_of_pos(p))
     }
 
-    /// Owner rank of every local atom.
-    pub fn assign_ranks(&self, atoms: &Atoms) -> Vec<u32> {
-        atoms.pos[..atoms.nlocal].iter().map(|&p| self.rank_of_pos(p) as u32).collect()
-    }
-
     /// Histogram of local atoms per rank.
     pub fn counts_per_rank(&self, atoms: &Atoms) -> Vec<u32> {
         let mut counts = vec![0u32; self.num_ranks()];

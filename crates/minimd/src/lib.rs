@@ -13,7 +13,7 @@
 //!   benchmark systems;
 //! * [`neighbor`] — cell lists and Verlet lists with skin and the paper's
 //!   rebuild-every-50-steps policy;
-//! * [`potential`] — analytic force fields: Lennard-Jones, Morse, an EAM
+//! * [`potential`] — analytic force fields: Lennard-Jones, an EAM
 //!   copper model and a flexible 3-site water surrogate. These stand in for
 //!   the AIMD reference data used to train Deep Potential models;
 //! * [`domain`] — spatial decomposition onto an `px × py × pz` rank grid,
@@ -24,7 +24,6 @@
 //! * [`compute`] — kinetic energy, temperature, virial pressure, radial
 //!   distribution functions, mean-squared displacement;
 //! * [`migrate`] — owner exchange of "flying atoms" at rebuild time;
-//! * [`dump`] — extended-XYZ trajectories and LAMMPS-style thermo logs;
 //! * [`sim`] — a single-process simulation driver tying it all together.
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
@@ -34,7 +33,6 @@
 pub mod atoms;
 pub mod compute;
 pub mod domain;
-pub mod dump;
 pub mod integrate;
 pub mod lattice;
 pub mod migrate;

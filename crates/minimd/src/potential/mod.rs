@@ -6,7 +6,6 @@
 //! DeePMD-kit models are trained against DFT labels.
 //!
 //! * [`lj`] — Lennard-Jones (classic baseline, used in tests and examples);
-//! * [`morse`] — Morse pair potential;
 //! * [`eam`] — Sutton–Chen embedded-atom copper (the many-body "truth" for
 //!   the paper's 0.54 M-atom Cu system);
 //! * [`water`] — a flexible 3-site water surrogate (harmonic bonds/angles +
@@ -15,7 +14,6 @@
 
 pub mod eam;
 pub mod lj;
-pub mod morse;
 pub mod water;
 
 use crate::atoms::Atoms;

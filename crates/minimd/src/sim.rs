@@ -10,8 +10,6 @@
 use std::time::{Duration, Instant};
 
 use dpmd_obs::clock::wall_now;
-
-use dpmd_obs::steps::{StepPhases, StepSeries};
 use dpmd_obs::{Counter, MetricsRegistry, TraceBuffer, Unit};
 
 use crate::atoms::Atoms;
@@ -68,9 +66,9 @@ impl StepTiming {
 /// Opaque token for a step whose first Verlet half-kick has run but whose
 /// force evaluation and closing kick have not. Produced by
 /// [`Simulation::begin_step`], consumed by [`Simulation::complete_step`];
-/// carries the in-progress phase record and the step's start instant.
+/// carries the timing record being filled and the step's start instant.
 pub struct StepInFlight {
-    rec: StepPhases,
+    rec: StepTiming,
     t_step: Instant,
 }
 
@@ -110,9 +108,9 @@ pub struct Simulation {
     /// Virial of the last force evaluation, kept so KE-dependent outputs
     /// (pressure included) can be refreshed after the final Verlet kick.
     last_virial: f64,
-    /// Per-step phase record; [`timing`](Self::timing) is a view over its
-    /// latest entry.
-    series: StepSeries,
+    /// Wall-clock breakdown of the last completed step, overwritten each
+    /// step (a `Simulation` does not grow with the step count).
+    last_timing: StepTiming,
     /// Metric handles; `None` (the default) skips all recording.
     obs: Option<SimObs>,
 }
@@ -159,7 +157,7 @@ impl Simulation {
             step: 0,
             last: Thermo::default(),
             last_virial: 0.0,
-            series: StepSeries::new(),
+            last_timing: StepTiming::default(),
             obs: None,
         };
         sim.nl.build(&sim.atoms, &sim.bx);
@@ -188,30 +186,9 @@ impl Simulation {
     }
 
     /// Wall-clock breakdown of the last completed step (zeros before the
-    /// first [`step`](Self::step) call) — a view over the latest
-    /// [`step_series`](Self::step_series) entry.
+    /// first [`step`](Self::step) call).
     pub fn timing(&self) -> StepTiming {
-        match self.series.last() {
-            None => StepTiming::default(),
-            Some(p) => StepTiming {
-                step: p.step,
-                neighbor_s: p.neighbor_s,
-                force_s: p.force_s,
-                phases: ForcePhases {
-                    descriptor_s: p.descriptor_s,
-                    embedding_s: p.embedding_s,
-                    fitting_s: p.fitting_s,
-                    reduction_s: p.reduction_s,
-                },
-                integrate_s: p.integrate_s,
-                total_s: p.total_s,
-            },
-        }
-    }
-
-    /// Full per-step phase record of the run so far.
-    pub fn step_series(&self) -> &StepSeries {
-        &self.series
+        self.last_timing
     }
 
     /// Register this simulation's metrics on `reg` and mirror per-step
@@ -272,7 +249,7 @@ impl Simulation {
     /// exactly `begin_step` + a solo `potential.compute` + `complete_step`.
     pub fn begin_step(&mut self) -> StepInFlight {
         let t_step = wall_now();
-        let mut rec = StepPhases::default();
+        let mut rec = StepTiming::default();
 
         let t0 = wall_now();
         self.integrator.first_half(&mut self.atoms, &self.bx);
@@ -312,10 +289,7 @@ impl Simulation {
         let StepInFlight { mut rec, t_step } = tok;
         let (t_force, t_force_end) = force_span;
         rec.force_s = (t_force_end - t_force).as_secs_f64();
-        rec.descriptor_s = phases.descriptor_s;
-        rec.embedding_s = phases.embedding_s;
-        rec.fitting_s = phases.fitting_s;
-        rec.reduction_s = phases.reduction_s;
+        rec.phases = phases;
         self.last.pe = out.energy;
         self.last_virial = out.virial;
         if let Some(o) = &self.obs {
@@ -369,7 +343,7 @@ impl Simulation {
             o.wall_integrate.add((rec.integrate_s * 1e9) as u64);
             o.wall_total.add((rec.total_s * 1e9) as u64);
         }
-        self.series.push(rec);
+        self.last_timing = rec;
         self.last
     }
 
@@ -491,15 +465,14 @@ mod tests {
         let trace = TraceBuffer::new();
         sim.attach_obs(&reg, &trace);
         sim.run(3);
-        // The series records regardless of the capture feature.
-        assert_eq!(sim.step_series().len(), 3);
-        assert_eq!(sim.timing().step, 3);
-        assert!(sim.step_series().totals().force_s > 0.0);
-        if !reg.is_enabled() {
-            return;
-        }
+        // `timing()` is the last completed step; the cumulative wall
+        // counters are the run totals it is one term of.
+        let t = sim.timing();
+        assert_eq!(t.step, 3);
+        assert!(t.force_s > 0.0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("minimd.steps"), Some(3));
+        assert!(snap.counter("minimd.wall.force_ns").unwrap() >= (t.force_s * 1e9) as u64);
         let events = trace.events();
         assert_eq!(events.iter().filter(|e| e.name == "step").count(), 3);
         dpmd_obs::trace::validate_well_nested(&events).unwrap();

@@ -21,7 +21,7 @@
 //! * [`init`] — deterministic weight initialization;
 //! * [`precision`] — the paper's three precision modes;
 //! * [`stats`] — GEMM call accounting by M-shape class and precision for
-//!   the observability layer (no-op unless `dpmd-obs/capture` is on).
+//!   the observability layer (skipped unless a registry is attached).
 //!
 //! The crate is deliberately dependency-light and deterministic: every random
 //! draw is seeded, so experiments are reproducible bit-for-bit at a given

@@ -1,5 +1,4 @@
-//! Live implementations of the recording handles (compiled with the
-//! `capture` feature; see `noop.rs` for the zero-cost mirrors).
+//! The recording handles.
 //!
 //! Handles are `Arc`-shared atomic cells handed out by the registry at
 //! registration time; recording is a single relaxed atomic op and never
@@ -122,12 +121,6 @@ impl MetricsRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether recording is live (`capture` feature on). Tests use this to
-    /// skip capture-dependent assertions in feature-off builds.
-    pub fn is_enabled(&self) -> bool {
-        true
     }
 
     /// Register (or fetch the existing) counter named `name`. Idempotent:

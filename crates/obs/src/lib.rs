@@ -15,19 +15,19 @@
 //! * **Allocation-free on the hot path** — handles are registered once
 //!   (`registry.counter(...)`) and then increment a pre-allocated atomic
 //!   cell; recording never allocates.
-//! * **Zero-cost when disabled** — without the `capture` cargo feature,
-//!   every handle is a zero-sized struct whose methods are empty `#[inline]`
-//!   bodies, so instrumentation compiles away entirely.
+//! * **Attached at run time** — there is one build. Every instrumented
+//!   subsystem holds its handles in an `Option` that is `None` until its
+//!   `attach_obs` (or `EngineBuilder::observe`) is called with a registry;
+//!   a detached recording site costs one `Option` test and nothing is
+//!   allocated, registered or timed on its behalf.
 //! * **Deterministic** — [`MetricsRegistry::snapshot_deterministic`] drops
 //!   wall-clock-valued metrics ([`Unit::WallNs`]) and sorts by name, so the
 //!   same seed yields a bit-identical JSON snapshot; wall times live in the
 //!   (schema-validated, not golden-compared) Chrome trace instead.
 //!
-//! Always-on companions (compiled with or without `capture`):
-//! [`steps::StepSeries`] (the per-step phase store `minimd`'s `StepTiming`
-//! is a view over), [`schema`] (JSON validators for profile and trace
+//! Beside the handles: [`schema`] (JSON validators for profile and trace
 //! files), [`trace::TraceEvent`] utilities, and [`clock::wall_now`] — the
-//! single sanctioned wall-clock read outside this crate's capture layer
+//! single sanctioned wall-clock read outside this crate's span recorder
 //! (determinism invariant D4, enforced by `dpmd-analyze`).
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
@@ -37,18 +37,10 @@
 pub mod clock;
 pub mod schema;
 pub mod snapshot;
-pub mod steps;
 pub mod trace;
 
-#[cfg(feature = "capture")]
 mod capture;
-#[cfg(feature = "capture")]
 pub use capture::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceBuffer};
-
-#[cfg(not(feature = "capture"))]
-mod noop;
-#[cfg(not(feature = "capture"))]
-pub use noop::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceBuffer};
 
 pub use snapshot::{HistogramSnapshot, ScalarMetric, Snapshot, Unit};
 pub use trace::TraceEvent;

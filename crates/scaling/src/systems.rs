@@ -89,11 +89,6 @@ impl SystemSpec {
     pub fn atoms_per_core(&self, nodes: usize) -> f64 {
         self.target_atoms as f64 / (nodes as f64 * 48.0)
     }
-
-    /// Forward-halo bytes per ghost atom (positions + id/type).
-    pub fn ghost_bytes(&self) -> usize {
-        dpmd_comm::ATOM_FORWARD_BYTES
-    }
 }
 
 #[cfg(test)]

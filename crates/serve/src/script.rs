@@ -73,12 +73,29 @@ impl Default for ArrivalScript {
     }
 }
 
+/// Largest value a round-valued clause (`window`, `at`, `deadline`, `pause`
+/// start and length) may take. `run_script` ticks through every empty round
+/// up to the next arrival or resume, so an unbounded round is a hang.
+const MAX_ROUND: u64 = 1_000_000;
+
+/// Largest `tenants=`: `schedule` allocates one entry per tenant.
+const MAX_TENANTS: usize = 100_000;
+
+/// Parse a round-valued field of `clause`; `what` names it in the
+/// bad-value message.
+fn parse_round(v: &str, clause: &str, what: &str) -> Result<u64, String> {
+    let r: u64 = v.parse().map_err(|_| format!("{clause}: bad {what} '{v}'"))?;
+    if r > MAX_ROUND {
+        return Err(format!("{clause}: at most {MAX_ROUND} rounds"));
+    }
+    Ok(r)
+}
+
 /// Split `"ID@R"`.
 fn parse_at(v: &str, clause: &str) -> Result<(usize, u64), String> {
     let (id, r) = v.split_once('@').ok_or_else(|| format!("{clause}: expected ID@R, got '{v}'"))?;
     let id = id.parse().map_err(|_| format!("{clause}: bad tenant id '{id}'"))?;
-    let r = r.parse().map_err(|_| format!("{clause}: bad round '{r}'"))?;
-    Ok((id, r))
+    Ok((id, parse_round(r, clause, "round")?))
 }
 
 impl ArrivalScript {
@@ -105,6 +122,9 @@ impl ArrivalScript {
                     if s.tenants == 0 {
                         return Err("tenants: must be at least 1".into());
                     }
+                    if s.tenants > MAX_TENANTS {
+                        return Err(format!("tenants: at most {MAX_TENANTS}"));
+                    }
                 }
                 "steps" => {
                     s.steps = val.parse().map_err(|_| format!("steps: bad value '{val}'"))?;
@@ -113,7 +133,7 @@ impl ArrivalScript {
                     }
                 }
                 "window" => {
-                    s.window = val.parse().map_err(|_| format!("window: bad value '{val}'"))?;
+                    s.window = parse_round(val, "window", "value")?;
                     if s.window == 0 {
                         return Err("window: must be at least 1".into());
                     }
@@ -142,8 +162,8 @@ impl ArrivalScript {
                         .split_once('+')
                         .ok_or_else(|| format!("pause: expected ID@R+K, got '{val}'"))?;
                     let id = id.parse().map_err(|_| format!("pause: bad tenant id '{id}'"))?;
-                    let r: u64 = r.parse().map_err(|_| format!("pause: bad round '{r}'"))?;
-                    let k: u64 = k.parse().map_err(|_| format!("pause: bad duration '{k}'"))?;
+                    let r = parse_round(r, "pause", "round")?;
+                    let k = parse_round(k, "pause", "duration")?;
                     if k == 0 {
                         return Err("pause: duration must be at least 1 round".into());
                     }
@@ -238,6 +258,29 @@ mod tests {
         assert!(ArrivalScript::parse("queue=0").unwrap_err().contains("reject everything"));
         assert!(ArrivalScript::parse("pause=0@2+0").unwrap_err().contains("at least 1 round"));
         assert!(ArrivalScript::parse("prio=0:urgent").unwrap_err().contains("unknown priority"));
+    }
+
+    /// Every bounded clause is accepted at its bound and refused one past
+    /// it with a message naming the clause — a hostile script can neither
+    /// make `run_script` spin through empty rounds nor size an allocation.
+    #[test]
+    fn round_and_tenant_clauses_are_bounded() {
+        let (r, t) = (MAX_ROUND, MAX_TENANTS);
+        for (clause, at_bound, past_bound) in [
+            ("window", format!("window={r}"), format!("window={}", r + 1)),
+            ("at", format!("at=0@{r}"), format!("at=0@{}", r + 1)),
+            ("deadline", format!("deadline=0@{r}"), format!("deadline=0@{}", r + 1)),
+            ("pause", format!("pause=0@{r}+1"), format!("pause=0@{}+1", r + 1)),
+            ("pause", format!("pause=0@1+{r}"), format!("pause=0@1+{}", r + 1)),
+            ("pause", format!("pause=0@{r}+{r}"), format!("pause=0@1+{}", u64::MAX)),
+            ("tenants", format!("tenants={t}"), format!("tenants={}", t + 1)),
+        ] {
+            ArrivalScript::parse(&at_bound).unwrap_or_else(|e| panic!("{at_bound}: {e}"));
+            let err = ArrivalScript::parse(&past_bound).unwrap_err();
+            assert!(err.starts_with(&format!("{clause}: at most")), "{past_bound}: {err}");
+        }
+        assert_eq!(ArrivalScript::parse(&format!("tenants={t}")).unwrap().schedule().len(), t);
+        ArrivalScript::parse(&format!("steps={}", u64::MAX)).expect("steps stays unbounded");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`comm`] — communication schemes (3-stage, p2p, node-based, mempool);
 //! * [`balance`] — intra-node load balancing;
 //! * [`obs`] — observability (metrics registry, span tracing, Chrome-trace
-//!   export; recording is live only with the `capture` feature);
+//!   export; recording is attached per object at run time);
 //! * [`scaling`] — time-to-solution model and per-figure experiments;
 //! * [`core`] — the public engine/performance API.
 //!

@@ -197,9 +197,6 @@ fn run_observed(scheme: ExchangeScheme, plan: Option<FaultPlan>) -> Snapshot {
 /// fallback window the in-driver `FaultStats` reports.
 #[test]
 fn fault_runs_surface_nonzero_recovery_counters() {
-    if !MetricsRegistry::new().is_enabled() {
-        return;
-    }
     let snap = run_observed(ExchangeScheme::NodeBased, Some(hostile_plan(fault_seed())));
     let retries = snap.counter("transport.retries").unwrap_or(0);
     assert!(retries > 0, "hostile plan must surface transport.retries > 0");
@@ -219,9 +216,6 @@ fn fault_runs_surface_nonzero_recovery_counters() {
 /// the chaos metrics cannot false-positive on a healthy network.
 #[test]
 fn clean_runs_report_exactly_zero_fault_counters() {
-    if !MetricsRegistry::new().is_enabled() {
-        return;
-    }
     for scheme in [ExchangeScheme::RankP2p, ExchangeScheme::NodeBased] {
         let snap = run_observed(scheme, None);
         for name in ["transport.retries", "transport.pool_exhausted", "comm.fallback_window_steps"]

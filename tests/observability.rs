@@ -1,6 +1,6 @@
 //! Cross-crate invariant suite for the observability layer (`dpmd-obs`).
 //!
-//! Four families, per the observability issue:
+//! Five families:
 //!
 //! 1. **Accounting invariants** — `comm.bytes_sent` must equal the sum of
 //!    serialized message sizes of the canonical exchange, for both schemes;
@@ -13,14 +13,14 @@
 //!    with `DPMD_BLESS=1`).
 //! 4. **Machine-model counters** — the node-based scheme charges TNI
 //!    routing and simulated RDMA bytes.
-//!
-//! The root package's dev-dependencies enable the `capture` feature, so
-//! these tests see live recording; each capture-dependent test still guards
-//! on `MetricsRegistry::is_enabled()` so the suite stays correct if run
-//! with default features.
+//! 5. **Observing never perturbs, detached means absent** — the same seed
+//!    run with everything attached and with nothing attached ends in the
+//!    same bits; an unobserved engine holds no registry, and a simulation
+//!    keeps one step's timing however long it runs.
 
+use dpmd_repro::comm::driver::DistributedSim;
 use dpmd_repro::comm::functional::{
-    self, build_forward_messages, exchange_ghosts_observed, ghost_signature, ExchangeScheme,
+    self, build_forward_messages, exchange_ghosts_with, ghost_signature, ExchangeScheme,
 };
 use dpmd_repro::comm::node_based::{simulate_observed, Phase};
 use dpmd_repro::comm::{CommMetrics, HaloPlan, NodeSchemeConfig, ATOM_FORWARD_BYTES};
@@ -28,14 +28,19 @@ use dpmd_repro::core::prelude::*;
 use dpmd_repro::fugaku::machine::MachineConfig;
 use dpmd_repro::fugaku::tofu::Torus3d;
 use dpmd_repro::minimd::domain::Decomposition;
+use dpmd_repro::minimd::integrate::{init_velocities, VelocityVerlet};
 use dpmd_repro::minimd::lattice::{fcc_copper, fcc_lattice};
+use dpmd_repro::minimd::potential::lj::LennardJones;
+use dpmd_repro::minimd::sim::Simulation;
 use dpmd_repro::minimd::simbox::SimBox;
+use dpmd_repro::minimd::units::FEMTOSECOND;
 use dpmd_repro::minimd::Atoms;
 use dpmd_repro::obs::trace::validate_well_nested;
 use dpmd_repro::obs::{
     HistogramSnapshot, MetricsRegistry, ScalarMetric, Snapshot, TraceBuffer, TraceEvent, Unit,
 };
 
+use dpmd_serve::{ArrivalScript, ContinuousScheduler, InFlightCap};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -48,6 +53,18 @@ fn partitioned_copper() -> (Decomposition, Vec<Atoms>) {
     let decomp = Decomposition::new(bx, [2, 2, 2]);
     let per_rank = functional::partition(&decomp, &atoms);
     (decomp, per_rank)
+}
+
+/// The 32-atom copper engine of the golden snapshot (tiny model, NVE,
+/// seed 7), `Mix32` unless the caller overrides the precision.
+fn tiny_cu_builder(threads: usize) -> EngineBuilder {
+    Engine::builder()
+        .copper_cells(2)
+        .with_model(DeepPotModel::new(DeepPotConfig::tiny(1, 6.0)))
+        .precision(Precision::Mix32)
+        .nve()
+        .seed(7)
+        .threads(threads)
 }
 
 // ---------------------------------------------------------------------------
@@ -71,11 +88,8 @@ fn comm_bytes_sent_equals_serialized_message_sizes_for_both_schemes() {
 
         let reg = MetricsRegistry::new();
         let obs = CommMetrics::register(&reg);
-        exchange_ghosts_observed(&decomp, &mut per_rank, RC, scheme, false, &obs);
+        exchange_ghosts_with(&decomp, &mut per_rank, RC, scheme, false, Some(&obs), None);
 
-        if !reg.is_enabled() {
-            return;
-        }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("comm.messages_sent"), Some(expected_msgs), "{scheme:?}");
         assert_eq!(snap.counter("comm.payload_entries"), Some(expected_entries), "{scheme:?}");
@@ -103,17 +117,15 @@ fn node_based_and_p2p_report_identical_logical_ghost_counts() {
         let (decomp, mut per_rank) = partitioned_copper();
         let reg = MetricsRegistry::new();
         let obs = CommMetrics::register(&reg);
-        exchange_ghosts_observed(&decomp, &mut per_rank, RC, scheme, false, &obs);
+        exchange_ghosts_with(&decomp, &mut per_rank, RC, scheme, false, Some(&obs), None);
 
         let ghosts: usize = per_rank.iter().map(|a| a.len() - a.nlocal).sum();
         assert!(ghosts > 0, "{scheme:?}: exchange applied no ghosts");
-        if reg.is_enabled() {
-            assert_eq!(
-                reg.snapshot().counter("comm.ghosts_applied"),
-                Some(ghosts as u64),
-                "{scheme:?}: counter disagrees with the simulation state it observed"
-            );
-        }
+        assert_eq!(
+            reg.snapshot().counter("comm.ghosts_applied"),
+            Some(ghosts as u64),
+            "{scheme:?}: counter disagrees with the simulation state it observed"
+        );
         applied.push(ghosts);
         signatures.push(
             per_rank
@@ -145,9 +157,6 @@ proptest! {
         step in 1u64..500,
     ) {
         let reg = MetricsRegistry::new();
-        if !reg.is_enabled() {
-            return Ok(());
-        }
         let bounds = [b0, b0 + step, b0 + 2 * step, b0 + 3 * step];
         let h = reg.histogram("prop.h", Unit::Count, &bounds);
         for &s in &samples {
@@ -261,17 +270,9 @@ fn partially_overlapping_spans_are_rejected() {
 #[test]
 fn golden_metrics_snapshot_cu10() {
     let registry = MetricsRegistry::new();
-    if !registry.is_enabled() {
-        return;
-    }
     let trace = TraceBuffer::new();
-    let mut engine = Engine::builder()
-        .copper_cells(2)
-        .with_model(DeepPotModel::new(DeepPotConfig::tiny(1, 6.0)))
+    let mut engine = tiny_cu_builder(2)
         .precision(Precision::Mix16)
-        .nve()
-        .seed(7)
-        .threads(2)
         .observe(registry.clone(), trace.clone())
         .build();
     engine.run(10);
@@ -323,9 +324,6 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn node_scheme_charges_tni_routing_and_simulated_rdma_bytes() {
     let reg = MetricsRegistry::new();
-    if !reg.is_enabled() {
-        return;
-    }
 
     // Same fixture family as the node_based unit tests: a 3×3×4 torus of
     // nodes with subdomain edges at half the cutoff.
@@ -377,4 +375,121 @@ fn node_scheme_charges_tni_routing_and_simulated_rdma_bytes() {
     assert!(tni_messages > 0, "no messages charged to any TNI");
     let rdma = snap.counter("fugaku.rdma.bytes_simulated");
     assert!(rdma.unwrap_or(0) > 0, "no simulated RDMA bytes charged: {rdma:?}");
+}
+
+// ---------------------------------------------------------------------------
+// 5. Observing never perturbs, detached means absent
+// ---------------------------------------------------------------------------
+
+/// Every field of every record of a thermo trace, as bits.
+fn thermo_bits(trace: &[Thermo]) -> Vec<(u64, [u64; 5])> {
+    trace
+        .iter()
+        .map(|t| (t.step, [t.pe, t.ke, t.etotal, t.temperature, t.pressure].map(f64::to_bits)))
+        .collect()
+}
+
+/// Local positions and velocities, as bits, in storage order.
+fn state_bits(a: &Atoms) -> Vec<[u64; 6]> {
+    (0..a.nlocal)
+        .map(|i| {
+            let (p, v) = (a.pos[i], a.vel[i]);
+            [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
+        })
+        .collect()
+}
+
+/// (a) A Cu `Mix32` engine on 2 threads: 10 observed steps equal 10
+/// unobserved steps bit for bit, and only the observed engine holds a
+/// registry and a trace.
+#[test]
+fn observed_engine_is_bit_identical_and_unobserved_engine_holds_nothing() {
+    let reg = MetricsRegistry::new();
+    let mut observed = tiny_cu_builder(2).observe(reg.clone(), TraceBuffer::new()).build();
+    let mut plain = tiny_cu_builder(2).build();
+    assert!(plain.metrics().is_none() && plain.trace().is_none(), "detached means absent");
+    assert!(observed.metrics().is_some() && observed.trace().is_some());
+
+    assert_eq!(thermo_bits(&observed.run(10)), thermo_bits(&plain.run(10)));
+    assert_eq!(state_bits(&observed.simulation().atoms), state_bits(&plain.simulation().atoms));
+    assert_eq!(reg.snapshot().counter("minimd.steps"), Some(10), "the observed run did record");
+}
+
+/// (b) A 4-tenant staggered script through an observed and an unobserved
+/// scheduler: same rounds, and every tenant's thermo trace and final state
+/// agree bit for bit.
+#[test]
+fn observed_scheduler_is_bit_identical_to_unobserved() {
+    let script =
+        ArrivalScript::parse("seed=5;tenants=4;steps=5;window=3;prio=1:interactive;pause=2@3+2")
+            .unwrap();
+    let serve = |builder: EngineBuilder| {
+        let mut s =
+            ContinuousScheduler::new(builder.build_parts(), InFlightCap::All, script.queue_capacity);
+        let outcome = s.run_script(&script);
+        assert!(outcome.rejected.is_empty());
+        (outcome.rounds, s)
+    };
+    let reg = MetricsRegistry::new();
+    let (rounds_o, observed) = serve(tiny_cu_builder(1).observe(reg.clone(), TraceBuffer::new()));
+    let (rounds_p, plain) = serve(tiny_cu_builder(1));
+    assert_eq!(rounds_o, rounds_p);
+    assert_eq!(observed.tenants().len(), 4);
+    for (o, p) in observed.tenants().iter().zip(plain.tenants()) {
+        assert_eq!(o.id, p.id);
+        assert_eq!(thermo_bits(&o.trace), thermo_bits(&p.trace), "tenant {}", o.id);
+        assert_eq!(state_bits(&o.sim.atoms), state_bits(&p.sim.atoms), "tenant {}", o.id);
+    }
+    assert_eq!(reg.snapshot().counter("serve.cont.steps"), Some(20), "the observed run did record");
+}
+
+/// (c) A 32-rank LJ `DistributedSim` with metrics attached and a
+/// drop/dup/reorder plan armed against one with nothing attached: per-step
+/// energies and the gathered final state agree bit for bit, under both
+/// exchange schemes.
+#[test]
+fn observed_faulted_distributed_run_is_bit_identical_to_detached() {
+    let (bx, mut global) = fcc_lattice(8, 8, 8, 4.4);
+    init_velocities(&mut global, 60.0, 5);
+    let lj = LennardJones::new(0.0104, 3.4, 5.0);
+    for scheme in [ExchangeScheme::RankP2p, ExchangeScheme::NodeBased] {
+        let run = |reg: Option<&MetricsRegistry>| {
+            let decomp = Decomposition::new(bx, [2, 2, 2]);
+            let vv = VelocityVerlet::new(2.0 * FEMTOSECOND);
+            let mut sim = DistributedSim::new(decomp, &global, &lj, vv, scheme, 5);
+            if let Some(reg) = reg {
+                sim.attach_obs(reg);
+                sim.inject_faults(FaultPlan::parse("seed=7;drop=0.15;dup=0.1;reorder=0.3").unwrap());
+            }
+            let energies: Vec<[u64; 2]> = (0..12)
+                .map(|_| {
+                    let (pe, ke) = sim.stride();
+                    [pe.to_bits(), ke.to_bits()]
+                })
+                .collect();
+            let g = sim.gather();
+            (energies, g.id.clone(), state_bits(&g))
+        };
+        let reg = MetricsRegistry::new();
+        assert_eq!(run(Some(&reg)), run(None), "{scheme:?}");
+        let snap = reg.snapshot();
+        assert!(snap.counter("comm.messages_sent").unwrap_or(0) > 0, "{scheme:?}: recorded traffic");
+        assert!(snap.counter("transport.retries").unwrap_or(0) > 0, "{scheme:?}: injected drops");
+    }
+}
+
+/// A simulation keeps the last step's timing, not a history: after 1,000
+/// steps `timing()` describes step 1,000.
+#[test]
+fn timing_is_the_last_step_after_a_long_run() {
+    let (bx, mut atoms) = fcc_lattice(3, 3, 3, 5.3);
+    init_velocities(&mut atoms, 30.0, 1);
+    let lj = LennardJones::argon_like();
+    let mut sim =
+        Simulation::new(bx, atoms, Box::new(lj), VelocityVerlet::new(2.0 * FEMTOSECOND), 1.0, 50);
+    assert_eq!(sim.timing().step, 0);
+    sim.run(1_000);
+    let t = sim.timing();
+    assert_eq!(t.step, 1_000);
+    assert!(t.force_s > 0.0 && t.phase_sum_s() <= t.total_s);
 }
