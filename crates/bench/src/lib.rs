@@ -1,17 +1,16 @@
-//! # dpmd-bench — the benchmark harness
+//! # dpmd-bench — the measured numbers
 //!
-//! One Criterion bench per table and figure of the paper (`cargo bench`),
-//! each of which *prints the regenerated rows/series* before timing the
-//! computation that produces them, plus micro-benchmarks of the kernels
-//! whose measured ratios ground the performance model (sve-gemm vs naive
-//! vs blocked, NN vs NT, f64/f32/f16).
+//! * bin `e2e` (`src/bin/e2e/`, also a package of its own): the end-to-end
+//!   benchmark `BENCHMARK.json` declares — absolute µs/step/atom on four
+//!   workloads, attributed layer by layer.
+//! * bench `gemm_kernels`: the GEMM tiers on the shape classes the force
+//!   pipeline issues; writes `BENCH_gemm.json`.
+//! * bench `batch_replicas`: batched vs one-at-a-time serving; writes
+//!   `BENCH_batch.json`.
+//!
+//! The paper's tables and figures are regenerated by `dpmd <name>` (one
+//! registry, `dpmd_scaling::experiments::ALL`), not from here.
 
 // Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
 // in dpmd-threads); everything else is safe Rust by construction.
 #![forbid(unsafe_code)]
-
-/// Print a banner + rendered table once per bench binary.
-pub fn banner(name: &str, rendered: &str) {
-    println!("\n################ {name} ################");
-    println!("{rendered}");
-}

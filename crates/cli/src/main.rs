@@ -14,24 +14,7 @@ use std::str::FromStr;
 
 use dpmd_core::prelude::*;
 
-use dpmd_scaling::experiments::{ablations, fig10, fig11, fig6, fig7, fig8, fig9, portability, table1, table2, table3, weak_scaling};
-use dpmd_scaling::systems::SystemSpec;
-use fugaku::machine::MachineConfig;
-
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "NNMD package survey incl. the two 'This work' rows"),
-    ("table2", "energy/force error under Double / MIX-fp32 / MIX-fp16"),
-    ("table3", "pair time and atom counts across ranks, lb vs nolb"),
-    ("fig6", "water O-O RDF under three precisions"),
-    ("fig7", "step-by-step communication on 96 nodes"),
-    ("fig8", "RDMA memory pool vs per-neighbor registration"),
-    ("fig9", "step-by-step computation ladder on 96 nodes"),
-    ("fig10", "pair-time distributions, lb vs nolb"),
-    ("fig11", "strong scaling 768 -> 12,000 nodes"),
-    ("ablations", "design-choice sensitivity sweeps"),
-    ("portability", "node scheme on Frontier-like / Sunway-like machines (paper §V)"),
-    ("weak", "weak scaling at fixed atoms/core (complement to fig11)"),
-];
+use dpmd_scaling::experiments;
 
 fn usage() {
     println!("usage: dpmd <experiment|list|all> [--points N] [--iters N]");
@@ -46,8 +29,8 @@ fn usage() {
     println!("               [--json PATH] [--bless] [--graph PATH] [--emit-stats PATH]");
     println!("               [--min-resolution PCT]\n");
     println!("experiments:");
-    for (name, desc) in EXPERIMENTS {
-        println!("  {name:10} {desc}");
+    for (name, about, _) in experiments::ALL {
+        println!("  {name:10} {about}");
     }
     println!("\nmd: functional MD with the Deep Potential engine");
     println!("  --water      water box instead of FCC copper");
@@ -277,18 +260,20 @@ fn run_faulted(args: &[String], spec: &str) -> Result<(), String> {
     }
 }
 
+/// The fixed fleet of `md batch --replicas N --steps S`, built through the
+/// script parser so it meets the same bounds as a `--script`.
+fn batch_script(args: &[String]) -> Result<dpmd_serve::ArrivalScript, String> {
+    let replicas: usize = parse_flag(args, "--replicas", 4)?;
+    let steps: u64 = parse_flag(args, "--steps", 10)?;
+    dpmd_serve::ArrivalScript::parse(&format!("tenants={replicas};steps={steps};window=1"))
+        .map_err(|e| format!("md batch: {e}"))
+}
+
 /// `dpmd md`: run functional MD, optionally printing the per-step
 /// phase-timing breakdown the threaded force pipeline records.
 fn run_md(args: &[String]) -> Result<(), String> {
     match args.get(1).map(String::as_str) {
-        Some("batch") => {
-            let replicas = parse_flag(args, "--replicas", 4)?;
-            let steps = parse_flag(args, "--steps", 10)?;
-            if replicas == 0 || steps == 0 {
-                return Err("--replicas and --steps must be at least 1".into());
-            }
-            return run_md_serve(args, &dpmd_serve::ArrivalScript::fixed(replicas, steps));
-        }
+        Some("batch") => return run_md_serve(args, &batch_script(args)?),
         Some("serve") => {
             let spec = flag_value(args, "--script").ok_or(
                 "md serve requires --script SPEC (try --script \"tenants=4;steps=10;window=3\")",
@@ -386,68 +371,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
 }
 
-fn run_one(name: &str, points: usize, iters: usize) -> bool {
-    let machine = MachineConfig::default();
-    match name {
-        "table1" => println!("{}", table1::table(points).render()),
-        "table2" => {
-            let rows = table2::run(table2::Table2Config::default());
-            println!("{}", table2::table(&rows).render());
-        }
-        "table3" => {
-            let rows = table3::run(2024);
-            println!("{}", table3::table(&rows).render());
-            println!(
-                "atomic dispersion reduction: {:.1}% (paper: 79.7%)",
-                table3::dispersion_reduction(&rows) * 100.0
-            );
-        }
-        "fig6" => {
-            let curves = fig6::run(fig6::Fig6Config::default());
-            println!("{}", fig6::table(&curves).render());
-            println!(
-                "max |dg| vs Double: MIX-fp32 {:.3}, MIX-fp16 {:.3}",
-                fig6::max_deviation(&curves[0], &curves[1]),
-                fig6::max_deviation(&curves[0], &curves[2])
-            );
-        }
-        "fig7" => {
-            let rows = fig7::run(&machine);
-            println!("{}", fig7::table(&rows).render());
-        }
-        "fig8" => {
-            let pts = fig8::run(&machine, iters);
-            println!("{}", fig8::table(&pts).render());
-            if let Some(k) = fig8::knee(&pts) {
-                println!("knee at {k} neighbors (paper: 44)");
-            }
-        }
-        "fig9" => {
-            let rows = fig9::run();
-            println!("{}", fig9::table(&rows).render());
-        }
-        "fig10" => {
-            let series = fig10::run(2024);
-            println!("{}", fig10::table(&series).render());
-        }
-        "fig11" => {
-            for spec in [SystemSpec::copper(), SystemSpec::water()] {
-                let curve = fig11::run(spec, points);
-                println!("{}", fig11::table(&curve).render());
-            }
-        }
-        "ablations" => println!("{}", ablations::table().render()),
-        "portability" => println!("{}", portability::table(&portability::run()).render()),
-        "weak" => {
-            let grids = [[2usize, 3, 2], [4, 3, 4], [4, 6, 4], [8, 6, 8], [8, 12, 8]];
-            let pts = weak_scaling::run(SystemSpec::copper(), 2, &grids);
-            println!("{}", weak_scaling::table(&pts).render());
-        }
-        _ => return false,
-    }
-    true
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
@@ -491,21 +414,23 @@ fn main() -> ExitCode {
             }
         }
         "all" => {
-            for (name, _) in EXPERIMENTS {
+            for (name, _, run) in experiments::ALL {
                 println!("\n########## {name} ##########");
-                run_one(name, points, iters);
+                println!("{}", run(points, iters));
             }
             ExitCode::SUCCESS
         }
-        other => {
-            if run_one(other, points, iters) {
+        other => match experiments::ALL.iter().find(|(name, ..)| *name == other) {
+            Some((_, _, run)) => {
+                println!("{}", run(points, iters));
                 ExitCode::SUCCESS
-            } else {
+            }
+            None => {
                 eprintln!("unknown experiment '{other}'\n");
                 usage();
                 ExitCode::FAILURE
             }
-        }
+        },
     }
 }
 
@@ -539,6 +464,11 @@ mod tests {
             assert!(err.starts_with(flag), "'{line}': error must name the flag, got '{err}'");
             assert!(parse_flag(&args(line), flag, 7usize).is_err(), "'{line}': no silent default");
         }
+        let fleet = batch_script(&args("md batch --replicas 100000 --steps 3")).unwrap();
+        assert_eq!((fleet.tenants, fleet.steps, fleet.window), (100_000, 3, 1));
+        let err = batch_script(&args("md batch --replicas 100001")).unwrap_err();
+        assert!(err.ends_with("tenants: at most 100000"), "the fleet is bounded like a script: {err}");
+        assert!(batch_script(&args("md batch --replicas 0")).is_err());
         let zero = args("md serve --in-flight 0");
         let cap = parse_flag(&zero, "--in-flight", dpmd_serve::InFlightCap::All);
         assert!(cap.unwrap_err().contains("admit nothing"), "the cap's own explanation survives");

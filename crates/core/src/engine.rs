@@ -139,9 +139,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Run force evaluations on a private pool of `n` threads instead of
-    /// the process-global pool. Results are bit-identical for any `n`
-    /// (chunk-ordered reduction); only wall time changes.
+    /// Run force evaluations on a pool of `n` threads; without this call the
+    /// pool is as wide as the host (`available_parallelism`). Results are
+    /// bit-identical for any `n` (chunk-ordered reduction); only wall time
+    /// changes.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -228,7 +229,7 @@ pub struct EngineParts {
     pub seed: u64,
     /// Berendsen NVT when true, NVE when false.
     pub thermostat: bool,
-    /// Private-pool width, if requested.
+    /// Pool width, if requested (host width otherwise).
     pub threads: Option<usize>,
     /// Metric/trace sinks, if observing.
     pub obs: Option<(MetricsRegistry, TraceBuffer)>,
@@ -247,15 +248,16 @@ impl EngineParts {
     }
 
     /// The force engine these settings call for: the model at
-    /// [`precision`](Self::precision), on a private pool when
-    /// [`threads`](Self::threads) is set, with its eval/GEMM counters
-    /// registered when observing (before any force evaluation, so they
-    /// cover the whole run).
+    /// [`precision`](Self::precision), on its own pool of
+    /// [`threads`](Self::threads) threads (every core of the host when
+    /// unset), with its eval/GEMM counters registered when observing
+    /// (before any force evaluation, so they cover the whole run).
     pub fn dp_engine(&self) -> DpEngine {
-        let mut dp = DpEngine::new(self.model.clone(), self.precision);
-        if let Some(n) = self.threads {
-            dp = dp.with_pool(Arc::new(ThreadPool::new(n)));
-        }
+        let threads = self
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let mut dp = DpEngine::new(self.model.clone(), self.precision)
+            .with_pool(Arc::new(ThreadPool::new(threads)));
         if let Some((reg, _)) = &self.obs {
             dp.attach_obs(reg);
         }

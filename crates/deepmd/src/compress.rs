@@ -115,19 +115,7 @@ impl CompressedEmbedding {
 
     /// Evaluate features and their s-derivative at `s` (clamped to the
     /// table range — out-of-range inputs indicate a bad table domain).
-    /// Convenience wrapper; the hot loop uses
-    /// [`forward_with_grad_into`](Self::forward_with_grad_into).
     pub fn forward_with_grad(&self, s: f64) -> (Vec<f64>, Vec<f64>) {
-        let mut g = Vec::default();
-        let mut dg = Vec::default();
-        self.forward_with_grad_into(s, &mut g, &mut dg);
-        (g, dg)
-    }
-
-    /// Evaluate features and their s-derivative into caller-owned buffers.
-    /// With `g` and `dg` reused across calls, the lookup is allocation-free
-    /// after the first-call growth.
-    pub fn forward_with_grad_into(&self, s: f64, g: &mut Vec<f64>, dg: &mut Vec<f64>) {
         let dx = (self.s_max - self.s_min) / self.n_intervals as f64;
         let s_cl = s.clamp(self.s_min, self.s_max);
         let mut idx = ((s_cl - self.s_min) / dx) as usize;
@@ -135,10 +123,8 @@ impl CompressedEmbedding {
             idx = self.n_intervals - 1;
         }
         let u = (s_cl - (self.s_min + idx as f64 * dx)) / dx;
-        g.clear();
-        g.resize(self.m1, 0.0);
-        dg.clear();
-        dg.resize(self.m1, 0.0);
+        let mut g = vec![0.0; self.m1];
+        let mut dg = vec![0.0; self.m1];
         for f in 0..self.m1 {
             let c = &self.coeffs[idx][f];
             // Horner for p(u) and p'(u).
@@ -152,6 +138,7 @@ impl CompressedEmbedding {
             g[f] = p;
             dg[f] = dp / dx; // back to d/ds
         }
+        (g, dg)
     }
 
     /// Model-file rules for a table serving an `m1`-wide embedding: a

@@ -101,23 +101,11 @@ pub struct Environment {
 ///
 /// Distances beyond `rcut` are filtered here (the Verlet list includes the
 /// skin). Ghost-aware: displacements are direct when ghosts are present,
-/// minimum-image otherwise. Runs on the global thread pool; see
-/// [`build_environments_on`] for an explicit pool.
-pub fn build_environments(
-    atoms: &Atoms,
-    nl: &NeighborList,
-    bx: &SimBox,
-    rcut_smth: f64,
-    rcut: f64,
-) -> Vec<Environment> {
-    build_environments_on(dpmd_threads::ThreadPool::global(), atoms, nl, bx, rcut_smth, rcut)
-}
-
-/// [`build_environments`] on an explicit pool. Atoms are chunked by the
-/// even-split policy (a function of the atom count only) and each chunk's
-/// environments are concatenated in chunk order, so the output is
-/// identical — entry for entry — for any pool width: each atom's
-/// environment depends on that atom alone.
+/// minimum-image otherwise. Atoms are chunked by the even-split policy (a
+/// function of the atom count only) and each chunk's environments are
+/// concatenated in chunk order, so the output is identical — entry for
+/// entry — for any pool width: each atom's environment depends on that
+/// atom alone.
 pub fn build_environments_on(
     pool: &dpmd_threads::ThreadPool,
     atoms: &Atoms,
@@ -165,6 +153,10 @@ mod tests {
     use super::*;
     use minimd::lattice::fcc_copper;
     use minimd::neighbor::{ListKind, NeighborList};
+
+    fn envs_of(atoms: &Atoms, nl: &NeighborList, bx: &SimBox) -> Vec<Environment> {
+        build_environments_on(&dpmd_threads::ThreadPool::new(2), atoms, nl, bx, 0.5, 6.0)
+    }
 
     #[test]
     fn smooth_is_continuous_at_both_knots() {
@@ -227,7 +219,7 @@ mod tests {
         let (bx, atoms) = fcc_copper(5, 5, 5);
         let mut nl = NeighborList::new(6.0, 2.0, ListKind::Full);
         nl.build(&atoms, &bx);
-        let envs = build_environments(&atoms, &nl, &bx, 0.5, 6.0);
+        let envs = envs_of(&atoms, &nl, &bx);
         assert_eq!(envs.len(), atoms.nlocal);
         for (i, env) in envs.iter().enumerate() {
             // Every entry strictly inside the cutoff.
@@ -245,13 +237,13 @@ mod tests {
         let (bx, mut atoms) = fcc_copper(5, 5, 5);
         let mut nl = NeighborList::new(6.0, 1.0, ListKind::Full);
         nl.build(&atoms, &bx);
-        let before = build_environments(&atoms, &nl, &bx, 0.5, 6.0);
+        let before = envs_of(&atoms, &nl, &bx);
         // Rigid translation (with wrap): all environments identical.
         for p in &mut atoms.pos {
             *p = bx.wrap(*p + Vec3::new(1.37, -2.2, 0.64));
         }
         nl.build(&atoms, &bx);
-        let after = build_environments(&atoms, &nl, &bx, 0.5, 6.0);
+        let after = envs_of(&atoms, &nl, &bx);
         for (a, b) in before.iter().zip(&after) {
             // Sort coordinates because neighbour order may differ.
             let mut ca: Vec<_> = a.entries.iter().map(|e| (e.r * 1e8).round() as i64).collect();

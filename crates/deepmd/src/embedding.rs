@@ -52,55 +52,23 @@ impl EmbeddingNet {
         self.mlp.forward_infer(&x).into_vec()
     }
 
-    /// Evaluate `g(s)` and `dg/ds` in one forward-mode sweep. Convenience
-    /// wrapper for cold paths and tests; the per-neighbour hot loop uses
-    /// [`forward_with_grad_into`](Self::forward_with_grad_into) with
-    /// reused buffers.
+    /// Evaluate `g(s)` and `dg/ds` in one forward-mode sweep.
     pub fn forward_with_grad(&self, s: f64) -> (Vec<f64>, Vec<f64>) {
-        let mut g = Vec::default();
-        let mut dg = Vec::default();
-        self.forward_with_grad_into(s, &mut g, &mut dg, &mut EmbedScratch::default());
-        (g, dg)
-    }
-
-    /// Evaluate `g(s)` and `dg/ds` into caller-owned buffers. With `g`,
-    /// `dg`, and `scratch` reused across calls, the sweep is allocation-free
-    /// after the first-call growth — this is the per-neighbour inner loop of
-    /// the embedding pass.
-    pub fn forward_with_grad_into(
-        &self,
-        s: f64,
-        g: &mut Vec<f64>,
-        dg: &mut Vec<f64>,
-        scratch: &mut EmbedScratch,
-    ) {
-        let EmbedScratch { val, tan, pre, dpre, out, dout } = scratch;
-        val.clear();
-        val.push(s);
-        tan.clear();
-        tan.push(1.0);
+        let (mut val, mut tan) = (vec![s], vec![1.0]);
         for layer in &self.mlp.layers {
             let (ind, outd) = (layer.in_dim(), layer.out_dim());
             debug_assert_eq!(val.len(), ind);
-            pre.clear();
-            pre.extend_from_slice(&layer.b);
-            dpre.clear();
-            dpre.resize(outd, 0.0);
+            let mut pre = layer.b.clone();
+            let mut dpre = vec![0.0; outd];
             for i in 0..ind {
-                let row = layer.w.row(i);
-                for (o, &w) in row.iter().enumerate() {
+                for (o, &w) in layer.w.row(i).iter().enumerate() {
                     pre[o] += val[i] * w;
                     dpre[o] += tan[i] * w;
                 }
             }
-            out.clear();
-            out.resize(outd, 0.0);
-            dout.clear();
-            dout.resize(outd, 0.0);
-            for o in 0..outd {
-                out[o] = layer.act.apply(pre[o]);
-                dout[o] = layer.act.derivative(pre[o]) * dpre[o];
-            }
+            let mut out: Vec<f64> = pre.iter().map(|&p| layer.act.apply(p)).collect();
+            let mut dout: Vec<f64> =
+                pre.iter().zip(&dpre).map(|(&p, &dp)| layer.act.derivative(p) * dp).collect();
             match layer.resnet {
                 Resnet::None => {}
                 Resnet::Identity => {
@@ -118,28 +86,10 @@ impl EmbeddingNet {
                     }
                 }
             }
-            std::mem::swap(val, out);
-            std::mem::swap(tan, dout);
+            (val, tan) = (out, dout);
         }
-        g.clear();
-        g.extend_from_slice(val);
-        dg.clear();
-        dg.extend_from_slice(tan);
+        (val, tan)
     }
-}
-
-/// Reusable forward-mode sweep buffers for
-/// [`EmbeddingNet::forward_with_grad_into`]: one set per worker, reused
-/// across every neighbour of every atom, so the embedding inner loop stops
-/// allocating once the buffers have grown to the network width.
-#[derive(Debug, Default)]
-pub struct EmbedScratch {
-    val: Vec<f64>,
-    tan: Vec<f64>,
-    pre: Vec<f64>,
-    dpre: Vec<f64>,
-    out: Vec<f64>,
-    dout: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -294,8 +294,8 @@ pub struct DpEngine {
     pub precision: Precision,
     emb32: Vec<Emb32>,
     fit32: Vec<Fit32>,
-    /// Owned pool; falls back to the process-global pool when unset.
-    pool: Option<Arc<ThreadPool>>,
+    /// The pool every evaluation runs on.
+    pool: Arc<ThreadPool>,
     /// Phase breakdown of the last evaluation (`compute` takes `&self`, so
     /// interior mutability is needed to record it).
     pub(crate) last_phases: Mutex<Option<ForcePhases>>,
@@ -306,7 +306,8 @@ pub struct DpEngine {
 impl DpEngine {
     /// Build an engine at the given precision (weights are cast once here —
     /// the paper's "preprocess the transpose in the initial phase" applies
-    /// to these cached copies too).
+    /// to these cached copies too). It evaluates on the calling thread
+    /// until [`with_pool`](Self::with_pool) hands it a wider pool.
     pub fn new(model: DeepPotModel, precision: Precision) -> Self {
         let emb32 = model.embeddings.iter().map(Emb32::from_model).collect();
         let fit32 = model.fittings.iter().map(Fit32::from_model).collect();
@@ -315,7 +316,7 @@ impl DpEngine {
             precision,
             emb32,
             fit32,
-            pool: None,
+            pool: Arc::new(ThreadPool::serial()),
             last_phases: Mutex::new(None),
             obs: None,
         }
@@ -336,20 +337,16 @@ impl DpEngine {
         });
     }
 
-    /// Run all evaluations on the given pool instead of the global one
-    /// (lets one process host engines of different widths, e.g. the
-    /// determinism tests and the scaling bench).
+    /// Run all evaluations on the given pool (shared pools let one process
+    /// host several engines over the same workers).
     pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 
     /// The pool evaluations run on.
     pub fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            Some(p) => p,
-            None => ThreadPool::global(),
-        }
+        &self.pool
     }
 
     /// Phase breakdown of the most recent evaluation, if any ran yet.
@@ -605,9 +602,9 @@ impl DpEngine {
     }
 }
 
-/// [`Potential`] adapter: a mixed-precision engine drives `minimd`'s
-/// simulation loop exactly like the reference model (used by the Fig. 6
-/// RDF-under-three-precisions experiment).
+/// [`Potential`] adapter: an engine at any precision — `Double` is the f64
+/// reference model — drives `minimd`'s simulation loop like an analytic
+/// force field (used by the Fig. 6 RDF-under-three-precisions experiment).
 impl Potential for DpEngine {
     fn compute(&self, atoms: &mut Atoms, nl: &NeighborList, bx: &SimBox) -> PotentialOutput {
         let mut forces = std::mem::take(&mut atoms.force);
@@ -663,9 +660,10 @@ mod tests {
         let engine = DpEngine::new(model.clone(), Precision::Double);
         let mut f_ref = vec![Vec3::ZERO; atoms.len()];
         let mut f_eng = vec![Vec3::ZERO; atoms.len()];
-        let out_ref = model.energy_forces(&atoms, &nl, &bx, &mut f_ref);
+        let (out_ref, _) = model.energy_forces_on(&ThreadPool::new(3), &atoms, &nl, &bx, &mut f_ref);
         let out_eng = engine.energy_forces(&atoms, &nl, &bx, &mut f_eng);
         assert_eq!(out_ref.energy, out_eng.energy);
+        assert_eq!(out_ref.virial, out_eng.virial);
         assert_eq!(f_ref, f_eng);
     }
 

@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use dpmd_threads::ThreadPool;
 use minimd::atoms::Atoms;
 use minimd::neighbor::NeighborList;
 use minimd::potential::PotentialOutput;
@@ -24,7 +25,7 @@ use nnet::graph::{Graph, NodeId, Op, RunStats, Session};
 use nnet::layers::Resnet;
 use nnet::matrix::Matrix;
 
-use crate::descriptor::build_environments;
+use crate::descriptor::build_environments_on;
 use crate::model::DeepPotModel;
 
 /// A compiled per-signature graph: one graph per (centre species,
@@ -142,7 +143,8 @@ impl<'m> GraphExecutor<'m> {
         forces: &mut [Vec3],
     ) -> PotentialOutput {
         let cfg = &self.model.config;
-        let envs = build_environments(atoms, nl, bx, cfg.rcut_smth, cfg.rcut);
+        let envs =
+            build_environments_on(&ThreadPool::serial(), atoms, nl, bx, cfg.rcut_smth, cfg.rcut);
         let inv_nm = 1.0 / cfg.nmax as f64;
         let _ = inv_nm;
         let mut total_e = 0.0;
@@ -231,7 +233,7 @@ mod tests {
         let mut nl = NeighborList::new(model.config.rcut, 0.5, ListKind::Full);
         nl.build(atoms, bx);
         let mut f_ref = vec![Vec3::ZERO; atoms.len()];
-        let out_ref = model.energy_forces(atoms, &nl, bx, &mut f_ref);
+        let (out_ref, _) = model.energy_forces_on(&ThreadPool::serial(), atoms, &nl, bx, &mut f_ref);
         let mut exec = GraphExecutor::new(model);
         let mut f_g = vec![Vec3::ZERO; atoms.len()];
         let out_g = exec.energy_forces(atoms, &nl, bx, &mut f_g);

@@ -10,7 +10,7 @@ use dpmd_obs::clock::wall_now;
 use dpmd_threads::{atom_chunks, ThreadPool};
 use minimd::atoms::Atoms;
 use minimd::neighbor::NeighborList;
-use minimd::potential::{ForcePhases, Potential, PotentialOutput};
+use minimd::potential::{ForcePhases, PotentialOutput};
 use minimd::simbox::SimBox;
 use minimd::vec3::Vec3;
 use nnet::layers::{Mlp, Resnet};
@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::compress::CompressedEmbedding;
 use crate::config::DeepPotConfig;
-use crate::descriptor::{build_environments, build_environments_on, Environment};
-use crate::embedding::{EmbedScratch, EmbeddingNet};
+use crate::descriptor::{build_environments_on, Environment};
+use crate::embedding::EmbeddingNet;
 use crate::fitting::FittingNet;
 
 /// A complete Deep Potential model.
@@ -90,28 +90,6 @@ fn check_mlp(what: &str, mlp: &Mlp, in_dim: usize, widths: &[usize]) -> Result<(
     Ok(())
 }
 
-/// Per-atom intermediates of the embedding pass, stored between the
-/// embedding and fitting phases of the pipeline.
-struct AtomEmbed {
-    /// Per-neighbour embedding features (n × M₁, row-major).
-    g: Vec<f64>,
-    /// Per-neighbour feature derivative w.r.t. s (n × M₁).
-    dg_ds: Vec<f64>,
-    /// T = GᵀR̃/nmax (M₁ × 4, row-major).
-    t: Vec<f64>,
-}
-
-/// Per-worker scratch for the embedding pass: the network's forward-mode
-/// sweep buffers plus the per-neighbour feature/derivative rows they fill.
-/// One instance per chunk worker keeps the neighbour loop allocation-free.
-#[derive(Default)]
-struct EmbedAtomScratch {
-    gv: Vec<f64>,
-    dgv: Vec<f64>,
-    net: EmbedScratch,
-}
-
-
 impl DeepPotModel {
     /// A freshly initialized (untrained) model.
     pub fn new(config: DeepPotConfig) -> Self {
@@ -150,21 +128,11 @@ impl DeepPotModel {
     }
 
     /// Embedding features and s-derivative for species `typ` at `s`,
-    /// through the table when compression is enabled. Writes into the
-    /// caller's reused buffers — the per-neighbour inner loop must not
-    /// allocate.
-    #[inline]
-    fn embed_into(
-        &self,
-        typ: usize,
-        s: f64,
-        g: &mut Vec<f64>,
-        dg: &mut Vec<f64>,
-        net_scratch: &mut EmbedScratch,
-    ) {
+    /// through the table when compression is enabled.
+    fn embed(&self, typ: usize, s: f64) -> (Vec<f64>, Vec<f64>) {
         match &self.compressed {
-            Some(tables) => tables[typ].forward_with_grad_into(s, g, dg),
-            None => self.embeddings[typ].forward_with_grad_into(s, g, dg, net_scratch),
+            Some(tables) => tables[typ].forward_with_grad(s),
+            None => self.embeddings[typ].forward_with_grad(s),
         }
     }
 
@@ -213,36 +181,33 @@ impl DeepPotModel {
         Ok(())
     }
 
-    /// Embedding pass for one atom: per-neighbour features, their
-    /// s-derivatives, and T = GᵀR̃/nmax.
-    fn embed_atom(&self, env: &Environment, scratch: &mut EmbedAtomScratch) -> AtomEmbed {
+    /// Embedding of one atom's environment: per-neighbour features G and
+    /// their s-derivatives (both n × M₁, row-major), and T = GᵀR̃/nmax
+    /// (M₁ × 4, row-major).
+    fn embed_atom(&self, env: &Environment) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let m1 = self.config.m1();
-        let n = env.entries.len();
         let inv_nm = 1.0 / self.config.nmax as f64;
-        let mut g = vec![0.0; n * m1]; // dpmd-allow D7: per-atom output retained in AtomEmbed
-        let mut dg_ds = vec![0.0; n * m1]; // dpmd-allow D7: per-atom output retained in AtomEmbed
-        let mut t = vec![0.0; m1 * 4]; // dpmd-allow D7: per-atom output retained in AtomEmbed
-        for (k, e) in env.entries.iter().enumerate() {
-            self.embed_into(e.typ as usize, e.s, &mut scratch.gv, &mut scratch.dgv, &mut scratch.net);
-            let (gv, dgv) = (&scratch.gv, &scratch.dgv);
+        let (mut g, mut dg_ds) = (Vec::new(), Vec::new());
+        let mut t = vec![0.0; m1 * 4];
+        for e in &env.entries {
+            let (gv, dgv) = self.embed(e.typ as usize, e.s);
             let coords = e.coords();
             for m in 0..m1 {
-                g[k * m1 + m] = gv[m];
-                dg_ds[k * m1 + m] = dgv[m];
                 for c in 0..4 {
                     t[m * 4 + c] += gv[m] * coords[c] * inv_nm;
                 }
             }
+            g.extend(gv);
+            dg_ds.extend(dgv);
         }
-        AtomEmbed { g, dg_ds, t }
+        (g, dg_ds, t)
     }
 
-    /// Fitting pass for one atom: D = T·T₂ᵀ, energy, and ∂E/∂D.
-    fn fit_atom(&self, typ: u32, emb: &AtomEmbed) -> (f64, Vec<f64>) {
+    /// Fitting of one atom: D = T·T₂ᵀ, energy, and ∂E/∂D.
+    fn fit_atom(&self, typ: u32, t: &[f64]) -> (f64, Vec<f64>) {
         let m1 = self.config.m1();
         let m2 = self.config.m2;
-        let t = &emb.t;
-        let mut d = vec![0.0; m1 * m2]; // dpmd-allow D7: per-atom descriptor row, moved into the fitting Matrix (f64 reference path)
+        let mut d = vec![0.0; m1 * m2];
         for a in 0..m1 {
             for b in 0..m2 {
                 let mut acc = 0.0;
@@ -257,46 +222,40 @@ impl DeepPotModel {
         (e_out[0] + self.energy_bias[typ as usize], de_dd_m.into_vec())
     }
 
-    /// Forward pass for one atom's environment: its atomic energy.
-    fn atom_energy(&self, typ: u32, env: &Environment) -> f64 {
-        self.fit_atom(typ, &self.embed_atom(env, &mut EmbedAtomScratch::default())).0
-    }
-
     /// Total energy only (no forces) — used by finite-difference tests and
     /// the trainer's loss evaluation.
     pub fn energy(&self, atoms: &Atoms, nl: &NeighborList, bx: &SimBox) -> f64 {
-        let envs = build_environments(atoms, nl, bx, self.config.rcut_smth, self.config.rcut);
-        (0..atoms.nlocal).map(|i| self.atom_energy(atoms.typ[i], &envs[i])).sum()
+        let cfg = &self.config;
+        let envs = build_environments_on(&ThreadPool::serial(), atoms, nl, bx, cfg.rcut_smth, cfg.rcut);
+        (0..atoms.nlocal).map(|i| self.fit_atom(atoms.typ[i], &self.embed_atom(&envs[i]).2).0).sum()
     }
 
-    /// Fitting + backward pass for one atom: energy out; force and virial
-    /// contributions accumulated into `forces` / `virial`. `dt` is caller
-    /// scratch of length M₁·4.
-    #[allow(clippy::too_many_arguments)] // one argument per solo-pass output sink
-    fn fit_backward_atom(
+    /// Atom `i` end to end — embedding, fitting, backward pass: its energy
+    /// out; force and virial contributions accumulated into `forces` /
+    /// `virial`.
+    fn atom_energy_forces(
         &self,
         i: usize,
         typ: u32,
         env: &Environment,
-        emb: &AtomEmbed,
-        dt: &mut [f64],
         forces: &mut [Vec3],
         virial: &mut f64,
     ) -> f64 {
         let m1 = self.config.m1();
         let m2 = self.config.m2;
         let inv_nm = 1.0 / self.config.nmax as f64;
-        let (energy, de_dd_fit) = self.fit_atom(typ, emb);
+        let (g, dg_ds, t) = self.embed_atom(env);
+        let (energy, de_dd_fit) = self.fit_atom(typ, &t);
 
         // ∂E/∂T: dT[a][c] = Σ_b A[a][b]·T₂[b][c]; rows b < M₂ gain
         // Σ_a A[a][b]·T[a][c] from the T₂ factor.
-        dt.iter_mut().for_each(|x| *x = 0.0);
+        let mut dt = vec![0.0; m1 * 4];
         for a in 0..m1 {
             for b in 0..m2 {
                 let aab = de_dd_fit[a * m2 + b];
                 for c in 0..4 {
-                    dt[a * 4 + c] += aab * emb.t[b * 4 + c];
-                    dt[b * 4 + c] += aab * emb.t[a * 4 + c];
+                    dt[a * 4 + c] += aab * t[b * 4 + c];
+                    dt[b * 4 + c] += aab * t[a * 4 + c];
                 }
             }
         }
@@ -311,9 +270,9 @@ impl DeepPotModel {
                 let mut de_dg = 0.0;
                 for c in 0..4 {
                     de_dg += dt[m * 4 + c] * coords[c];
-                    de_drt[c] += dt[m * 4 + c] * emb.g[k * m1 + m];
+                    de_drt[c] += dt[m * 4 + c] * g[k * m1 + m];
                 }
-                de_ds += de_dg * inv_nm * emb.dg_ds[k * m1 + m];
+                de_ds += de_dg * inv_nm * dg_ds[k * m1 + m];
             }
             for v in &mut de_drt {
                 *v *= inv_nm;
@@ -343,34 +302,22 @@ impl DeepPotModel {
         energy
     }
 
-    /// Energy, forces, and virial via the full analytic backward pass.
+    /// Energy, forces, and virial via the full analytic backward pass, with
+    /// the per-phase wall-time breakdown of the evaluation.
     ///
     /// Forces are accumulated into `forces` (length = atoms.len(), ghosts
     /// included — ghost forces must be reverse-communicated by the caller in
-    /// distributed runs, "Newton's law on"). Runs on the global thread pool;
-    /// see [`energy_forces_on`](Self::energy_forces_on).
-    pub fn energy_forces(
-        &self,
-        atoms: &Atoms,
-        nl: &NeighborList,
-        bx: &SimBox,
-        forces: &mut [Vec3],
-    ) -> PotentialOutput {
-        self.energy_forces_on(ThreadPool::global(), atoms, nl, bx, forces).0
-    }
-
-    /// [`energy_forces`](Self::energy_forces) on an explicit pool, with the
-    /// per-phase wall-time breakdown of the evaluation.
+    /// distributed runs, "Newton's law on").
     ///
-    /// The pipeline runs as three barrier-separated parallel passes —
-    /// descriptor, embedding, fitting+backward — with atoms chunked by the
-    /// even-split policy of `dpmd_balance::assign`. Chunk boundaries depend
-    /// on the atom count only, every per-atom intermediate lands at a fixed
-    /// index, and each fitting chunk accumulates forces into its own
-    /// full-length buffer; the buffers (and per-chunk energy/virial
-    /// partials) are then merged by this thread in chunk order. The result
-    /// is therefore bit-identical for any pool width, including the
-    /// 1-thread pool that serves as the serial reference.
+    /// Two parallel passes: the descriptor, then one pass in which each
+    /// atom is embedded, fitted and back-propagated and its intermediates
+    /// dropped (timed as `fitting_s`; the embedding/fitting split is a
+    /// property of the mixed engine). Atoms are chunked by the even-split
+    /// policy of `dpmd_balance::assign` — boundaries depend on the atom
+    /// count only — and each chunk accumulates energy, virial and forces
+    /// into its own full-length buffer, merged by this thread in chunk
+    /// order. The result is therefore bit-identical for any pool width,
+    /// including the 1-thread pool that serves as the serial reference.
     pub fn energy_forces_on(
         &self,
         pool: &ThreadPool,
@@ -380,110 +327,45 @@ impl DeepPotModel {
         forces: &mut [Vec3],
     ) -> (PotentialOutput, ForcePhases) {
         assert!(forces.len() >= atoms.len());
-        let m1 = self.config.m1();
         let mut phases = ForcePhases::default();
 
-        // Pass 1: descriptor (environment matrices).
         let t0 = wall_now();
         let envs =
             build_environments_on(pool, atoms, nl, bx, self.config.rcut_smth, self.config.rcut);
         phases.descriptor_s = t0.elapsed().as_secs_f64();
 
+        let t0 = wall_now();
         let chunks = atom_chunks(atoms.nlocal);
-
-        // Pass 2: embedding nets (the GEMM-heavy phase), intermediates
-        // stored per atom.
-        let t0 = wall_now();
-        let mut emb_parts: Vec<Vec<AtomEmbed>> =
-            chunks.iter().map(|c| Vec::with_capacity(c.len())).collect(); // dpmd-allow D7: O(chunks) staging per step
-        {
-            let envs = &envs;
-            pool.scope(|sc| {
-                for (range, part) in chunks.iter().zip(emb_parts.iter_mut()) {
-                    let range = range.clone(); // dpmd-allow D7: Range clone is Copy-sized, no heap
-                    sc.spawn(move || {
-                        // One scratch per chunk worker: the per-neighbour
-                        // embedding loop reuses its buffers for every atom
-                        // in the range.
-                        let mut scratch = EmbedAtomScratch::default();
-                        part.extend(range.map(|i| self.embed_atom(&envs[i], &mut scratch)));
-                    });
-                }
-            });
-        }
-        let embeds: Vec<AtomEmbed> = emb_parts.into_iter().flatten().collect(); // dpmd-allow D7: per-step output assembly in chunk order
-        phases.embedding_s = t0.elapsed().as_secs_f64();
-
-        // Pass 3: fitting nets + force backward, one force buffer per chunk.
-        let t0 = wall_now();
-        struct ChunkOut {
-            energy: f64,
-            virial: f64,
-            forces: Vec<Vec3>,
-        }
-        let mut outs: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect(); // dpmd-allow D7: O(chunks) slots per step
-        {
-            let (envs, embeds) = (&envs, &embeds);
-            let nall = atoms.len();
-            pool.scope(|sc| {
-                for (range, slot) in chunks.iter().zip(outs.iter_mut()) {
-                    let range = range.clone(); // dpmd-allow D7: Range clone is Copy-sized, no heap
-                    sc.spawn(move || {
-                        let mut buf = vec![Vec3::ZERO; nall]; // dpmd-allow D7: one force buffer per chunk, amortized over the chunk's atoms
-                        let mut energy = 0.0;
-                        let mut virial = 0.0;
-                        let mut dt = vec![0.0; m1 * 4]; // dpmd-allow D7: per-chunk scratch, reused per atom
-                        for i in range {
-                            energy += self.fit_backward_atom(
-                                i,
-                                atoms.typ[i],
-                                &envs[i],
-                                &embeds[i],
-                                &mut dt,
-                                &mut buf,
-                                &mut virial,
-                            );
-                        }
-                        *slot = Some(ChunkOut { energy, virial, forces: buf });
-                    });
-                }
-            });
-        }
+        // Per chunk: (energy, virial, forces over all stored atoms).
+        let mut outs: Vec<(f64, f64, Vec<Vec3>)> =
+            chunks.iter().map(|_| (0.0, 0.0, vec![Vec3::ZERO; atoms.len()])).collect();
+        let envs = &envs;
+        pool.scope(|sc| {
+            for (range, out) in chunks.iter().zip(outs.iter_mut()) {
+                sc.spawn(move || {
+                    let (energy, virial, buf) = out;
+                    for i in range.clone() {
+                        *energy += self.atom_energy_forces(i, atoms.typ[i], &envs[i], buf, virial);
+                    }
+                });
+            }
+        });
         phases.fitting_s = t0.elapsed().as_secs_f64();
 
         // Deterministic fixed-order reduction: merge in chunk order.
         let t0 = wall_now();
         let mut total_e = 0.0;
         let mut virial = 0.0;
-        for out in outs.into_iter().flatten() {
-            total_e += out.energy;
-            virial += out.virial;
-            for (f, b) in forces.iter_mut().zip(&out.forces) {
+        for (e, v, buf) in &outs {
+            total_e += e;
+            virial += v;
+            for (f, b) in forces.iter_mut().zip(buf) {
                 *f += *b;
             }
         }
         phases.reduction_s = t0.elapsed().as_secs_f64();
 
         (PotentialOutput { energy: total_e, virial: -virial }, phases)
-    }
-}
-
-/// [`Potential`] adapter so a Deep Potential model plugs into `minimd`'s
-/// simulation driver exactly like an analytic force field.
-impl Potential for DeepPotModel {
-    fn compute(&self, atoms: &mut Atoms, nl: &NeighborList, bx: &SimBox) -> PotentialOutput {
-        let mut forces = std::mem::take(&mut atoms.force);
-        let out = self.energy_forces(atoms, nl, bx, &mut forces);
-        atoms.force = forces;
-        out
-    }
-
-    fn cutoff(&self) -> f64 {
-        self.config.rcut
-    }
-
-    fn name(&self) -> &'static str {
-        "deep-potential"
     }
 }
 
@@ -512,7 +394,7 @@ mod tests {
         let mut nl = NeighborList::new(model.config.rcut, 0.5, ListKind::Full);
         nl.build(atoms, bx);
         let mut forces = vec![Vec3::ZERO; atoms.len()];
-        let out = model.energy_forces(atoms, &nl, bx, &mut forces);
+        let (out, _) = model.energy_forces_on(&ThreadPool::new(2), atoms, &nl, bx, &mut forces);
         (out.energy, forces)
     }
 
@@ -704,41 +586,33 @@ mod tests {
         // The chunk structure is a function of the atom count only and the
         // reduction merges per-chunk buffers in chunk order, so every pool
         // width — including the 1-thread serial reference — must produce
-        // the same bits.
-        let model = tiny_cu_model();
-        let (bx, mut atoms) = fcc_copper(4, 4, 4);
-        for (k, p) in atoms.pos.iter_mut().enumerate() {
+        // the same bits: one species, two species, and through the table.
+        let (cu_bx, mut cu) = fcc_copper(4, 4, 4);
+        for (k, p) in cu.pos.iter_mut().enumerate() {
             p.y += 0.03 * ((k % 5) as f64 - 2.0);
         }
-        let mut nl = NeighborList::new(model.config.rcut, 1.0, ListKind::Full);
-        nl.build(&atoms, &bx);
-        let serial = dpmd_threads::ThreadPool::serial();
-        let mut f_ref = vec![Vec3::ZERO; atoms.len()];
-        let (out_ref, phases) = model.energy_forces_on(&serial, &atoms, &nl, &bx, &mut f_ref);
-        assert!(phases.total() > 0.0, "phases must be timed");
-        for threads in [2usize, 4, 7] {
-            let pool = dpmd_threads::ThreadPool::new(threads);
-            let mut f = vec![Vec3::ZERO; atoms.len()];
-            let (out, _) = model.energy_forces_on(&pool, &atoms, &nl, &bx, &mut f);
-            assert_eq!(out_ref.energy, out.energy, "{threads} threads");
-            assert_eq!(out_ref.virial, out.virial, "{threads} threads");
-            assert_eq!(f_ref, f, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn potential_trait_adapter_matches_direct_call() {
-        let model = tiny_cu_model();
-        let (bx, mut atoms) = fcc_copper(3, 3, 3);
-        let mut nl = NeighborList::new(model.config.rcut, 1.0, ListKind::Full);
-        nl.build(&atoms, &bx);
-        atoms.zero_forces();
-        let via_trait = model.compute(&mut atoms, &nl, &bx);
-        let mut forces = vec![Vec3::ZERO; atoms.len()];
-        let direct = model.energy_forces(&atoms, &nl, &bx, &mut forces);
-        assert_eq!(via_trait.energy, direct.energy);
-        for (a, b) in atoms.force.iter().zip(&forces).take(atoms.nlocal) {
-            assert_eq!(a, b);
+        let (w_bx, water) = water_box(4, 4, 4, 17);
+        let mut compressed = tiny_cu_model();
+        compressed.enable_compression(64);
+        for (name, model, bx, atoms) in [
+            ("Cu", tiny_cu_model(), cu_bx, cu.clone()),
+            ("water", DeepPotModel::new(DeepPotConfig::tiny(2, 5.0)), w_bx, water),
+            ("Cu compressed", compressed, cu_bx, cu),
+        ] {
+            let mut nl = NeighborList::new(model.config.rcut, 1.0, ListKind::Full);
+            nl.build(&atoms, &bx);
+            let mut f_ref = vec![Vec3::ZERO; atoms.len()];
+            let (out_ref, phases) =
+                model.energy_forces_on(&ThreadPool::serial(), &atoms, &nl, &bx, &mut f_ref);
+            assert!(phases.total() > 0.0, "phases must be timed");
+            for threads in [2usize, 4, 7] {
+                let pool = ThreadPool::new(threads);
+                let mut f = vec![Vec3::ZERO; atoms.len()];
+                let (out, _) = model.energy_forces_on(&pool, &atoms, &nl, &bx, &mut f);
+                assert_eq!(out_ref.energy, out.energy, "{name}, {threads} threads");
+                assert_eq!(out_ref.virial, out.virial, "{name}, {threads} threads");
+                assert_eq!(f_ref, f, "{name}, {threads} threads");
+            }
         }
     }
 }

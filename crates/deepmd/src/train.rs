@@ -7,12 +7,13 @@
 //! the hand-derived gradients testable — force errors are *evaluated*
 //! against the analytic backward pass either way.)
 
+use dpmd_threads::ThreadPool;
 use minimd::neighbor::{ListKind, NeighborList};
 use nnet::layers::DenseGrads;
 use nnet::matrix::Matrix;
 
 use crate::dataset::Frame;
-use crate::descriptor::build_environments;
+use crate::descriptor::build_environments_on;
 use crate::model::DeepPotModel;
 
 /// Adam optimizer over a flat parameter vector.
@@ -162,7 +163,14 @@ pub fn frame_loss_and_grads(model: &DeepPotModel, frame: &Frame) -> (f64, Vec<f6
 
     let mut nl = NeighborList::new(cfg.rcut, 0.5, ListKind::Full);
     nl.build(&frame.atoms, &frame.bx);
-    let envs = build_environments(&frame.atoms, &nl, &frame.bx, cfg.rcut_smth, cfg.rcut);
+    let envs = build_environments_on(
+        &ThreadPool::serial(),
+        &frame.atoms,
+        &nl,
+        &frame.bx,
+        cfg.rcut_smth,
+        cfg.rcut,
+    );
 
     // ---- forward: keep per-atom caches ----
     struct AtomCache {
@@ -379,11 +387,12 @@ pub fn eval_errors(model: &DeepPotModel, frames: &[Frame]) -> (f64, f64) {
     let mut e_err = 0.0;
     let mut f_sq = 0.0;
     let mut f_count = 0usize;
+    let pool = ThreadPool::serial();
     for frame in frames {
         let mut nl = NeighborList::new(model.config.rcut, 0.5, ListKind::Full);
         nl.build(&frame.atoms, &frame.bx);
         let mut forces = vec![minimd::vec3::Vec3::ZERO; frame.atoms.len()];
-        let out = model.energy_forces(&frame.atoms, &nl, &frame.bx, &mut forces);
+        let (out, _) = model.energy_forces_on(&pool, &frame.atoms, &nl, &frame.bx, &mut forces);
         e_err += ((out.energy - frame.energy) / frame.atoms.nlocal as f64).abs();
         for (&f, &fr) in forces.iter().zip(&frame.forces).take(frame.atoms.nlocal) {
             let d = f - fr;

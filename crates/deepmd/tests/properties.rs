@@ -142,7 +142,7 @@ proptest! {
         let mut nl = NeighborList::new(m.config.rcut, 0.5, ListKind::Full);
         nl.build(&atoms, &bx);
         let mut forces = vec![Vec3::ZERO; atoms.len()];
-        m.energy_forces(&atoms, &nl, &bx, &mut forces);
+        m.energy_forces_on(&dpmd_threads::ThreadPool::serial(), &atoms, &nl, &bx, &mut forces);
         let net = forces.iter().fold(Vec3::ZERO, |a, &f| a + f);
         prop_assert!(net.norm() < 1e-9, "net {net:?}");
     }

@@ -191,92 +191,66 @@ impl NeighborList {
             }
         }
 
-        // Parallel stencil scan. Atoms are chunked by the even-split policy
-        // (boundaries depend on `nlocal` only, never on the pool width);
-        // each chunk fills a private (ends, list) segment and the segments
-        // are concatenated in chunk order below, so the CSR output is
-        // identical to a serial scan for any thread count.
-        let kind = self.kind;
-        let chunks = dpmd_threads::atom_chunks(nlocal);
-        let mut parts: Vec<(Vec<usize>, Vec<u32>)> =
-            chunks.iter().map(|c| (Vec::with_capacity(c.len()), Vec::new())).collect(); // dpmd-allow D7: O(chunks) CSR segments at neighbour-list rebuild cadence
-        {
-            let (pos, stencil, count, bins) = (&atoms.pos, &stencil, &count, &bins);
-            let cell_of = &cell_of;
-            dpmd_threads::ThreadPool::global().scope(|sc| {
-                for (range, part) in chunks.iter().zip(parts.iter_mut()) {
-                    let range = range.clone(); // dpmd-allow D7: Range clone is Copy-sized, no heap
-                    sc.spawn(move || {
-                        let (ends, list) = part;
-                        for i in range {
-                            let ci = cell_of(pos[i]);
-                            let atom_start = list.len();
-                            for &(dx, dy, dz) in stencil {
-                                let mut cc = [0usize; 3];
-                                let mut skip = false;
-                                for (d, delta) in [dx, dy, dz].into_iter().enumerate() {
-                                    let raw = ci[d] as i64 + delta;
-                                    if use_min_image {
-                                        // Periodic wrap of the cell index.
-                                        cc[d] = raw.rem_euclid(nc[d] as i64) as usize;
-                                    } else if raw < 0 || raw >= nc[d] as i64 {
-                                        skip = true;
-                                        break;
-                                    } else {
-                                        cc[d] = raw as usize;
-                                    }
-                                }
-                                if skip {
-                                    continue;
-                                }
-                                let c = lin(cc);
-                                for &ju in &bins[count[c]..count[c + 1]] {
-                                    let j = ju as usize;
-                                    if j == i {
-                                        continue;
-                                    }
-                                    if kind == ListKind::Half && j < nlocal && j < i {
-                                        continue;
-                                    }
-                                    let d2 = if use_min_image {
-                                        bx.dist2(pos[i], pos[j])
-                                    } else {
-                                        (pos[i] - pos[j]).norm2()
-                                    };
-                                    if d2 <= rlist2 {
-                                        list.push(ju);
-                                    }
-                                }
-                            }
-                            // With periodic cell wrap and fewer than 3 cells
-                            // per dimension a neighbour cell can be visited
-                            // twice; dedup the freshly added span to stay
-                            // correct in that regime.
-                            let span = &mut list[atom_start..];
-                            span.sort_unstable();
-                            let mut w = 0;
-                            for r in 0..span.len() {
-                                if r == 0 || span[r] != span[w - 1] {
-                                    span[w] = span[r];
-                                    w += 1;
-                                }
-                            }
-                            list.truncate(atom_start + w);
-                            ends.push(list.len());
-                        }
-                    });
-                }
-            });
-        }
-
-        // Chunk-ordered merge into the CSR arrays.
+        // Stencil scan, atom by atom, straight into the CSR arrays.
         self.offsets.clear();
         self.offsets.push(0);
         self.list.clear();
-        for (ends, list) in &parts {
-            let base = self.list.len();
-            self.list.extend_from_slice(list);
-            self.offsets.extend(ends.iter().map(|&e| base + e));
+        for i in 0..nlocal {
+            let ci = cell_of(atoms.pos[i]);
+            let atom_start = self.list.len();
+            for &(dx, dy, dz) in &stencil {
+                let mut cc = [0usize; 3];
+                let mut skip = false;
+                for (d, delta) in [dx, dy, dz].into_iter().enumerate() {
+                    let raw = ci[d] as i64 + delta;
+                    if use_min_image {
+                        // Periodic wrap of the cell index.
+                        cc[d] = raw.rem_euclid(nc[d] as i64) as usize;
+                    } else if raw < 0 || raw >= nc[d] as i64 {
+                        skip = true;
+                        break;
+                    } else {
+                        cc[d] = raw as usize;
+                    }
+                }
+                if skip {
+                    continue;
+                }
+                let c = lin(cc);
+                for &ju in &bins[count[c]..count[c + 1]] {
+                    let j = ju as usize;
+                    if j == i {
+                        continue;
+                    }
+                    if self.kind == ListKind::Half && j < nlocal && j < i {
+                        continue;
+                    }
+                    let d2 = if use_min_image {
+                        bx.dist2(atoms.pos[i], atoms.pos[j])
+                    } else {
+                        (atoms.pos[i] - atoms.pos[j]).norm2()
+                    };
+                    if d2 <= rlist2 {
+                        self.list.push(ju);
+                    }
+                }
+            }
+            // With periodic cell wrap and fewer than 3 cells per dimension a
+            // neighbour cell can be visited twice; dedup the freshly added
+            // span to stay correct in that regime. The sort also fixes each
+            // atom's neighbour order (ascending index), which every
+            // order-sensitive f64 sum downstream inherits.
+            let span = &mut self.list[atom_start..];
+            span.sort_unstable();
+            let mut w = 0;
+            for r in 0..span.len() {
+                if r == 0 || span[r] != span[w - 1] {
+                    span[w] = span[r];
+                    w += 1;
+                }
+            }
+            self.list.truncate(atom_start + w);
+            self.offsets.push(self.list.len());
         }
     }
 }
@@ -286,21 +260,37 @@ mod tests {
     use super::*;
     use crate::lattice::fcc_copper;
 
+    /// Exact CSR equality with the O(N²) build, whose per-atom order is
+    /// ascending index: neighbour *order*, not just membership, is what
+    /// every trajectory bit downstream rests on.
     #[test]
     fn cell_list_matches_n2_oracle() {
-        let (bx, atoms) = fcc_copper(5, 5, 5);
-        for kind in [ListKind::Half, ListKind::Full] {
-            let mut oracle = NeighborList::new(4.0, 0.5, kind);
-            oracle.build_n2(&atoms, &bx);
-            let mut cell = NeighborList::new(4.0, 0.5, kind);
-            cell.build(&atoms, &bx);
-            assert_eq!(oracle.natoms(), atoms.nlocal);
-            for i in 0..atoms.nlocal {
-                let mut a: Vec<u32> = oracle.neighbors(i).to_vec();
-                let mut b: Vec<u32> = cell.neighbors(i).to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "atom {i} ({kind:?})");
+        let (bx, periodic) = fcc_copper(5, 5, 5);
+        // The ghost regime: the same cell plus every periodic image within
+        // the list range of the box, stored as ghosts.
+        let mut ghosted = periodic.clone();
+        let (l, rlist) = (bx.lengths(), 4.5);
+        for i in 0..periodic.nlocal {
+            for shift in (0..27).filter(|&s| s != 13) {
+                let k = [shift % 3, shift / 3 % 3, shift / 9].map(|d| d as f64 - 1.0);
+                let p = periodic.pos[i] + Vec3::new(k[0] * l.x, k[1] * l.y, k[2] * l.z);
+                if (0..3).all(|d| p[d] > bx.lo[d] - rlist && p[d] < bx.hi[d] + rlist) {
+                    ghosted.push_ghost(periodic.id[i], periodic.typ[i], p);
+                }
+            }
+        }
+        assert!(ghosted.nghost() > 0);
+        for atoms in [&periodic, &ghosted] {
+            for kind in [ListKind::Half, ListKind::Full] {
+                let mut oracle = NeighborList::new(4.0, 0.5, kind);
+                oracle.build_n2(atoms, &bx);
+                let mut cell = NeighborList::new(4.0, 0.5, kind);
+                cell.build_cells(atoms, &bx, atoms.nghost() == 0);
+                let what = format!("{kind:?}, {} ghosts", atoms.nghost());
+                assert_eq!(oracle.natoms(), atoms.nlocal, "{what}");
+                assert!(oracle.total_neighbors() > 0, "{what}");
+                assert_eq!(oracle.offsets, cell.offsets, "{what}");
+                assert_eq!(oracle.list, cell.list, "{what}");
             }
         }
     }

@@ -38,7 +38,8 @@ pub struct PotentialOutput {
 pub struct ForcePhases {
     /// Environment-matrix construction (smooth switching, displacements).
     pub descriptor_s: f64,
-    /// Embedding-net forward + gradient (the GEMM-heavy phase).
+    /// Embedding-net forward + gradient (the GEMM-heavy phase). Zero from
+    /// an evaluator that does not separate it (the per-atom f64 model).
     pub embedding_s: f64,
     /// Fitting-net forward/backward and the per-neighbour chain rule.
     pub fitting_s: f64,

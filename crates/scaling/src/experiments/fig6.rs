@@ -64,7 +64,7 @@ pub fn trained_water_model(cfg: &Fig6Config) -> DeepPotModel {
 pub fn rdf_at(model: &DeepPotModel, precision: Precision, cfg: &Fig6Config) -> RdfCurve {
     let (bx, mut atoms) = water_box(cfg.cells, cfg.cells, cfg.cells, cfg.seed ^ 0xbeef);
     init_velocities(&mut atoms, 300.0, cfg.seed);
-    let engine = DpEngine::new(model.clone(), precision);
+    let engine = DpEngine::new(model.clone(), precision).with_pool(super::host_pool());
     let mut vv = VelocityVerlet::new(0.5 * FEMTOSECOND);
     vv.thermostat = Thermostat::Berendsen { t_target: 300.0, tau_ps: 0.05 };
     let mut sim = Simulation::new(bx, atoms, Box::new(engine), vv, 1.0, 50);

@@ -52,7 +52,7 @@ pub struct Table2Row {
 
 /// Evaluate a model at one precision against labelled frames.
 pub fn errors_at(model: &DeepPotModel, precision: Precision, frames: &[Frame]) -> (f64, f64) {
-    let engine = DpEngine::new(model.clone(), precision);
+    let engine = DpEngine::new(model.clone(), precision).with_pool(super::host_pool());
     let mut e_err = 0.0;
     let mut f_sq = 0.0;
     let mut f_n = 0usize;

@@ -19,8 +19,8 @@
 //!   each chunk its own output buffer, merged in chunk order afterwards.
 //!   Results are then bit-identical for any worker count, including 1.
 //!
-//! The global pool is sized by the `DPMD_THREADS` environment variable when
-//! set (a positive integer), else by `std::thread::available_parallelism`.
+//! There is no process-wide pool: whoever wants parallelism builds a pool of
+//! the width it was asked for and passes it down.
 
 // The one crate with unsafe code (the scope lifetime erasure); every
 // unsafe operation must sit in an explicit block with its own SAFETY.
@@ -31,7 +31,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -177,13 +177,6 @@ impl ThreadPool {
         self.threads
     }
 
-    /// The process-wide shared pool, sized by `DPMD_THREADS` (positive
-    /// integer) when set, else by `available_parallelism`.
-    pub fn global() -> &'static ThreadPool {
-        static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
-    }
-
     /// Run `f`, allowing it to spawn borrowing tasks; returns once every
     /// spawned task completed. Panics from tasks are re-raised here after
     /// all tasks finish.
@@ -240,18 +233,6 @@ impl Drop for ThreadPool {
             let _ = w.join();
         }
     }
-}
-
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("DPMD_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid DPMD_THREADS={v:?} (want a positive integer)");
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 struct Latch {

@@ -9,13 +9,15 @@ use dpmd_repro::comm::functional::{
     exchange_ghosts, ghost_signature, partition, reverse_forces, ExchangeScheme,
 };
 use dpmd_repro::deepmd::config::DeepPotConfig;
+use dpmd_repro::deepmd::engine::DpEngine;
 use dpmd_repro::deepmd::model::DeepPotModel;
 use dpmd_repro::minimd::domain::Decomposition;
 use dpmd_repro::minimd::lattice::fcc_lattice;
 use dpmd_repro::minimd::neighbor::{ListKind, NeighborList};
 use dpmd_repro::minimd::vec3::Vec3;
+use dpmd_repro::nnet::precision::Precision;
 
-fn setup() -> (Decomposition, dpmd_repro::minimd::Atoms, dpmd_repro::minimd::SimBox, DeepPotModel) {
+fn setup() -> (Decomposition, dpmd_repro::minimd::Atoms, dpmd_repro::minimd::SimBox, DpEngine) {
     let (bx, mut atoms) = fcc_lattice(10, 10, 10, 3.615);
     // Perturb so forces are non-trivial.
     for (k, p) in atoms.pos.iter_mut().enumerate() {
@@ -25,7 +27,7 @@ fn setup() -> (Decomposition, dpmd_repro::minimd::Atoms, dpmd_repro::minimd::Sim
     }
     let decomp = Decomposition::new(bx, [3, 3, 4]);
     let model = DeepPotModel::new(DeepPotConfig::tiny(1, 5.0));
-    (decomp, atoms, bx, model)
+    (decomp, atoms, bx, DpEngine::new(model, Precision::Double))
 }
 
 #[test]
@@ -42,13 +44,13 @@ fn all_schemes_and_layouts_deliver_equivalent_ghosts() {
 
 #[test]
 fn deep_potential_forces_are_identical_distributed_and_global() {
-    let (decomp, mut global, bx, model) = setup();
+    let (decomp, mut global, bx, dp) = setup();
 
     // Global reference.
-    let mut nl = NeighborList::new(model.config.rcut, 0.0, ListKind::Full);
+    let mut nl = NeighborList::new(dp.model.config.rcut, 0.0, ListKind::Full);
     nl.build(&global, &bx);
     let mut ref_forces = vec![Vec3::ZERO; global.len()];
-    let ref_out = model.energy_forces(&global, &nl, &bx, &mut ref_forces);
+    let ref_out = dp.energy_forces(&global, &nl, &bx, &mut ref_forces);
     let mut by_id: HashMap<u64, Vec3> = HashMap::new();
     for (&id, &f) in global.id.iter().zip(&ref_forces).take(global.nlocal) {
         by_id.insert(id, f);
@@ -57,14 +59,14 @@ fn deep_potential_forces_are_identical_distributed_and_global() {
 
     for scheme in [ExchangeScheme::RankP2p, ExchangeScheme::NodeBased] {
         let mut per_rank = partition(&decomp, &global);
-        exchange_ghosts(&decomp, &mut per_rank, model.config.rcut, scheme, false);
+        exchange_ghosts(&decomp, &mut per_rank, dp.model.config.rcut, scheme, false);
         let mut dist_energy = 0.0;
         for a in per_rank.iter_mut() {
-            let mut rnl = NeighborList::new(model.config.rcut, 0.0, ListKind::Full);
+            let mut rnl = NeighborList::new(dp.model.config.rcut, 0.0, ListKind::Full);
             rnl.build(a, &bx);
             a.zero_forces();
             let mut forces = std::mem::take(&mut a.force);
-            let out = model.energy_forces(a, &rnl, &bx, &mut forces);
+            let out = dp.energy_forces(a, &rnl, &bx, &mut forces);
             a.force = forces;
             dist_energy += out.energy;
         }
@@ -92,11 +94,11 @@ fn deep_potential_forces_are_identical_distributed_and_global() {
 
 #[test]
 fn lb_broadcast_layout_preserves_forces_too() {
-    let (decomp, global, bx, model) = setup();
-    let mut nl = NeighborList::new(model.config.rcut, 0.0, ListKind::Full);
+    let (decomp, global, bx, dp) = setup();
+    let mut nl = NeighborList::new(dp.model.config.rcut, 0.0, ListKind::Full);
     nl.build(&global, &bx);
     let mut ref_forces = vec![Vec3::ZERO; global.len()];
-    model.energy_forces(&global, &nl, &bx, &mut ref_forces);
+    dp.energy_forces(&global, &nl, &bx, &mut ref_forces);
     let mut by_id: HashMap<u64, Vec3> = HashMap::new();
     for (&id, &f) in global.id.iter().zip(&ref_forces).take(global.nlocal) {
         by_id.insert(id, f);
@@ -104,13 +106,13 @@ fn lb_broadcast_layout_preserves_forces_too() {
 
     // The Fig. 5(b) layout: every rank holds the whole node-box.
     let mut per_rank = partition(&decomp, &global);
-    exchange_ghosts(&decomp, &mut per_rank, model.config.rcut, ExchangeScheme::NodeBased, true);
+    exchange_ghosts(&decomp, &mut per_rank, dp.model.config.rcut, ExchangeScheme::NodeBased, true);
     for a in per_rank.iter_mut() {
-        let mut rnl = NeighborList::new(model.config.rcut, 0.0, ListKind::Full);
+        let mut rnl = NeighborList::new(dp.model.config.rcut, 0.0, ListKind::Full);
         rnl.build(a, &bx);
         a.zero_forces();
         let mut forces = std::mem::take(&mut a.force);
-        model.energy_forces(a, &rnl, &bx, &mut forces);
+        dp.energy_forces(a, &rnl, &bx, &mut forces);
         a.force = forces;
     }
     reverse_forces(&decomp, &mut per_rank);
