@@ -1,6 +1,8 @@
 //! GEMM kernel bench: GF/s of the scalar-class kernel (`blocked`), the
 //! machine's native kernel (`dpmd-simd`, AVX2/NEON) and the software-fp16
-//! kernel, over the shape classes the force pipeline actually issues.
+//! kernel, over the shape classes the force pipeline actually issues — and
+//! ns per element of the f32 `tanh` activation kernel that runs between
+//! them, against the libm call it replaced.
 //!
 //! The classes were read off a shape dump of two-step `copper()` (864 atoms,
 //! Mix32) and `water()` (648 atoms, Mix16) runs, not guessed:
@@ -10,18 +12,26 @@
 //!   hidden layers (≈ 75 % of all GEMM flops in both runs) and the 64→240
 //!   first layer, which `Mix16` runs on the fp16 kernel;
 //! * embedding layers — one call per (atom, neighbour species) over the
-//!   type-sorted neighbours with the bias folded in as a column: `rows×8×2`
-//!   then `rows×16×9`, rows = 176 on Cu and 25–68 (median 49) on water;
+//!   type-sorted neighbours: `rows×8×1` then `rows×16×8`, rows = 176 on Cu
+//!   and 25–68 (median 49) on water;
 //! * a 64×240×240 panel as the large-M reference point.
+//!
+//! The activation block times `Activation::value_grad_rows_f32(Tanh)` in
+//! both instantiations of the kernel (the one dispatch picks on this host
+//! and the baseline-ISA one) over a 65,536-element slice and over
+//! 16-element slices (one Cu embedding row), next to `f64::tanh` per
+//! element as the engine called it before.
 //!
 //! Emits `BENCH_gemm.json` at the repo root. The acceptance records require
 //! the native kernel to beat the scalar kernel by the committed margin on
-//! the two hidden-layer fitting-tile classes — but only when a native class
-//! exists: on a scalar-only host the gate is recorded as not applicable and
-//! CI skips it.
+//! the two hidden-layer fitting-tile classes, and the dispatched activation
+//! kernel to beat libm by 4× — but only when a native class exists: on a
+//! scalar-only host the gates are recorded as not applicable and CI skips
+//! them.
 
 use std::time::Instant;
 
+use nnet::activation::{tanh_value_grad_f32_baseline, Activation};
 use nnet::f16::F16;
 use nnet::gemm::{self, dispatch, naive};
 use serde::Value;
@@ -56,10 +66,10 @@ const SHAPES: [Shape; 9] = [
     Shape { class: "fit_hidden_m14", m: 14, n: 240, k: 240, iters: 400, f16: false },
     Shape { class: "fit_first_m6", m: 6, n: 240, k: 64, iters: 3000, f16: true },
     Shape { class: "fit_first_m14", m: 14, n: 240, k: 64, iters: 1500, f16: true },
-    Shape { class: "embed_l1_m49", m: 49, n: 8, k: 2, iters: 40000, f16: false },
-    Shape { class: "embed_l2_m49", m: 49, n: 16, k: 9, iters: 20000, f16: false },
-    Shape { class: "embed_l1_m176", m: 176, n: 8, k: 2, iters: 10000, f16: false },
-    Shape { class: "embed_l2_m176", m: 176, n: 16, k: 9, iters: 5000, f16: false },
+    Shape { class: "embed_l1_m49", m: 49, n: 8, k: 1, iters: 40000, f16: false },
+    Shape { class: "embed_l2_m49", m: 49, n: 16, k: 8, iters: 20000, f16: false },
+    Shape { class: "embed_l1_m176", m: 176, n: 8, k: 1, iters: 10000, f16: false },
+    Shape { class: "embed_l2_m176", m: 176, n: 16, k: 8, iters: 5000, f16: false },
     Shape { class: "panel", m: 64, n: 240, k: 240, iters: 80, f16: false },
 ];
 
@@ -86,6 +96,62 @@ fn rate(sh: &Shape, f: &mut dyn FnMut(&mut [f32])) -> f64 {
     }
     std::hint::black_box(&c);
     flops / best / 1e9
+}
+
+/// Elements of the activation bench: the harness probe's inputs, (−3, 3).
+const TANH_ELEMS: usize = 1 << 16;
+
+/// Best ns per element over REPS sweeps of `xs` by `sweep(values, dfac)`,
+/// which overwrites `values` in place (restored before each sweep).
+fn tanh_ns(xs: &[f32], sweep: &mut dyn FnMut(&mut [f32], &mut [f32])) -> f64 {
+    let (mut vals, mut dfac) = (xs.to_vec(), vec![0.0f32; xs.len()]);
+    let mut best = f64::MAX;
+    for _ in 0..=REPS {
+        vals.copy_from_slice(xs);
+        let t0 = Instant::now();
+        sweep(std::hint::black_box(&mut vals), &mut dfac);
+        best = best.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box((&vals, &dfac));
+    }
+    best * 1e9 / xs.len() as f64
+}
+
+/// The `activation` block: libm per element vs the kernel's two
+/// instantiations, whole-slice and in 16-element rows.
+fn activation_block() -> Value {
+    type Rows = fn(&mut [f32], &mut [f32]);
+    let xs: Vec<f32> = (0..TANH_ELEMS).map(|i| (i as f32 / TANH_ELEMS as f32 - 0.5) * 6.0).collect();
+    let libm = tanh_ns(&xs, &mut |v, d| {
+        for (v, d) in v.iter_mut().zip(d) {
+            let t = (*v as f64).tanh();
+            (*v, *d) = (t as f32, (1.0 - t * t) as f32);
+        }
+    });
+    let dispatched: Rows = |v, d| Activation::Tanh.value_grad_rows_f32(v, d);
+    let mut fields = vec![("elems", num(TANH_ELEMS)), ("tanh_libm_ns_per_elem", num(libm))];
+    for (inst, rows, whole_key, rows16_key) in [
+        ("dispatched", dispatched, "tanh_kernel_ns_per_elem", "tanh_kernel_rows16_ns_per_elem"),
+        (
+            "baseline",
+            tanh_value_grad_f32_baseline as Rows,
+            "tanh_kernel_baseline_ns_per_elem",
+            "tanh_kernel_baseline_rows16_ns_per_elem",
+        ),
+    ] {
+        let whole = tanh_ns(&xs, &mut |v, d| rows(v, d));
+        let rows16 = tanh_ns(&xs, &mut |v, d| {
+            for (v, d) in v.chunks_exact_mut(16).zip(d.chunks_exact_mut(16)) {
+                rows(std::hint::black_box(v), d);
+            }
+        });
+        println!("tanh {inst:>10}: {whole:.2} ns/elem whole slice, {rows16:.2} in rows of 16 (libm {libm:.2})");
+        fields.push((whole_key, num(whole)));
+        fields.push((rows16_key, num(rows16)));
+        if inst == "dispatched" {
+            fields.push(("tanh_kernel_vs_libm", num(libm / whole)));
+        }
+    }
+    obj(fields)
 }
 
 fn main() {
@@ -140,6 +206,7 @@ fn main() {
         entries.push(obj(fields));
     }
 
+    let activation = activation_block();
     let doc = obj(vec![
         ("bench", s("gemm_kernels")),
         ("mode", s("interleaved-best-of-reps")),
@@ -163,6 +230,10 @@ fn main() {
             ),
         ),
         ("classes", Value::Array(entries)),
+        ("activation", activation),
+        // Same host condition as `acceptance`: skipped where `native_class`
+        // is "none" and the dispatched instantiation is the baseline one.
+        ("activation_min_speedup_vs_libm", num(4.0)),
     ]);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(out, serde_json::to_string(&doc).unwrap()).unwrap();

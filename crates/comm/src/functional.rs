@@ -204,10 +204,11 @@ pub fn build_forward_messages(
             }
             for dst in 0..nnodes {
                 let leader_dst = decomp.node_ranks(dst)[0] as u32;
+                let (lo, hi) = decomp.node_box(dst);
                 for src in decomp.neighbor_nodes(dst, rc) {
                     let payload: Vec<GhostEntry> = node_atoms[src]
                         .iter()
-                        .filter(|&&(_, _, p)| decomp.in_ghost_region_of_node(dst, p, rc))
+                        .filter(|&&(_, _, p)| decomp.point_near_box(p, lo, hi, rc))
                         .copied()
                         .collect();
                     messages.push(Message {

@@ -30,11 +30,10 @@
 //!
 //! 1. *Row independence.* Every NN kernel produces output rows that depend
 //!    only on the matching input row, folded ascending-k from a zero
-//!    accumulator (`nnet::gemm` module notes); bias, activation and resnet
-//!    apply per row. How rows are grouped into GEMM calls is therefore
-//!    invisible. (The embedding GEMMs reproduce a bias-*seeded* fold by
-//!    augmenting each row with a leading 1 against `[bias ; W]`: `0 + 1·b`
-//!    is `b` bit for bit.)
+//!    accumulator (`nnet::gemm` module notes); the bias add and the resnet
+//!    apply per row and the activation per element (one f32 kernel whose
+//!    bits do not depend on the slice it is handed or on the dispatch
+//!    class). How rows are grouped into GEMM calls is therefore invisible.
 //! 2. *Fixed tile and merge order.* The tiling is a function of each job's
 //!    atom count alone; every order-dependent f64 accumulation (per-atom
 //!    energies, force scatter, virial) runs inside one tile in atom order,
@@ -317,44 +316,6 @@ mod tests {
             }
             let (outs, bufs) = eval(&[], true);
             assert!(outs.is_empty() && bufs.is_empty());
-        }
-    }
-
-    /// The augmented-column trick the stacked embedding GEMMs rest on:
-    /// a row `[1, v…]` against `[bias ; W]` through a kernel's zero-seeded
-    /// ascending-k fold must reproduce the bias-seeded accumulation
-    /// `((b + v0·w0) + v1·w1) + …` bit for bit — in *each* dispatch class,
-    /// with the class's own rounding regime (two roundings per step on the
-    /// scalar class, one fused rounding on the SIMD classes).
-    #[test]
-    fn augmented_column_reproduces_bias_seeded_fold() {
-        use nnet::gemm::dispatch::{self, DispatchClass};
-
-        let (ind, outd) = (7, 13);
-        let h = |i: u64| ((i.wrapping_mul(0x9e3779b97f4a7c15) >> 17) & 0xffff) as f32 / 65536.0 - 0.5;
-        let w: Vec<f32> = (0..ind * outd).map(|i| h(i as u64)).collect();
-        let b: Vec<f32> = (0..outd).map(|i| h(1000 + i as u64)).collect();
-        let v: Vec<f32> = (0..ind).map(|i| h(2000 + i as u64)).collect();
-
-        let mut aug_b = b.clone();
-        aug_b.extend_from_slice(&w);
-        let mut row = vec![1.0f32];
-        row.extend_from_slice(&v);
-
-        for kernel in [dispatch::scalar(), dispatch::active()] {
-            // Bias-seeded reference in this class's rounding regime,
-            // accumulating ascending-i like every kernel's k-fold.
-            let fused = kernel.class() != DispatchClass::Scalar;
-            let mut solo = b.clone();
-            for i in 0..ind {
-                for (o, s) in solo.iter_mut().enumerate() {
-                    *s = if fused { v[i].mul_add(w[i * outd + o], *s) } else { *s + v[i] * w[i * outd + o] };
-                }
-            }
-
-            let mut c = vec![0.0f32; outd];
-            kernel.nn_f32(1, outd, ind + 1, &row, &aug_b, &mut c);
-            assert_eq!(solo, c, "class {:?}", kernel.class());
         }
     }
 

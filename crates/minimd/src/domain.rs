@@ -266,7 +266,11 @@ impl Decomposition {
         self.point_near_box(p, lo, hi, rc)
     }
 
-    fn point_near_box(&self, p: Vec3, lo: Vec3, hi: Vec3, rc: f64) -> bool {
+    /// `true` if position `p` lies within `rc` of the box `[lo, hi)`
+    /// (periodic). For callers that test many points against one
+    /// [`rank_box`](Self::rank_box) / [`node_box`](Self::node_box) and
+    /// compute it once.
+    pub fn point_near_box(&self, p: Vec3, lo: Vec3, hi: Vec3, rc: f64) -> bool {
         let l = self.bx.lengths();
         let mut d2 = 0.0;
         for d in 0..3 {

@@ -3,8 +3,22 @@
 //! Deep Potential uses `tanh` throughout (embedding and fitting nets). The
 //! others are kept for ablations and to exercise the graph runtime with more
 //! than one nonlinearity.
+//!
+//! Two precisions, two implementations. The f64 side
+//! ([`Activation::apply`], [`Activation::derivative`]) is libm: it is what
+//! the f64 model — the oracle — evaluates. The f32 side
+//! ([`Activation::value_grad_rows_f32`] and its one-element form
+//! [`Activation::value_grad_f32`]) is what the mixed-precision force
+//! pipeline runs over whole GEMM outputs; for `Tanh` it is the vectorised
+//! kernel in `dpmd-simd`, which computes the same bits whichever GEMM
+//! dispatch class is active.
 
 use serde::{Deserialize, Serialize};
+
+/// The `Tanh` kernel pinned to its baseline-ISA instantiation (what
+/// [`Activation::value_grad_rows_f32`] runs on a CPU without AVX2), for the
+/// kernel bench to time next to the dispatched one.
+pub use dpmd_simd::tanh_value_grad_f32_baseline;
 
 /// Supported activation functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,21 +72,23 @@ impl Activation {
         }
     }
 
-    /// Fused value + derivative at an f32 input, sharing one transcendental
-    /// evaluation where the math allows (tanh and sigmoid derivatives are
-    /// functions of the activation value itself).
+    /// Fused value + derivative at an f32 input — the one-element form of
+    /// [`value_grad_rows_f32`](Self::value_grad_rows_f32).
     ///
-    /// **Bitwise contract:** returns exactly
-    /// `(self.apply_f32(x), self.derivative(x as f64))` — the force
-    /// pipeline's embedding and fitting sweeps rely on this to halve the
-    /// transcendental count without changing a bit, and
-    /// `tests::fused_value_grad_is_bitwise_identical` enforces it.
+    /// **Bitwise contract:** the value is bitwise equal, element for
+    /// element, to what `value_grad_rows_f32` writes, and the derivative is
+    /// that function's f32 factor widened. For `Tanh` both come from
+    /// `dpmd-simd`'s f32 kernel (≤ 1.4 ulp from libm), not from
+    /// [`apply_f32`](Self::apply_f32) / [`derivative`](Self::derivative),
+    /// which stay f64 libm: the f64 model is the oracle the mixed pipeline
+    /// is checked against. The other variants evaluate in f64 and share one
+    /// transcendental where the derivative is a function of the value.
     #[inline]
     pub fn value_grad_f32(self, x: f32) -> (f32, f64) {
         match self {
             Activation::Tanh => {
-                let t = (x as f64).tanh();
-                (t as f32, 1.0 - t * t)
+                let (t, d) = dpmd_simd::tanh_value_grad_f32_one(x);
+                (t, d as f64)
             }
             Activation::Sigmoid => {
                 let s = 1.0 / (1.0 + (-(x as f64)).exp());
@@ -80,6 +96,24 @@ impl Activation {
             }
             // Gelu's derivative is not a function of its value; no sharing.
             _ => (self.apply_f32(x), self.derivative(x as f64)),
+        }
+    }
+
+    /// The force pipeline's activation step, in place over a whole GEMM
+    /// output: `x ← act(x)`, `dfac ← act′(x)`, equal lengths. `Tanh` is one
+    /// call of `dpmd-simd`'s vectorised kernel, whose bits do not depend on
+    /// the dispatch class; the other variants go element by element through
+    /// [`value_grad_f32`](Self::value_grad_f32).
+    pub fn value_grad_rows_f32(self, x: &mut [f32], dfac: &mut [f32]) {
+        match self {
+            Activation::Tanh => dpmd_simd::tanh_value_grad_f32(x, dfac),
+            _ => {
+                assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
+                for (x, d) in x.iter_mut().zip(dfac) {
+                    let (v, g) = self.value_grad_f32(*x);
+                    (*x, *d) = (v, g as f32);
+                }
+            }
         }
     }
 
@@ -130,14 +164,25 @@ mod tests {
         assert_eq!(xs[1], 0.5);
     }
 
+    /// Sigmoid / Gelu / Linear: the fused form is `apply_f32` and
+    /// `derivative` bit for bit. Tanh: the one-element form is the rows form
+    /// bit for bit (its accuracy against libm is `dpmd-simd`'s test).
     #[test]
     fn fused_value_grad_is_bitwise_identical() {
+        let xs: Vec<f32> = (-4000..4000).map(|i| i as f32 * 2.5e-3).collect();
         for act in [Activation::Tanh, Activation::Sigmoid, Activation::Gelu, Activation::Linear] {
-            for i in -4000..4000 {
-                let x = i as f32 * 2.5e-3;
+            let (mut rows, mut dfac) = (xs.clone(), vec![0.0f32; xs.len()]);
+            act.value_grad_rows_f32(&mut rows, &mut dfac);
+            for ((&x, row), df) in xs.iter().zip(rows).zip(dfac) {
                 let (v, d) = act.value_grad_f32(x);
-                assert_eq!(v.to_bits(), act.apply_f32(x).to_bits(), "{act:?} value at {x}");
-                assert_eq!(d.to_bits(), act.derivative(x as f64).to_bits(), "{act:?} grad at {x}");
+                assert_eq!(v.to_bits(), row.to_bits(), "{act:?} rows value at {x}");
+                assert_eq!((d as f32).to_bits(), df.to_bits(), "{act:?} rows grad at {x}");
+                if act == Activation::Tanh {
+                    assert_eq!(d, df as f64, "Tanh grad at {x} is the f32 factor widened");
+                } else {
+                    assert_eq!(v.to_bits(), act.apply_f32(x).to_bits(), "{act:?} value at {x}");
+                    assert_eq!(d.to_bits(), act.derivative(x as f64).to_bits(), "{act:?} grad at {x}");
+                }
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Explicit-SIMD GEMM microkernels behind runtime dispatch.
+//! Explicit-SIMD GEMM microkernels behind runtime dispatch, and the f32
+//! `tanh` activation kernel that runs between them.
 //!
 //! This crate is the workspace's *audited unsafe island* for CPU intrinsics:
 //! every other crate except `dpmd-threads` is `#![forbid(unsafe_code)]`, so
@@ -42,8 +43,19 @@
 //! machine and shares no code with what it checks. NT forms are absent
 //! because the engine pre-transposes every weight matrix at model build
 //! (the paper's NT→NN preprocessing), so the hot path only ever issues
-//! unit-stride NN GEMMs. Every `unsafe` block here is therefore one the
-//! production path executes.
+//! unit-stride NN GEMMs. Every `unsafe` block here (six: five in the GEMM
+//! microkernels, one calling the AVX2 instantiation of the activation) is
+//! therefore one the production path executes.
+//!
+//! # The activation has no dispatch class
+//!
+//! [`tanh_value_grad_f32`] is one portable function body
+//! ([`tanh_value_grad_f32_one`]) with no intrinsics and no `mul_add`,
+//! compiled twice: for the baseline ISA and, on x86_64, under
+//! `#[target_feature(enable = "avx2")]`. Rust never contracts `a*b + c`, so
+//! the two are the same bits for every input — a stronger contract than the
+//! GEMMs' — and which one runs is decided by the CPU alone, not by the GEMM
+//! dispatch class a process pinned.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -147,6 +159,109 @@ pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &
             c[i * n + j] = acc;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// f32 tanh activation: value and derivative factor in one pass.
+//
+// One portable body, no intrinsics and no `mul_add`, instantiated for the
+// baseline ISA and (x86_64) once more under AVX2. Every operation is an
+// IEEE-exact f32 add / mul / div, an integer op on the bits, or a select,
+// and Rust never contracts `a*b + c`, so the instantiations cannot differ.
+
+/// `(tanh x, 1 − tanh² x)` in f32 — the one-element form of
+/// [`tanh_value_grad_f32`] and the single body both of its instantiations
+/// inline.
+///
+/// Branch-free: both sides are computed and a compare picks one.
+/// `|x| < 0.625`: the odd polynomial `x + x·z·P(z)`, `z = x²` (Cephes
+/// `tanhf` coefficients), derivative `1 − t²`. Otherwise `E = exp(2|x|)`
+/// (|x| clamped at 10, where `tanh` already rounds to 1) by Cody–Waite
+/// reduction and a degree-5 polynomial, then `q = 2/(E + 1)`, `t = 1 − q`
+/// and the derivative as `q·(2 − q)`, which does not cancel as `t → 1`.
+/// Worst value error 1.3 ulp; `±0`, `±∞` and saturation are exact; NaN
+/// gives `(NaN, NaN)`.
+#[inline(always)]
+#[allow(clippy::excessive_precision)] // the constants as Cephes prints them
+pub fn tanh_value_grad_f32_one(x: f32) -> (f32, f32) {
+    // 1.5·2²³: adding it rounds to the nearest integer and leaves that
+    // integer in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+    let sign = x.to_bits() & 0x8000_0000;
+    let ax = f32::from_bits(x.to_bits() & 0x7fff_ffff);
+
+    let z = ax * ax;
+    let p = (((-5.704_988_727_45e-3 * z + 2.063_908_879_54e-2) * z - 5.373_971_555_31e-2) * z
+        + 1.333_144_220_36e-1)
+        * z
+        - 3.333_328_194_22e-1;
+    // Cephes' association, `(P·z)·x + x`. `(x·z)·P` has the same worst
+    // error (1.33 ulp over every input); the two differ only in which
+    // inputs round which way.
+    let t_small = ax + ax * (z * p);
+    let d_small = 1.0 - t_small * t_small;
+
+    // Written as a compare so NaN stays NaN (`f32::min` would return 10).
+    let y = 2.0 * if ax > 10.0 { 10.0 } else { ax };
+    let kf = y * std::f32::consts::LOG2_E + ROUND;
+    let n = kf - ROUND;
+    // ln 2 split in two so `n·hi` is exact.
+    let r = y - n * 0.693_359_375 - n * -2.121_944_40e-4;
+    let e = ((((1.987_569_150_0e-4 * r + 1.398_199_950_7e-3) * r + 8.333_451_907_3e-3) * r
+        + 4.166_579_589_4e-2)
+        * r
+        + 1.666_666_545_9e-1)
+        * r
+        + 5.000_000_120_1e-1;
+    let exp_r = e * (r * r) + r + 1.0;
+    // 2ⁿ from the integer in `kf`'s mantissa (0 ≤ n ≤ 29).
+    let scale = f32::from_bits((kf.to_bits() << 23).wrapping_add(0x3f80_0000));
+    let q = 2.0 / (exp_r * scale + 1.0);
+    let (t_large, d_large) = (1.0 - q, q * (2.0 - q));
+
+    let (t, d) = if ax < 0.625 { (t_small, d_small) } else { (t_large, d_large) };
+    (f32::from_bits(t.to_bits() | sign), d)
+}
+
+#[inline(always)]
+fn tanh_rows(x: &mut [f32], dfac: &mut [f32]) {
+    for (x, d) in x.iter_mut().zip(dfac) {
+        (*x, *d) = tanh_value_grad_f32_one(*x);
+    }
+}
+
+/// In place over equal-length slices: `x ← tanh x`, `dfac ← 1 − tanh² x`.
+///
+/// Runs the AVX2 instantiation where [`native`] detects it, the baseline
+/// one otherwise. Both are [`tanh_value_grad_f32_one`] element for element,
+/// bit for bit, so the activation has no dispatch class.
+pub fn tanh_value_grad_f32(x: &mut [f32], dfac: &mut [f32]) {
+    assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
+    #[cfg(all(not(miri), target_arch = "x86_64"))]
+    if native().is_some() {
+        // SAFETY: `native()` is `Some` on x86_64 only after
+        // `is_x86_feature_detected!` confirmed avx2, the one target
+        // feature `tanh_rows_avx2` enables.
+        unsafe { tanh_rows_avx2(x, dfac) };
+        return;
+    }
+    tanh_rows(x, dfac);
+}
+
+/// [`tanh_value_grad_f32`] pinned to the baseline-ISA instantiation
+/// (SSE2 / NEON auto-vectorised), for the tests and the bench that compare
+/// the two.
+pub fn tanh_value_grad_f32_baseline(x: &mut [f32], dfac: &mut [f32]) {
+    assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
+    tanh_rows(x, dfac);
+}
+
+/// [`tanh_rows`] compiled with 256-bit vectors. No `fma`: the body must
+/// round every product, as the baseline instantiation does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
+    tanh_rows(x, dfac);
 }
 
 // ---------------------------------------------------------------------------
@@ -439,6 +554,106 @@ mod tests {
             kernel.nn_f32(1, n, k, &a[i * k..(i + 1) * k], &b, &mut solo);
             assert_eq!(&stacked[i * n..(i + 1) * n], &solo[..], "row {i}");
         }
+    }
+
+    /// Positive inputs of the accuracy sweep: the bit patterns of
+    /// (2⁻³⁰, 12) at a stride sized for the build (Miri interprets, debug
+    /// is tier-1), plus every pattern near the 0.625 seam and the clamp
+    /// at 10, both sides of each.
+    fn tanh_sweep() -> Vec<f32> {
+        let (stride, near) = if cfg!(miri) {
+            (4_000_037, 8)
+        } else if cfg!(debug_assertions) {
+            (1009, 2000)
+        } else {
+            (67, 20_000)
+        };
+        let (lo, hi) = (2.0f32.powi(-30).to_bits(), 12.0f32.to_bits());
+        let mut xs: Vec<f32> = (lo..hi).step_by(stride).map(f32::from_bits).collect();
+        for edge in [0.625f32, 10.0] {
+            xs.extend((edge.to_bits() - near..=edge.to_bits() + near).map(f32::from_bits));
+        }
+        xs
+    }
+
+    /// Value within 2 ulp of libm's f64 `tanh` rounded to f32, derivative
+    /// factor within 4e-7 relative of `1 − tanh²` (measured over all 2.8e8
+    /// patterns: 1.33 ulp at 0.6283, 2.1e-7 at 8.65). Above the clamp the
+    /// factor is frozen at its value at 10, 8.2e-9, where the true one keeps
+    /// falling, so there the bound is that absolute gap.
+    #[test]
+    fn tanh_kernel_tracks_libm() {
+        let xs = tanh_sweep();
+        let (mut t, mut d) = (xs.clone(), vec![0.0f32; xs.len()]);
+        tanh_value_grad_f32(&mut t, &mut d);
+        for ((&x, &t), &d) in xs.iter().zip(&t).zip(&d) {
+            let want = (x as f64).tanh();
+            let w32 = want as f32;
+            let ulp = (f32::from_bits(w32.to_bits() + 1) - w32) as f64;
+            assert!((t as f64 - want).abs() <= 2.0 * ulp, "tanh({x:e}) = {t:e}, libm {want:e}");
+            let dwant = 1.0 - want * want;
+            let err = (d as f64 - dwant).abs();
+            assert!(if x <= 10.0 { err <= 4e-7 * dwant } else { err <= 8.3e-9 }, "dfac({x:e}) = {d:e}, want {dwant:e}");
+        }
+    }
+
+    #[test]
+    fn tanh_kernel_is_odd_bit_for_bit() {
+        for x in tanh_sweep() {
+            let ((tp, dp), (tn, dn)) = (tanh_value_grad_f32_one(x), tanh_value_grad_f32_one(-x));
+            assert_eq!(tn.to_bits(), tp.to_bits() | 0x8000_0000, "value at ±{x:e}");
+            assert_eq!(dn.to_bits(), dp.to_bits(), "dfac at ±{x:e}");
+        }
+    }
+
+    #[test]
+    fn tanh_kernel_special_values() {
+        for zero in [0.0f32, -0.0] {
+            let (t, d) = tanh_value_grad_f32_one(zero);
+            assert_eq!((t.to_bits(), d), (zero.to_bits(), 1.0));
+        }
+        for big in [100.0f32, f32::MAX, f32::INFINITY] {
+            for x in [big, -big] {
+                let (t, d) = tanh_value_grad_f32_one(x);
+                assert_eq!(t, 1.0f32.copysign(x), "saturation at {x}");
+                assert!(d.is_finite() && d >= 0.0, "dfac {d} at {x}");
+            }
+        }
+        // A blown-up input must stay visible, not turn into ±1.
+        let (t, d) = tanh_value_grad_f32_one(f32::NAN);
+        assert!(t.is_nan() && d.is_nan());
+    }
+
+    /// Both instantiations of the slice kernel are the one-element form,
+    /// bit for bit, at every slice length and alignment (vector bodies and
+    /// tails) and over the whole sweep.
+    #[test]
+    fn tanh_instantiations_agree_bitwise() {
+        let same = |xs: &[f32]| {
+            let (mut a, mut da) = (xs.to_vec(), vec![0.0f32; xs.len()]);
+            let (mut b, mut db) = (xs.to_vec(), vec![7.0f32; xs.len()]);
+            tanh_value_grad_f32(&mut a, &mut da);
+            tanh_value_grad_f32_baseline(&mut b, &mut db);
+            for (i, &x) in xs.iter().enumerate() {
+                let (t, d) = tanh_value_grad_f32_one(x);
+                let want = (t.to_bits(), d.to_bits());
+                assert_eq!((a[i].to_bits(), da[i].to_bits()), want, "dispatched, {x:e} at {i}");
+                assert_eq!((b[i].to_bits(), db[i].to_bits()), want, "baseline, {x:e} at {i}");
+            }
+        };
+        let mut rng = Rng(0x2545f4914f6cdd1d);
+        let mut pool: Vec<f32> = (0..41).map(|_| (rng.next_unit() * 12.0) as f32).collect();
+        pool[3] = f32::NAN;
+        pool[17] = f32::NEG_INFINITY;
+        pool[29] = -0.0;
+        for offset in 0..8 {
+            for len in 0..=33 {
+                same(&pool[offset..offset + len]);
+            }
+        }
+        let sweep = tanh_sweep();
+        same(&sweep);
+        same(&sweep.iter().map(|x| -x).collect::<Vec<_>>());
     }
 
     #[test]
