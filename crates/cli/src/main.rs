@@ -117,11 +117,10 @@ fn md_setup(
     if let Some(n) = parse_opt(args, "--threads")? {
         builder = builder.threads(n);
     }
-    // Which dispatch class the process's f32 GEMM hot path selected (scalar
-    // / avx2 / neon — the `double` path never touches it;
-    // `DPMD_FORCE_SCALAR=1` pins scalar).
+    // Which instantiation of the f32 kernels this CPU runs (avx2 /
+    // baseline): a speed label, the bits are the same on either.
     println!(
-        "precision: {precision}, fp32-gemm dispatch class: {}",
+        "precision: {precision}, f32 kernels: {}",
         nnet::gemm::dispatch::active_class().tag()
     );
     let ntypes = if water { 2 } else { 1 };

@@ -32,8 +32,8 @@
 //!    only on the matching input row, folded ascending-k from a zero
 //!    accumulator (`nnet::gemm` module notes); the bias add and the resnet
 //!    apply per row and the activation per element (one f32 kernel whose
-//!    bits do not depend on the slice it is handed or on the dispatch
-//!    class). How rows are grouped into GEMM calls is therefore invisible.
+//!    bits do not depend on the slice it is handed or on the host). How
+//!    rows are grouped into GEMM calls is therefore invisible.
 //! 2. *Fixed tile and merge order.* The tiling is a function of each job's
 //!    atom count alone; every order-dependent f64 accumulation (per-atom
 //!    energies, force scatter, virial) runs inside one tile in atom order,

@@ -360,13 +360,12 @@ impl DpEngine {
 
     /// f32 embedding pass for one atom (Mix32/Mix16), **type-sorted**: the
     /// environment's same-type entries stack into one GEMM pair per layer
-    /// (value rows from `s`, tangent rows from `∂s/∂s = 1`), dispatched to
-    /// the process's active kernel class — the paper's "sort environment
-    /// matrices by type so one GEMM serves all same-type neighbours". Each
-    /// layer is GEMM → `+ bias` → activation over the whole block in place →
-    /// resnet, the same convention as the fitting net; its outputs become
-    /// the next layer's inputs by swap. Row independence of every kernel
-    /// class makes the grouping bitwise-invisible. The order-sensitive T
+    /// (value rows from `s`, tangent rows from `∂s/∂s = 1`) — the paper's
+    /// "sort environment matrices by type so one GEMM serves all same-type
+    /// neighbours". Each layer is GEMM → `+ bias` → activation over the
+    /// whole block in place → resnet, the same convention as the fitting
+    /// net; its outputs become the next layer's inputs by swap. Row
+    /// independence of the kernels makes the grouping bitwise-invisible. The order-sensitive T
     /// accumulation then replays in original entry order.
     pub(crate) fn embed_atom32(&self, env: &Environment, scratch: &mut EmbScratch) -> AtomEmbed32 {
         let m1 = self.model.config.m1();
@@ -737,10 +736,8 @@ mod tests {
     ///   7e-10 on this Cu cell, 3e-10 on the water cell). At h = 2⁻⁷ Å
     ///   truncation is 4e-9 (Cu) / 8e-8 (water) eV/Å, so the bound is the
     ///   noise floor alone, 7.2e-7 eV/Å: under 1 % of max |F| on both
-    ///   cells (worst error seen 2.6e-7 on Cu, 1.0e-7 on water, in either
-    ///   GEMM class).
-    /// * Cu ×4: the same measure reads 7.2e-7 eV (1.8e-7 on the scalar
-    ///   class), so δ = 1e-6. A δ a thousand times larger wants a larger
+    ///   cells (worst error seen 2.6e-7 on Cu, 1.0e-7 on water).
+    /// * Cu ×4: the same measure reads 7.2e-7 eV, so δ = 1e-6. A δ a thousand times larger wants a larger
     ///   step: at h = 2⁻⁵ Å noise is 1.8e-4 and truncation 2.8e-5 eV/Å,
     ///   no longer negligible, so this row's bound is their sum — under
     ///   2 % of its max |F| (worst error seen 1.3e-4; at 2⁻⁷ it is 5.6e-4,
@@ -859,27 +856,28 @@ mod tests {
     ///
     /// Accuracy bar: max |ΔF| / max |F| against the f64 model, as an
     /// absolute bound per model — twice what the libm `f64::tanh` path this
-    /// kernel replaced gave on the same inputs, in its worse GEMM class (the
-    /// 1e-5 / 5e-3 bars elsewhere are calibrated on untrained weights and do
-    /// not hold here — for libm either). These readings sit at the f32 noise
-    /// floor, where a GEMM reorder moves them by tens of per cent, so the
-    /// bar leaves 1.6× or more over every kernel reading; a wrong branch of
-    /// the kernel costs orders of magnitude. Measured once on an avx2 host,
-    /// libm → kernel, fused class then scalar class (every kernel reading is
-    /// within 1.5× of libm's in the same class):
+    /// kernel replaced gave on the same inputs, under the worse of the two
+    /// GEMM folds it then ran on (the 1e-5 / 5e-3 bars elsewhere are
+    /// calibrated on untrained weights and do not hold here — for libm
+    /// either). These readings sit at the f32 noise floor, where a GEMM
+    /// reorder moves them by tens of per cent, so the bar leaves 1.9× or
+    /// more over every kernel reading; a wrong branch of the kernel costs
+    /// orders of magnitude. Readings, libm → kernel, on the one `mul_add`
+    /// fold every FMA host computes (every kernel reading is within 1.5× of
+    /// libm's):
     ///
-    /// | model     | Mix32, fused        | Mix32, scalar       | Mix16 (both classes alike) |
-    /// |-----------|---------------------|---------------------|----------------------------|
-    /// | Cu ×4     | 3.771e-6 → 3.517e-6 | 3.397e-6 → 4.634e-6 | 2.368e-3 → 2.407e-3        |
-    /// | water ×4  | 5.930e-7 → 8.494e-7 | 9.441e-7 → 9.397e-7 | 9.152e-4 → 9.151e-4        |
-    /// | Cu ×16    | 1.525e-5 → 1.506e-5 | 1.465e-5 → 1.350e-5 | 1.131e-2 → 1.131e-2        |
-    /// | water ×16 | 1.063e-6 → 1.237e-6 | 1.202e-6 → 1.488e-6 | 7.918e-4 → 7.919e-4        |
+    /// | model     | Mix32               | Mix16               |
+    /// |-----------|---------------------|---------------------|
+    /// | Cu ×4     | 3.771e-6 → 3.517e-6 | 2.368e-3 → 2.407e-3 |
+    /// | water ×4  | 5.930e-7 → 8.494e-7 | 9.152e-4 → 9.151e-4 |
+    /// | Cu ×16    | 1.525e-5 → 1.506e-5 | 1.131e-2 → 1.131e-2 |
+    /// | water ×16 | 1.063e-6 → 1.237e-6 | 7.918e-4 → 7.919e-4 |
     ///
     /// Bitwise bar: a job evaluated alone on one thread equals the same job
     /// first of three on a 3-wide pool.
     #[test]
     fn stressed_models_leave_the_linear_regime_and_stay_accurate() {
-        // [scale][system] → (Mix32, Mix16) bound: 2 × libm's worse class.
+        // [scale][system] → (Mix32, Mix16) bound: 2 × libm's worse fold.
         const RELERR_BOUND: [[(f64, f64); 2]; 2] =
             [[(7.5e-6, 4.7e-3), (1.9e-6, 1.8e-3)], [(3.0e-5, 2.3e-2), (2.4e-6, 1.6e-3)]];
         for (scale, reach, bounds) in [(4.0, 3.0, RELERR_BOUND[0]), (16.0, 10.0, RELERR_BOUND[1])] {

@@ -1,12 +1,11 @@
-//! GEMM kernels for Deep Potential inference, in three tiers.
+//! GEMM kernels for Deep Potential inference.
 //!
 //! * [`naive`] — the plain reference fold. The f64 model, the trainer and
 //!   the graph runtime call it directly: f64 is the *oracle* precision and
-//!   is never dispatched.
-//! * [`blocked`] — the portable f32 kernel of the scalar dispatch class,
-//!   bit-identical to [`naive`] at every shape.
-//! * `dpmd-simd` — explicit AVX2/NEON f32 microkernels, selected at run
-//!   time by [`dispatch`] when the CPU has them.
+//!   shares no kernel with what it checks.
+//! * [`auto_nn_f32`] — the one f32 kernel, `dpmd-simd`'s register-tiled
+//!   `mul_add` fold, the same bits on every host.
+//! * [`gemm_nn_f16`] — binary16 storage, f32 accumulation (`MIX-fp16`).
 //!
 //! The mixed-precision force pipeline issues every f32 GEMM through
 //! [`auto_nn_f32`] and every binary16 GEMM through [`batched_nn_f16`]. Only
@@ -21,18 +20,16 @@
 //!
 //! # Row independence
 //! Every kernel accumulates each output element `c[i][j]` by walking
-//! `p = 0..k` in ascending order from `+0.0`: one rounding per multiply and
-//! per add in the scalar class and the binary16 kernel, one fused rounding
-//! per step in the native classes. A row of the output therefore depends
-//! only on (that row of `A`, `B`, `n`, `k`) and never on `m` or on how rows
-//! were tiled, so stacking rows into one call is bitwise-invisible in every
-//! dispatch class — the property the per-tile stacked fitting GEMMs and the
-//! serving layer's solo-equals-batched guarantee rest on. Results differ
-//! only *across* classes; see [`dispatch`].
+//! `p = 0..k` in ascending order from `+0.0`: one fused rounding per step
+//! in the f32 kernel, one rounding per multiply and per add in the binary16
+//! kernel and in `naive`. A row of the output therefore depends only on
+//! (that row of `A`, `B`, `n`, `k`) and never on `m` or on how rows were
+//! tiled, so stacking rows into one call is bitwise-invisible — the
+//! property the per-tile stacked fitting GEMMs and the serving layer's
+//! solo-equals-batched guarantee rest on.
 
 use crate::f16::F16;
 
-pub mod blocked;
 pub mod dispatch;
 pub mod naive;
 
@@ -42,11 +39,10 @@ pub fn flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
 }
 
-/// `C = A·B` in f32 on the process's active dispatch class (native SIMD
-/// kernels when available, [`blocked`] otherwise or under
-/// `DPMD_FORCE_SCALAR`).
+/// `C = A·B` in f32: [`dpmd_simd::gemm_nn_f32`], every element the
+/// ascending-`p` `mul_add` fold from `+0.0`.
 pub fn auto_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    dispatch::active().nn_f32(m, n, k, a, b, c);
+    dpmd_simd::gemm_nn_f32(m, n, k, a, b, c);
 }
 
 /// `C = A·B` with `A`, `B` stored in binary16 and accumulation in f32 — the

@@ -1,8 +1,8 @@
 //! Textbook triple-loop GEMM — the reference semantics.
 //!
-//! Deliberately unoptimized. The f32 form is what [`super::blocked`] is
-//! pinned to bit for bit; the f64 forms are the arithmetic of the f64 model,
-//! the trainer and the graph runtime.
+//! Deliberately unoptimized. The f64 forms are the arithmetic of the f64
+//! model, the trainer and the graph runtime; the f32 form is the baseline
+//! the kernel bench reports speed against.
 
 macro_rules! naive_nn {
     ($name:ident, $t:ty) => {

@@ -5,11 +5,10 @@
 //! * [`f16`] — software IEEE 754 binary16 with round-to-nearest-even, the
 //!   storage type of the paper's fp16 fitting-net GEMM;
 //! * [`matrix`] — a dense row-major matrix over [`Scalar`] element types;
-//! * [`gemm`] — GEMM kernels in three tiers: the `naive` reference fold
-//!   (all f64 arithmetic runs on it), the portable `blocked` f32 kernel of
-//!   the scalar dispatch class, and the runtime-dispatched AVX2/NEON f32
-//!   microkernels of `dpmd-simd`; plus the fp16-storage/fp32-accumulate
-//!   kernel of the `MIX-fp16` path;
+//! * [`gemm`] — the `naive` reference fold (all f64 arithmetic runs on
+//!   it), the one f32 kernel (`dpmd-simd`'s `mul_add` fold, the same bits
+//!   on every host) and the fp16-storage/fp32-accumulate kernel of the
+//!   `MIX-fp16` path;
 //! * [`activation`] — activations used by Deep Potential (tanh and friends);
 //! * [`layers`] — fully connected layers with analytic backward passes (the
 //!   f64 model and the trainer);

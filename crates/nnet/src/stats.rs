@@ -54,26 +54,18 @@ fn m_class(m: usize) -> usize {
     }
 }
 
-/// Per-precision M-shape-class GEMM call counters plus a per-process
-/// dispatch class counter. Cloning is cheap (the table is shared).
+/// Per-precision M-shape-class GEMM call counters. Cloning is cheap (the
+/// table is shared).
 #[derive(Clone, Debug)]
 pub struct GemmTally {
     /// `nnet.gemm.{prec}.{mclass}.calls`, indexed `prec * 6 + m_class`.
     classes: Arc<Vec<Counter>>,
-    /// `nnet.gemm.dispatch.{scalar|avx2|neon}.calls` — one per record, named
-    /// for the class the f32 hot path dispatches to in this process.
-    dispatch: Counter,
 }
 
 impl GemmTally {
-    /// Register the counters: `nnet.gemm.dispatch.{class}.calls` and one
-    /// `nnet.gemm.{fp32|fp16}.{m1|m2|m3|m4_8|m9_64|m65p}.calls` per pair.
+    /// Register one `nnet.gemm.{fp32|fp16}.{m1|m2|m3|m4_8|m9_64|m65p}.calls`
+    /// counter per pair.
     pub fn register(reg: &MetricsRegistry) -> Self {
-        let dispatch_tag = crate::gemm::dispatch::active_class().tag();
-        let dispatch = reg.counter(
-            &format!("nnet.gemm.dispatch.{dispatch_tag}.calls"),
-            dpmd_obs::Unit::Count,
-        );
         let mut classes = Vec::with_capacity(PrecClass::ALL.len() * M_CLASS_TAGS.len());
         for prec in PrecClass::ALL {
             for tag in M_CLASS_TAGS {
@@ -81,13 +73,12 @@ impl GemmTally {
                 classes.push(reg.counter(&name, dpmd_obs::Unit::Count));
             }
         }
-        GemmTally { classes: Arc::new(classes), dispatch }
+        GemmTally { classes: Arc::new(classes) }
     }
 
     /// Count one GEMM call with `m` rows at the given precision.
     #[inline]
     pub fn record(&self, m: usize, p: PrecClass) {
-        self.dispatch.inc();
         self.classes[p as usize * M_CLASS_TAGS.len() + m_class(m)].inc();
     }
 }
@@ -96,10 +87,9 @@ impl GemmTally {
 mod tests {
     use super::*;
 
-    /// The class counters see every call, and the dispatch counter carries
-    /// the process's active class tag.
+    /// Every call lands in exactly one (precision, M-class) counter.
     #[test]
-    fn shape_class_and_dispatch_counters_accumulate() {
+    fn shape_class_counters_accumulate() {
         let reg = MetricsRegistry::default();
         let tally = GemmTally::register(&reg);
         tally.record(1, PrecClass::F32);
@@ -111,7 +101,6 @@ mod tests {
         assert_eq!(snap.counter("nnet.gemm.fp32.m9_64.calls"), Some(1));
         assert_eq!(snap.counter("nnet.gemm.fp16.m9_64.calls"), Some(1));
         assert_eq!(snap.counter("nnet.gemm.fp16.m3.calls"), Some(1));
-        let tag = crate::gemm::dispatch::active_class().tag();
-        assert_eq!(snap.counter(&format!("nnet.gemm.dispatch.{tag}.calls")), Some(4));
+        assert_eq!(snap.counter("nnet.gemm.fp32.m2.calls"), Some(0));
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use nnet::activation::Activation;
 use nnet::f16::F16;
-use nnet::gemm::{self, blocked, dispatch, naive};
+use nnet::gemm::{self, naive};
 use nnet::init::build_mlp;
 use nnet::layers::Resnet;
 use nnet::matrix::Matrix;
@@ -63,32 +63,62 @@ proptest! {
         prop_assert_eq!((-h).to_f32(), -(h.to_f32()));
     }
 
-    /// The scalar-class kernel (`blocked`) is **bitwise** `naive` at every
-    /// `m` on both sides of its 8-row register tile (1..=7 run entirely on
-    /// the row-at-a-time remainder, 8 is one full tile, 9 is tile + tail),
-    /// with n and k off the 16-lane chunk, `n = 1` and `k = 0` included —
-    /// so which rows share a call never changes a bit in the scalar class.
+    /// The f32 kernel is **bitwise** the fused `reference_nn_f32` fold at
+    /// every `m` (four-row groups, each M ≤ 3 tail, both), n across the
+    /// tile and strip widths, and the edge shapes `m = 0`, `n = 0`, `k = 0`;
+    /// and it writes every element of a poison-filled output.
     #[test]
-    fn gemm_families_agree(
-        m in 1usize..10,
-        n in 1usize..40,
+    fn auto_gemm_is_bitwise_the_fused_fold(
+        m in 0usize..11,
+        n in 0usize..60,
         k in 0usize..40,
         seed in any::<u64>(),
     ) {
-        let mut next = lcg_f32(seed);
+        let mut next = lcg_f32(seed ^ 0xd1b54a32d192ed03);
         let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let mut c_ref = vec![0.0f32; m * n];
-        let mut c_blk = vec![0.0f32; m * n];
-        naive::gemm_nn_f32(m, n, k, &a, &b, &mut c_ref);
-        blocked::gemm_nn_f32(m, n, k, &a, &b, &mut c_blk);
-        prop_assert_eq!(bits(&c_ref), bits(&c_blk), "blocked f32 {}x{}x{}", m, n, k);
+        let mut want = vec![0.0f32; m * n];
+        let mut got = vec![f32::from_bits(0x7fc0dead); m * n];
+        dpmd_simd::reference_nn_f32(m, n, k, &a, &b, &mut want);
+        gemm::auto_nn_f32(m, n, k, &a, &b, &mut got);
+        prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{}", m, n, k);
+    }
+
+    /// Independent oracle: against the plain f64 fold on the same (exactly
+    /// widened) inputs, every element is within the forward error bound of
+    /// a k-step fused fold, γ_k · Σ_p |a_ip · b_pj| with γ_k = k·u/(1 − k·u),
+    /// u = 2⁻²⁴ — plus the oracle's own γ_k at u = 2⁻⁵³, twice over for the
+    /// f64 sum of magnitudes. Shares no code with `reference_nn_f32`.
+    #[test]
+    fn auto_gemm_is_within_the_fold_error_bound_of_f64(
+        m in 1usize..11,
+        n in 1usize..60,
+        k in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let gamma = |u: f64| k as f64 * u / (1.0 - k as f64 * u);
+        let bound = gamma(2f64.powi(-24)) + 3.0 * gamma(2f64.powi(-53));
+        let mut next = lcg_f32(seed ^ 0x94d049bb133111eb);
+        let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let mut c = vec![0.0f32; m * n];
+        gemm::auto_nn_f32(m, n, k, &a, &b, &mut c);
+        let widen = |xs: &[f32]| xs.iter().map(|&x| x as f64).collect::<Vec<_>>();
+        let (a64, b64) = (widen(&a), widen(&b));
+        let (mut c64, mut mag) = (vec![0.0f64; m * n], vec![0.0f64; m * n]);
+        naive::gemm_nn_f64(m, n, k, &a64, &b64, &mut c64);
+        let abs = |xs: &[f64]| xs.iter().map(|x| x.abs()).collect::<Vec<_>>();
+        naive::gemm_nn_f64(m, n, k, &abs(&a64), &abs(&b64), &mut mag);
+        for i in 0..m * n {
+            let err = (c[i] as f64 - c64[i]).abs();
+            prop_assert!(err <= bound * mag[i], "element {}: |{} - {}| = {:e} > {:e}", i, c[i], c64[i], err, bound * mag[i]);
+        }
     }
 
     /// The kernels *overwrite* `C`: pre-filling the output buffer with
     /// garbage must not change a bit of the result. Pins the output
-    /// contract of `nnet::gemm` (no BLAS-style `β` accumulation) for the
-    /// two kernels that accumulate in place.
+    /// contract of `nnet::gemm` (no BLAS-style `β` accumulation) for both
+    /// production kernels.
     #[test]
     fn gemm_overwrites_garbage_prefilled_c(
         m in 1usize..11,
@@ -103,9 +133,9 @@ proptest! {
 
         let mut c_clean = vec![0.0f32; m * n];
         let mut c_dirty = garbage.clone();
-        blocked::gemm_nn_f32(m, n, k, &a, &b, &mut c_clean);
-        blocked::gemm_nn_f32(m, n, k, &a, &b, &mut c_dirty);
-        prop_assert_eq!(bits(&c_clean), bits(&c_dirty), "blocked leaked prior C contents");
+        gemm::auto_nn_f32(m, n, k, &a, &b, &mut c_clean);
+        gemm::auto_nn_f32(m, n, k, &a, &b, &mut c_dirty);
+        prop_assert_eq!(bits(&c_clean), bits(&c_dirty), "f32 kernel leaked prior C contents");
 
         let a16: Vec<F16> = a.iter().map(|&x| F16::from_f32(x)).collect();
         let b16: Vec<F16> = b.iter().map(|&x| F16::from_f32(x)).collect();
@@ -195,60 +225,9 @@ proptest! {
         prop_assert!((fd - dx[(0, probe)]).abs() < 1e-5, "fd {fd} vs {}", dx[(0, probe)]);
     }
 
-    /// Every dispatch-class kernel honours its determinism contract on
-    /// arbitrary shapes, **edge shapes included** (`m = 0`, `k = 0`, `n = 0`,
-    /// and m/n far from the microkernel register tiles so every remainder
-    /// path runs):
-    ///
-    /// * the scalar-class kernel is bitwise `naive` (two roundings per
-    ///   accumulate, ascending-k);
-    /// * the native kernel (when the host has one) is bitwise the portable
-    ///   fused `reference_nn_f32` fold (`mul_add`, ascending-k) — the
-    ///   semantic definition of the Avx2/Neon classes — and within
-    ///   reassociation tolerance of `naive`.
-    #[test]
-    fn dispatch_kernels_match_their_class_reference(
-        m in 0usize..11,
-        n in 0usize..40,
-        k in 0usize..40,
-        seed in any::<u64>(),
-    ) {
-        let mut next = lcg_f32(seed ^ 0xd1b54a32d192ed03);
-        let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        // Poison-filled outputs: kernels must overwrite every element.
-        let poison = f32::from_bits(0x7fc0dead);
-
-        let scalar = dispatch::scalar();
-        prop_assert_eq!(scalar.class(), dispatch::DispatchClass::Scalar);
-        let mut want = vec![0.0f32; m * n];
-        let mut got = vec![poison; m * n];
-        naive::gemm_nn_f32(m, n, k, &a, &b, &mut want);
-        scalar.nn_f32(m, n, k, &a, &b, &mut got);
-        prop_assert_eq!(bits(&want), bits(&got), "scalar {}x{}x{}", m, n, k);
-
-        if let Some(native) = dispatch::native() {
-            let mut fused = vec![0.0f32; m * n];
-            let mut nat = vec![poison; m * n];
-            dpmd_simd::reference_nn_f32(m, n, k, &a, &b, &mut fused);
-            native.nn_f32(m, n, k, &a, &b, &mut nat);
-            prop_assert_eq!(
-                bits(&fused), bits(&nat),
-                "native vs fused reference {}x{}x{} ({:?})", m, n, k, native.class()
-            );
-            for i in 0..m * n {
-                prop_assert!(
-                    (want[i] - nat[i]).abs() <= 1e-4 * want[i].abs().max(1.0),
-                    "native drifted from naive at {}: {} vs {}", i, want[i], nat[i]
-                );
-            }
-        }
-    }
-
     /// Row independence on the production entry points: `batch` calls of
     /// `m` rows stacked into one `auto_nn_f32` / `batched_nn_f16` call equal
-    /// the per-call results exactly, for any shape and batch size, on
-    /// whichever dispatch class this process runs.
+    /// the per-call results exactly, for any shape and batch size.
     #[test]
     fn batched_gemm_equals_per_call_auto(
         batch in 1usize..6,

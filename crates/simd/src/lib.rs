@@ -1,134 +1,66 @@
-//! Explicit-SIMD GEMM microkernels behind runtime dispatch, and the f32
-//! `tanh` activation kernel that runs between them.
+//! The f32 kernels of the mixed-precision force pipeline: the NN GEMM and
+//! the `tanh` activation that runs between GEMMs.
 //!
-//! This crate is the workspace's *audited unsafe island* for CPU intrinsics:
+//! This crate is the workspace's *audited unsafe island* for CPU features:
 //! every other crate except `dpmd-threads` is `#![forbid(unsafe_code)]`, so
-//! the `std::arch` kernels live here, each `unsafe` block carries a
-//! `// SAFETY:` comment (enforced by `dpmd-analyze` rule D3), and
+//! the calls into `#[target_feature]` code live here, each `unsafe` block
+//! carries a `// SAFETY:` comment (enforced by `dpmd-analyze` rule D3), and
 //! `unsafe_op_in_unsafe_fn` is denied so no operation is implicitly unsafe.
 //!
-//! # Dispatch classes and the determinism contract
+//! # One body per kernel, compiled twice
 //!
-//! Kernels are grouped into **dispatch classes** ([`DispatchClass`]):
+//! Each kernel is one portable `#[inline(always)]` body with no intrinsics,
+//! instantiated plainly (the target's baseline ISA: SSE2 on x86_64, NEON
+//! with FMA on aarch64) and, on x86_64, once more under
+//! `#[target_feature(enable = "avx2,fma")]`. [`avx2_fma`] picks the
+//! instantiation from the CPU. The two compute the same bits for every
+//! input, so which one runs is a speed choice, never a bits choice: there
+//! is no dispatch class, and a trajectory is the same bits on every host.
+//! Both `unsafe` blocks here are the call into an `avx2,fma` instantiation,
+//! and both are on the production path.
 //!
-//! * `Scalar` — the portable blocked kernel in `nnet::gemm`
-//!   (one multiply **and one add rounding** per accumulation step).
-//! * `Avx2` — x86_64 AVX2+FMA microkernels in this crate.
-//! * `Neon` — aarch64 NEON microkernels in this crate.
+//! # The GEMM contract
 //!
-//! The determinism bar is scoped *per class*: every kernel inside a class
-//! produces bitwise-identical output on every machine that selects that
-//! class. Classes are **not** bitwise-interchangeable — the SIMD classes use
-//! fused multiply-add (one rounding per step), the scalar class rounds the
-//! product and the sum separately — and that is by design: the paper's
-//! trajectories are only reproducible on the hardware class that ran them.
+//! [`gemm_nn_f32`] computes every output element `c[i][j]` as the fold
+//! `acc = a[i][p].mul_add(b[p][j], acc)` for `p = 0..k` ascending, with
+//! `acc` seeded at `+0.0`. [`f32::mul_add`] is correctly rounded on every
+//! target — one instruction where the CPU has FMA, libm `fmaf` where it
+//! does not (slow, never different) — so the fold pins the bits, and the
+//! register tiling cannot move them. Two consequences, both load-bearing
+//! for the engine:
 //!
-//! Within the SIMD classes the contract is concrete: every output element
-//! `c[i][j]` is the fold `acc = fma(a[i][p], b[p][j], acc)` for `p = 0..k`
-//! ascending, with `acc` seeded at `+0.0`. The fold never depends on `m`, on
-//! the row-group an output row landed in, or on the column-strip width —
-//! scalar tails use [`f32::mul_add`], a correctly-rounded fused operation
-//! and therefore bit-identical to the vector lanes. Two consequences, both
-//! load-bearing for the engine:
+//! 1. **Row independence**: an output row depends only on (that row of
+//!    `A`, `B`, `n`, `k`), never on `m` or on the row group it landed in,
+//!    so stacking rows (batched inference) is bitwise-invisible.
+//! 2. The plain [`reference_nn_f32`] fold reproduces the kernel **bit for
+//!    bit**, so tests pin it without per-machine golden files.
 //!
-//! 1. **Row independence**: stacking rows (batched inference) is
-//!    bitwise-invisible, exactly as for the scalar class.
-//! 2. The portable [`reference_nn_f32`] fold below reproduces the SIMD
-//!    results **bit for bit**, so tests can pin the intrinsics against safe
-//!    Rust without hardware-specific goldens.
+//! The kernel is f32 NN only, because that is all the force pipeline
+//! issues. f64 is the oracle precision — the f64 model runs on the plain
+//! `nnet::gemm::naive` fold so that it shares no code with what it checks.
+//! NT forms are absent because the engine pre-transposes every weight
+//! matrix at model build (the paper's NT→NN preprocessing).
 //!
-//! The kernels are f32 NN only, because that is all the force pipeline
-//! dispatches. f64 is the oracle precision — the f64 model runs on the
-//! plain `nnet::gemm::naive` fold so that it is the same bits on every
-//! machine and shares no code with what it checks. NT forms are absent
-//! because the engine pre-transposes every weight matrix at model build
-//! (the paper's NT→NN preprocessing), so the hot path only ever issues
-//! unit-stride NN GEMMs. Every `unsafe` block here (six: five in the GEMM
-//! microkernels, one calling the AVX2 instantiation of the activation) is
-//! therefore one the production path executes.
+//! # The activation
 //!
-//! # The activation has no dispatch class
-//!
-//! [`tanh_value_grad_f32`] is one portable function body
-//! ([`tanh_value_grad_f32_one`]) with no intrinsics and no `mul_add`,
-//! compiled twice: for the baseline ISA and, on x86_64, under
-//! `#[target_feature(enable = "avx2")]`. Rust never contracts `a*b + c`, so
-//! the two are the same bits for every input — a stronger contract than the
-//! GEMMs' — and which one runs is decided by the CPU alone, not by the GEMM
-//! dispatch class a process pinned.
+//! [`tanh_value_grad_f32`] is one body ([`tanh_value_grad_f32_one`]) with
+//! no `mul_add` at all. Rust never contracts `a*b + c`, so enabling `fma`
+//! for its second instantiation cannot move a bit either.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-/// Which family of GEMM kernels runtime dispatch selected.
-///
-/// Bitwise determinism is guaranteed *within* a class, never across classes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchClass {
-    /// Portable blocked kernel (two roundings per accumulate).
-    Scalar,
-    /// x86_64 AVX2 + FMA microkernels (fused accumulate).
-    Avx2,
-    /// aarch64 NEON microkernels (fused accumulate).
-    Neon,
-}
-
-impl DispatchClass {
-    /// Stable lowercase tag for logs, metrics and CLI output.
-    pub fn tag(self) -> &'static str {
-        match self {
-            DispatchClass::Scalar => "scalar",
-            DispatchClass::Avx2 => "avx2",
-            DispatchClass::Neon => "neon",
-        }
-    }
-}
-
-/// A GEMM kernel family: NN (`C = A·B`, row-major, overwrite) in f32.
-///
-/// Implementations must uphold the per-class fold contract documented at the
-/// crate root; in particular output rows may depend only on (that row of `A`,
-/// `B`, `n`, `k`) so that batching by row-stacking is bitwise-invisible.
-pub trait Kernel: Send + Sync {
-    /// The dispatch class this kernel belongs to.
-    fn class(&self) -> DispatchClass;
-    /// `C = A·B` in f32: `A` is `m×k`, `B` is `k×n`, `C` is `m×n`, row-major.
-    fn nn_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]);
-}
-
-/// The native SIMD kernel for this machine, if its class is available:
-/// AVX2+FMA on x86_64 (runtime-detected), NEON on aarch64 (baseline).
-/// `None` means the caller must fall back to its scalar class.
-pub fn native() -> Option<&'static dyn Kernel> {
-    // Miri interprets no std::arch vector intrinsics: always report "no
-    // native kernel" there so callers take the scalar class, which shares
-    // the same fold-order contract bit for bit. This is what lets CI run
-    // `cargo miri test -p dpmd-simd` on a SIMD host.
-    #[cfg(miri)]
+/// Whether this CPU runs the `avx2,fma` instantiations: x86_64 with both
+/// features (std caches the CPUID probe after the first call). Never under
+/// Miri, which interprets the plain instantiation.
+pub fn avx2_fma() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        None
+        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
     }
-    #[cfg(all(not(miri), target_arch = "x86_64"))]
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     {
-        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-            static KERNEL: avx2::Avx2Kernel = avx2::Avx2Kernel;
-            return Some(&KERNEL);
-        }
-        None
+        false
     }
-    #[cfg(all(not(miri), target_arch = "aarch64"))]
-    {
-        static KERNEL: neon::NeonKernel = neon::NeonKernel;
-        Some(&KERNEL)
-    }
-    #[cfg(all(not(miri), not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    {
-        None
-    }
-}
-
-/// The [`DispatchClass`] [`native`] would select, or `Scalar` if none.
-pub fn native_class() -> DispatchClass {
-    native().map_or(DispatchClass::Scalar, |k| k.class())
 }
 
 fn check_dims_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) {
@@ -137,17 +69,9 @@ fn check_dims_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32])
     assert!(c.len() >= m * n, "C too small: {} < {m}×{n}", c.len());
 }
 
-// ---------------------------------------------------------------------------
-// Portable fused-fold reference.
-//
-// This is the *semantic definition* of the SIMD dispatch classes: the
-// ascending-p single-rounding fold every AVX2/NEON kernel must reproduce bit
-// for bit. It is safe Rust (`mul_add` is a correctly-rounded fused op on
-// every target with hardware FMA) and exists so tests and proptests can pin
-// the intrinsics without per-machine golden files. It is not fast; the
-// hot path never calls it.
-
-/// Fused-fold reference `C = A·B` in f32 (bitwise-defines the SIMD classes).
+/// The fused fold, written plainly: `C = A·B` in f32, every element
+/// `acc = a[i][p].mul_add(b[p][j], acc)` for `p` ascending from `+0.0`.
+/// The semantic definition of [`gemm_nn_f32`], for tests; not fast.
 pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     check_dims_f32(m, n, k, a, b, c);
     for i in 0..m {
@@ -162,10 +86,121 @@ pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &
 }
 
 // ---------------------------------------------------------------------------
+// f32 GEMM: `C = A·B`, row-major, overwrite.
+//
+// The paper's tall-and-skinny shape: four-row groups for stacked panels,
+// then the M ≤ 3 rows left over on tiles as wide as the register file
+// allows (`R×W` accumulators: 4×16, 1×48, 2×32, 3×24 — six to nine
+// 256-bit registers), then 8-wide strips, then a scalar column tail.
+
+/// Columns of one strip after the wide tiles: a 256-bit register of f32.
+const STRIP: usize = 8;
+
+/// `C = A·B` in f32: `A` is `m×k`, `B` is `k×n`, `C` is `m×n`, row-major;
+/// `C[..m*n]` is overwritten. Every element is the fold of
+/// [`reference_nn_f32`], bit for bit, on whichever instantiation
+/// [`avx2_fma`] picks.
+///
+/// # Panics
+/// If any slice is shorter than its shape requires.
+pub fn gemm_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    check_dims_f32(m, n, k, a, b, c);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: `avx2_fma()` confirmed both target features
+        // `nn_f32_avx2` enables.
+        unsafe { nn_f32_avx2(m, n, k, a, b, c) };
+        return;
+    }
+    nn_f32(m, n, k, a, b, c);
+}
+
+/// [`nn_f32`] compiled with 256-bit vectors and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn nn_f32_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    nn_f32(m, n, k, a, b, c);
+}
+
+/// The GEMM body: four-row groups, then the M ≤ 3 tail on its own tile.
+#[inline(always)]
+fn nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let mut i = 0;
+    while i + 4 <= m {
+        rows_f32::<4, 16>(n, k, &a[i * k..], b, &mut c[i * n..]);
+        i += 4;
+    }
+    match m - i {
+        1 => rows_f32::<1, 48>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        2 => rows_f32::<2, 32>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        3 => rows_f32::<3, 24>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        _ => {}
+    }
+}
+
+/// Every column of `R` rows: `W`-wide tiles, then [`STRIP`]-wide ones, then
+/// one scalar fold per leftover column. The rows are sliced once here, at
+/// their exact lengths, so the compiler can drop the tiles' bounds checks
+/// on them.
+#[inline(always)]
+fn rows_f32<const R: usize, const W: usize>(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
+    let mut rest = c;
+    let mut c: [&mut [f32]; R] = std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        row
+    });
+    let mut j = 0;
+    while j + W <= n {
+        tile_f32::<R, W>(n, &a, b, j, &mut c);
+        j += W;
+    }
+    while j + STRIP <= n {
+        tile_f32::<R, STRIP>(n, &a, b, j, &mut c);
+        j += STRIP;
+    }
+    for j in j..n {
+        for (ar, cr) in a.iter().zip(&mut c) {
+            let mut acc = 0.0f32;
+            for (p, &x) in ar.iter().enumerate() {
+                acc = x.mul_add(b[p * n + j], acc);
+            }
+            cr[j] = acc;
+        }
+    }
+}
+
+/// Columns `j..j + W` of `R` rows (each `k` long in `a`, `n` long in `c`),
+/// accumulated in registers over all of `k`. B's rows are indexed directly:
+/// `chunks_exact(n)` would divide per tile and panics at `n = 0`.
+#[inline(always)]
+fn tile_f32<const R: usize, const W: usize>(
+    n: usize,
+    a: &[&[f32]; R],
+    b: &[f32],
+    j: usize,
+    c: &mut [&mut [f32]; R],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..a[0].len() {
+        let bp = &b[p * n + j..][..W];
+        for (row, ar) in acc.iter_mut().zip(a) {
+            let ap = ar[p];
+            for (x, &y) in row.iter_mut().zip(bp) {
+                *x = ap.mul_add(y, *x);
+            }
+        }
+    }
+    for (row, cr) in acc.iter().zip(c) {
+        cr[j..j + W].copy_from_slice(row);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // f32 tanh activation: value and derivative factor in one pass.
 //
-// One portable body, no intrinsics and no `mul_add`, instantiated for the
-// baseline ISA and (x86_64) once more under AVX2. Every operation is an
+// One portable body, no intrinsics and no `mul_add`. Every operation is an
 // IEEE-exact f32 add / mul / div, an integer op on the bits, or a select,
 // and Rust never contracts `a*b + c`, so the instantiations cannot differ.
 
@@ -232,264 +267,27 @@ fn tanh_rows(x: &mut [f32], dfac: &mut [f32]) {
 
 /// In place over equal-length slices: `x ← tanh x`, `dfac ← 1 − tanh² x`.
 ///
-/// Runs the AVX2 instantiation where [`native`] detects it, the baseline
-/// one otherwise. Both are [`tanh_value_grad_f32_one`] element for element,
-/// bit for bit, so the activation has no dispatch class.
+/// Runs the `avx2,fma` instantiation where [`avx2_fma`] detects it, the
+/// plain one otherwise. Both are [`tanh_value_grad_f32_one`] element for
+/// element, bit for bit.
 pub fn tanh_value_grad_f32(x: &mut [f32], dfac: &mut [f32]) {
     assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
-    #[cfg(all(not(miri), target_arch = "x86_64"))]
-    if native().is_some() {
-        // SAFETY: `native()` is `Some` on x86_64 only after
-        // `is_x86_feature_detected!` confirmed avx2, the one target
-        // feature `tanh_rows_avx2` enables.
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: `avx2_fma()` confirmed both target features
+        // `tanh_rows_avx2` enables.
         unsafe { tanh_rows_avx2(x, dfac) };
         return;
     }
     tanh_rows(x, dfac);
 }
 
-/// [`tanh_value_grad_f32`] pinned to the baseline-ISA instantiation
-/// (SSE2 / NEON auto-vectorised), for the tests and the bench that compare
-/// the two.
-pub fn tanh_value_grad_f32_baseline(x: &mut [f32], dfac: &mut [f32]) {
-    assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
-    tanh_rows(x, dfac);
-}
-
-/// [`tanh_rows`] compiled with 256-bit vectors. No `fma`: the body must
-/// round every product, as the baseline instantiation does.
+/// [`tanh_rows`] compiled with 256-bit vectors. The body has no `mul_add`
+/// and Rust never contracts, so `fma` rounds no product differently.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
     tanh_rows(x, dfac);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 + FMA (x86_64)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use core::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-
-    /// f32 lanes per 256-bit register.
-    const LF32: usize = 8;
-
-    pub(crate) struct Avx2Kernel;
-
-    impl crate::Kernel for Avx2Kernel {
-        fn class(&self) -> crate::DispatchClass {
-            crate::DispatchClass::Avx2
-        }
-
-        fn nn_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-            crate::check_dims_f32(m, n, k, a, b, c);
-            // SAFETY: `Avx2Kernel` is only handed out by `crate::native()`
-            // after `is_x86_feature_detected!` confirmed both avx2 and fma,
-            // so the target features `nn_f32` requires are present.
-            unsafe { nn_f32(m, n, k, a, b, c) }
-        }
-    }
-
-    /// Register tile: `R` output rows × `S` eight-lane column strips.
-    ///
-    /// The fold for each output element is `p` ascending with one FMA per
-    /// step, independent of `R`/`S` — grouping choices are bitwise-invisible.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn micro_f32<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f32],      // ≥ R rows, row stride k
-        b: &[f32],      // k×n row-major
-        j: usize,       // first column of this strip; j + S·LF32 ≤ n
-        c: &mut [f32],  // ≥ R rows, row stride n
-    ) {
-        debug_assert!(j + S * LF32 <= n);
-        let bp = b.as_ptr();
-        let mut acc = [[_mm256_setzero_ps(); S]; R];
-        for p in 0..k {
-            let mut bv = [_mm256_setzero_ps(); S];
-            for (s, lane) in bv.iter_mut().enumerate() {
-                // SAFETY: entry asserts give b.len() ≥ k·n; with p < k and
-                // j + S·LF32 ≤ n every strip read ends at or before
-                // p·n + j + S·LF32 ≤ k·n.
-                *lane = unsafe { _mm256_loadu_ps(bp.add(p * n + j + s * LF32)) };
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(a[r * k + p]);
-                for (s, cell) in row.iter_mut().enumerate() {
-                    *cell = _mm256_fmadd_ps(av, bv[s], *cell);
-                }
-            }
-        }
-        let cp = c.as_mut_ptr();
-        for (r, row) in acc.iter().enumerate() {
-            for (s, cell) in row.iter().enumerate() {
-                // SAFETY: entry asserts give c.len() ≥ R rows of stride n
-                // and j + S·LF32 ≤ n, so each store ends at or before
-                // r·n + j + S·LF32 ≤ R·n ≤ c.len().
-                unsafe { _mm256_storeu_ps(cp.add(r * n + j + s * LF32), *cell) };
-            }
-        }
-    }
-
-    /// All columns for a fixed group of `R` rows: wide strips, then single
-    /// registers, then a scalar `mul_add` tail (bit-identical fold).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn rows_f32<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        let mut j = 0;
-        while j + S * LF32 <= n {
-            micro_f32::<R, S>(k, n, a, b, j, c);
-            j += S * LF32;
-        }
-        while j + LF32 <= n {
-            micro_f32::<R, 1>(k, n, a, b, j, c);
-            j += LF32;
-        }
-        for jj in j..n {
-            for r in 0..R {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc = a[r * k + p].mul_add(b[p * n + jj], acc);
-                }
-                c[r * n + jj] = acc;
-            }
-        }
-    }
-
-    /// `C = A·B` (overwrite). Dedicated tall-skinny microkernels serve the
-    /// paper's M ≤ 3 shapes with the widest strips; taller panels run
-    /// four-row groups with the remainder on the M ≤ 3 kernels.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        let mut i = 0;
-        while i + 4 <= m {
-            rows_f32::<4, 2>(k, n, &a[i * k..], b, &mut c[i * n..]);
-            i += 4;
-        }
-        match m - i {
-            1 => rows_f32::<1, 6>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            2 => rows_f32::<2, 4>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            3 => rows_f32::<3, 3>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NEON (aarch64)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use core::arch::aarch64::{vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
-
-    /// f32 lanes per 128-bit register.
-    const LF32: usize = 4;
-
-    pub(crate) struct NeonKernel;
-
-    // NEON is part of the aarch64 baseline target features, so no runtime
-    // detection and no `#[target_feature]` attributes are needed; only the
-    // pointer loads/stores are unsafe.
-
-    impl crate::Kernel for NeonKernel {
-        fn class(&self) -> crate::DispatchClass {
-            crate::DispatchClass::Neon
-        }
-
-        fn nn_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-            crate::check_dims_f32(m, n, k, a, b, c);
-            nn_f32(m, n, k, a, b, c);
-        }
-    }
-
-    /// Register tile: `R` output rows × `S` four-lane column strips; the
-    /// same ascending-p single-FMA fold as the AVX2 kernels, so the
-    /// portable fused reference pins this class bit for bit too.
-    fn micro_f32<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        j: usize,
-        c: &mut [f32],
-    ) {
-        debug_assert!(j + S * LF32 <= n);
-        let bp = b.as_ptr();
-        let mut acc = [[vdupq_n_f32(0.0); S]; R];
-        for p in 0..k {
-            let mut bv = [vdupq_n_f32(0.0); S];
-            for (s, lane) in bv.iter_mut().enumerate() {
-                // SAFETY: entry asserts give b.len() ≥ k·n; p < k and
-                // j + S·LF32 ≤ n bound every lane read by k·n.
-                *lane = unsafe { vld1q_f32(bp.add(p * n + j + s * LF32)) };
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f32(a[r * k + p]);
-                for (s, cell) in row.iter_mut().enumerate() {
-                    *cell = vfmaq_f32(*cell, av, bv[s]);
-                }
-            }
-        }
-        let cp = c.as_mut_ptr();
-        for (r, row) in acc.iter().enumerate() {
-            for (s, cell) in row.iter().enumerate() {
-                // SAFETY: c.len() ≥ R rows of stride n (entry asserts) and
-                // j + S·LF32 ≤ n bound every store by R·n ≤ c.len().
-                unsafe { vst1q_f32(cp.add(r * n + j + s * LF32), *cell) };
-            }
-        }
-    }
-
-    fn rows_f32<const R: usize, const S: usize>(
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        let mut j = 0;
-        while j + S * LF32 <= n {
-            micro_f32::<R, S>(k, n, a, b, j, c);
-            j += S * LF32;
-        }
-        while j + LF32 <= n {
-            micro_f32::<R, 1>(k, n, a, b, j, c);
-            j += LF32;
-        }
-        for jj in j..n {
-            for r in 0..R {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc = a[r * k + p].mul_add(b[p * n + jj], acc);
-                }
-                c[r * n + jj] = acc;
-            }
-        }
-    }
-
-    fn nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        let mut i = 0;
-        while i + 4 <= m {
-            rows_f32::<4, 4>(k, n, &a[i * k..], b, &mut c[i * n..]);
-            i += 4;
-        }
-        match m - i {
-            1 => rows_f32::<1, 8>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            2 => rows_f32::<2, 6>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            3 => rows_f32::<3, 4>(k, n, &a[i * k..], b, &mut c[i * n..]),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -519,40 +317,54 @@ mod tests {
         (17, 33, 12),
     ];
 
-    /// The native kernel (when present) must reproduce the portable fused
-    /// fold bit for bit on every edge shape — this is the class contract.
-    #[test]
-    fn native_matches_fused_reference_bitwise() {
-        let Some(kernel) = native() else { return };
-        let mut rng = Rng(0x9e3779b97f4a7c15);
-        for &(m, n, k) in EDGE_SHAPES {
-            let a32: Vec<f32> = (0..m * k).map(|_| rng.next_unit() as f32).collect();
-            let b32: Vec<f32> = (0..k * n).map(|_| rng.next_unit() as f32).collect();
-            let mut want32 = vec![0.0f32; m * n];
-            let mut got32 = vec![1.5f32; m * n]; // poison: kernels overwrite
-            reference_nn_f32(m, n, k, &a32, &b32, &mut want32);
-            kernel.nn_f32(m, n, k, &a32, &b32, &mut got32);
-            if m * n > 0 {
-                assert_eq!(want32, got32, "f32 {m}x{n}x{k} ({:?})", kernel.class());
+    /// m on every row path (four-row groups, each M ≤ 3 tail, both), n
+    /// ragged around every tile and strip width, k = 0 included. Miri
+    /// interprets, so it gets a few of each and the small edge shapes.
+    fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+        let (ms, ns, ks): (&[usize], &[usize], &[usize]) = if cfg!(miri) {
+            (&[1, 2, 3, 5], &[0, 9, 17, 25, 33, 49], &[0, 2])
+        } else {
+            (
+                &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+                &[0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 97],
+                &[0, 1, 7],
+            )
+        };
+        let mut shapes: Vec<_> =
+            EDGE_SHAPES.iter().copied().filter(|&(m, n, k)| !cfg!(miri) || m * n * k <= 4096).collect();
+        for &m in ms {
+            for &n in ns {
+                shapes.extend(ks.iter().map(|&k| (m, n, k)));
             }
         }
+        shapes
     }
 
-    /// Row independence: computing a stacked panel equals computing each row
-    /// alone, bit for bit — the property batched inference leans on.
+    /// Both instantiations are the fused fold bit for bit, overwrite every
+    /// element of a poison-filled output, and compute each row of a stacked
+    /// panel exactly as they compute it alone.
     #[test]
-    fn native_rows_are_independent_bitwise() {
-        let Some(kernel) = native() else { return };
-        let (m, n, k) = (7, 50, 33);
-        let mut rng = Rng(42);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.next_unit() as f32).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.next_unit() as f32).collect();
-        let mut stacked = vec![0.0f32; m * n];
-        kernel.nn_f32(m, n, k, &a, &b, &mut stacked);
-        for i in 0..m {
-            let mut solo = vec![0.0f32; n];
-            kernel.nn_f32(1, n, k, &a[i * k..(i + 1) * k], &b, &mut solo);
-            assert_eq!(&stacked[i * n..(i + 1) * n], &solo[..], "row {i}");
+    fn gemm_instantiations_are_the_fused_fold_bitwise() {
+        type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+        let poison = f32::from_bits(0x7fc0_dead);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dispatched = if avx2_fma() { "avx2,fma" } else { "dispatched plain" };
+        let mut rng = Rng(0x9e3779b97f4a7c15);
+        for (m, n, k) in gemm_shapes() {
+            let a: Vec<f32> = (0..m * k).map(|_| rng.next_unit() as f32).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.next_unit() as f32).collect();
+            let mut want = vec![0.0f32; m * n];
+            reference_nn_f32(m, n, k, &a, &b, &mut want);
+            for (inst, gemm) in [("plain", nn_f32 as Gemm), (dispatched, gemm_nn_f32)] {
+                let mut got = vec![poison; m * n];
+                gemm(m, n, k, &a, &b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{inst} {m}x{n}x{k}");
+                for i in 0..m {
+                    let mut solo = vec![poison; n];
+                    gemm(1, n, k, &a[i * k..(i + 1) * k], &b, &mut solo);
+                    assert_eq!(bits(&solo), bits(&want[i * n..(i + 1) * n]), "{inst} row {i} of {m}x{n}x{k}");
+                }
+            }
         }
     }
 
@@ -633,12 +445,12 @@ mod tests {
             let (mut a, mut da) = (xs.to_vec(), vec![0.0f32; xs.len()]);
             let (mut b, mut db) = (xs.to_vec(), vec![7.0f32; xs.len()]);
             tanh_value_grad_f32(&mut a, &mut da);
-            tanh_value_grad_f32_baseline(&mut b, &mut db);
+            tanh_rows(&mut b, &mut db);
             for (i, &x) in xs.iter().enumerate() {
                 let (t, d) = tanh_value_grad_f32_one(x);
                 let want = (t.to_bits(), d.to_bits());
                 assert_eq!((a[i].to_bits(), da[i].to_bits()), want, "dispatched, {x:e} at {i}");
-                assert_eq!((b[i].to_bits(), db[i].to_bits()), want, "baseline, {x:e} at {i}");
+                assert_eq!((b[i].to_bits(), db[i].to_bits()), want, "plain, {x:e} at {i}");
             }
         };
         let mut rng = Rng(0x2545f4914f6cdd1d);
@@ -654,17 +466,5 @@ mod tests {
         let sweep = tanh_sweep();
         same(&sweep);
         same(&sweep.iter().map(|x| -x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn class_tags_are_stable() {
-        assert_eq!(DispatchClass::Scalar.tag(), "scalar");
-        assert_eq!(DispatchClass::Avx2.tag(), "avx2");
-        assert_eq!(DispatchClass::Neon.tag(), "neon");
-        let class = native_class();
-        if let Some(k) = native() {
-            assert_eq!(k.class(), class);
-            assert_ne!(class, DispatchClass::Scalar);
-        }
     }
 }

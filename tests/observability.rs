@@ -277,15 +277,7 @@ fn golden_metrics_snapshot_cu10() {
         .build();
     engine.run(10);
 
-    // The GEMM dispatch counter is named for the machine's kernel class
-    // (`nnet.gemm.dispatch.{scalar|avx2|neon}.calls`); normalize the tag so
-    // one golden file serves every class. The counter *values* are
-    // class-independent — dispatch changes arithmetic, never call structure.
-    let tag = dpmd_repro::nnet::gemm::dispatch::active_class().tag();
-    let json = registry
-        .snapshot_deterministic()
-        .to_json()
-        .replace(&format!("nnet.gemm.dispatch.{tag}."), "nnet.gemm.dispatch.CLASS.");
+    let json = registry.snapshot_deterministic().to_json();
     let path = golden_path();
     if std::env::var("DPMD_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
