@@ -8,32 +8,41 @@
 //! 1. builds each job's environments (`crate::descriptor`);
 //! 2. cuts the work into **tiles** — `(job, atom range)` for every range of
 //!    [`dpmd_threads::atom_chunks`]`(nlocal)`, in job-then-chunk order;
-//! 3. runs the **embedding pass** as one `pool.scope` over all tiles of all
-//!    jobs: per atom, the environment's same-species entries stack into one
-//!    GEMM pair per layer (`DpEngine::embed_atom32`);
-//! 4. runs the **fitting pass** as a second `pool.scope` over the same
-//!    tiles: a tile groups its atoms by central species, stacks their
-//!    descriptor rows and runs the fitting net forward and backward as one
-//!    GEMM per layer and direction (`Fit32::value_grad_rows` — the paper's
-//!    type-sorted batching at the granularity of the few atoms one core
-//!    owns), then walks its atoms in atom order through the chain rule,
-//!    scattering f64 forces into the tile's own buffer;
-//! 5. merges tiles into their job's outputs in tile order.
+//! 3. runs every tile of every job in **one `pool.scope`**. A tile embeds
+//!    its atoms (`DpEngine::embed_tile`: per atom, the environment's
+//!    same-species entries stack into one feature-major GEMM pair per
+//!    layer, then T) and, while G and dG/ds are still in the core's cache,
+//!    fits them (`DpEngine::fit_tile`): it groups its atoms by central
+//!    species, stacks their descriptor rows and runs the fitting net
+//!    forward and backward as one GEMM per layer and direction
+//!    (`Fit32::value_grad_rows` — the paper's type-sorted batching at the
+//!    granularity of the few atoms one core owns), then walks its atoms in
+//!    atom order through the chain rule, scattering f64 forces into the
+//!    tile's own buffer;
+//! 4. merges tiles into their job's outputs in tile order.
 //!
-//! Tiles of different jobs share the two scopes, so a pool stays busy on a
+//! Tiles of different jobs share the scope, so a pool stays busy on a
 //! round of many small tenants; nothing is stacked *across* jobs (on this
-//! kernel set a tile's 8–14 rows already run at large-M throughput).
+//! kernel set a tile's 8–14 rows already run at large-M throughput). Only
+//! the tiles in flight hold embeddings: one `TileScratch` each, dropped
+//! with the task.
+//!
+//! The fused scope is timed as a whole; [`ForcePhases::embedding_s`] and
+//! [`ForcePhases::fitting_s`] split that wall time in proportion to the
+//! thread time the tiles spent in each stage, summed over tiles.
 //!
 //! **Bitwise determinism** — a job's energy, virial and forces do not
 //! depend on the pool width, on which other jobs share the call, or on its
 //! position among them — rests on two properties:
 //!
-//! 1. *Row independence.* Every NN kernel produces output rows that depend
-//!    only on the matching input row, folded ascending-k from a zero
-//!    accumulator (`nnet::gemm` module notes); the bias add and the resnet
-//!    apply per row and the activation per element (one f32 kernel whose
-//!    bits do not depend on the slice it is handed or on the host). How
-//!    rows are grouped into GEMM calls is therefore invisible.
+//! 1. *Row independence.* Every GEMM output element is a fold, ascending-k
+//!    from a zero accumulator, of one row of `A` and one column of `B`
+//!    (`nnet::gemm` module notes): a fitting row depends only on its atom's
+//!    descriptor row, a feature-major embedding column only on its
+//!    neighbour's column. The bias add and the resnet apply per element
+//!    and so does the activation (one f32 kernel whose bits do not depend
+//!    on the slice it is handed or on the host). How atoms or neighbours
+//!    are grouped into GEMM calls is therefore invisible.
 //! 2. *Fixed tile and merge order.* The tiling is a function of each job's
 //!    atom count alone; every order-dependent f64 accumulation (per-atom
 //!    energies, force scatter, virial) runs inside one tile in atom order,
@@ -55,7 +64,7 @@ use minimd::vec3::Vec3;
 use nnet::precision::Precision;
 
 use crate::descriptor::{build_environments_on, Environment};
-use crate::engine::{AtomEmbed32, DpEngine, EmbScratch, TileOut};
+use crate::engine::{DpEngine, TileOut, TileScratch};
 
 /// One system's force evaluation request: borrowed system state plus the
 /// (caller-zeroed) force buffer to accumulate into.
@@ -85,8 +94,8 @@ pub struct BatchEvalStats {
     pub fused_rows: u64,
     /// Jobs delegated to the f64 reference model (`Precision::Double`).
     pub solo_fallbacks: u64,
-    /// Wall time of each pass over the whole call (per-job wall time is not
-    /// separable: tiles of all jobs share the passes).
+    /// Wall time of each phase over the whole call (per-job wall time is
+    /// not separable: tiles of all jobs share the scope).
     pub phases: ForcePhases,
 }
 
@@ -104,12 +113,24 @@ impl BatchWorkspace {
 }
 
 /// One unit of pool work: an [`atom_chunks`] range of one job, carrying its
-/// intermediates from the embedding pass to the fitting pass to the merge.
+/// outputs and its per-stage thread time to the merge.
 struct Tile {
     job: usize,
     atoms: Range<usize>,
-    embeds: Vec<AtomEmbed32>,
     out: Option<TileOut>,
+    embed_s: f64,
+    fit_s: f64,
+}
+
+/// Split the fused scope's wall time `wall_s` into (embedding, fitting) in
+/// proportion to the thread time the tiles spent in each stage. The two
+/// parts are finite and non-negative and sum to `wall_s` up to one
+/// rounding; with no thread time recorded (no tile, or a clock too coarse
+/// to see one) they are equal.
+fn split_fused(wall_s: f64, embed_s: f64, fit_s: f64) -> (f64, f64) {
+    let busy = embed_s + fit_s;
+    let embedding = if busy > 0.0 { wall_s * (embed_s / busy) } else { 0.5 * wall_s };
+    (embedding, wall_s - embedding)
 }
 
 impl DpEngine {
@@ -186,36 +207,31 @@ impl DpEngine {
             .flat_map(|(job, j)| {
                 atom_chunks(j.atoms.nlocal)
                     .into_iter()
-                    .map(move |atoms| Tile { job, atoms, embeds: Vec::default(), out: None })
+                    .map(move |atoms| Tile { job, atoms, out: None, embed_s: 0.0, fit_s: 0.0 })
             })
             .collect(); // dpmd-allow D5: one entry per tile per call
 
-        // Pass 2: embedding in f32, intermediates stored per atom.
-        let t0 = wall_now();
-        pool.scope(|sc| {
-            for tile in tiles.iter_mut() {
-                let envs = &envs[tile.job][tile.atoms.start..tile.atoms.end];
-                let embeds = &mut tile.embeds;
-                sc.spawn(move || {
-                    let mut scratch = EmbScratch::default();
-                    embeds.extend(envs.iter().map(|env| self.embed_atom32(env, &mut scratch)));
-                });
-            }
-        });
-        phases.embedding_s = t0.elapsed().as_secs_f64();
-
-        // Pass 3: fitting + chain rule, one f64 force buffer per tile.
+        // Embedding, fitting and chain rule of each tile back to back, in
+        // f32 on the tile's own scratch; one f64 force buffer per tile.
         let t0 = wall_now();
         pool.scope(|sc| {
             for tile in tiles.iter_mut() {
                 let atoms = jobs[tile.job].atoms;
                 let envs = &envs[tile.job][tile.atoms.start..tile.atoms.end];
                 sc.spawn(move || {
-                    tile.out = Some(self.fit_tile(atoms, tile.atoms.start, envs, &tile.embeds));
+                    let mut scratch = TileScratch::default();
+                    let t = wall_now();
+                    self.embed_tile(envs, &mut scratch);
+                    tile.embed_s = t.elapsed().as_secs_f64();
+                    let t = wall_now();
+                    tile.out = Some(self.fit_tile(atoms, tile.atoms.start, envs, &mut scratch));
+                    tile.fit_s = t.elapsed().as_secs_f64();
                 });
             }
         });
-        phases.fitting_s = t0.elapsed().as_secs_f64();
+        let fused_s = t0.elapsed().as_secs_f64();
+        let (embed_s, fit_s) = tiles.iter().fold((0.0, 0.0), |(e, f), t| (e + t.embed_s, f + t.fit_s));
+        (phases.embedding_s, phases.fitting_s) = split_fused(fused_s, embed_s, fit_s);
 
         // Deterministic fixed-order reduction: tiles fold into their job in
         // tile (= chunk) order.
@@ -317,6 +333,42 @@ mod tests {
             let (outs, bufs) = eval(&[], true);
             assert!(outs.is_empty() && bufs.is_empty());
         }
+    }
+
+    /// The fused scope's wall time is split between embedding and fitting
+    /// by the tiles' thread time. At one and two threads on both mixed
+    /// precisions, both parts are finite and positive (the benchmark
+    /// divides by them) and, with the descriptor and reduction phases, fit
+    /// inside the call; the split itself sums to the wall time it is given,
+    /// also when no thread time was seen.
+    #[test]
+    fn fused_scope_time_splits_into_embedding_and_fitting() {
+        let (bx, atoms, nl) = water_system(2, 31);
+        let model = DeepPotModel::new(DeepPotConfig::tiny(2, 4.0));
+        for precision in [Precision::Mix32, Precision::Mix16] {
+            for threads in [1usize, 2] {
+                let pool = std::sync::Arc::new(dpmd_threads::ThreadPool::new(threads));
+                let engine = DpEngine::new(model.clone(), precision).with_pool(pool);
+                let mut forces = vec![Vec3::ZERO; atoms.len()];
+                let t0 = wall_now();
+                let (_, stats) =
+                    engine.energy_forces_batched(&mut [BatchJob { atoms: &atoms, nl: &nl, bx: &bx, forces: &mut forces }]);
+                let call_s = t0.elapsed().as_secs_f64();
+                let p = stats.phases;
+                let what = format!("{precision:?}, {threads} threads: {p:?}");
+                for part in [p.embedding_s, p.fitting_s] {
+                    assert!(part.is_finite() && part > 0.0, "{what}");
+                }
+                assert!(p.total() <= call_s, "{what}: phases exceed the call's {call_s:e} s");
+                assert_eq!(engine.last_phases(), Some(p), "{what}");
+            }
+        }
+        for (wall, embed, fit) in [(1e-3, 2e-4, 6e-4), (3e-3, 0.0, 5e-4), (7.25e-4, 1e-9, 1.0), (1e-3, 0.0, 0.0)] {
+            let (e, f) = split_fused(wall, embed, fit);
+            assert!(e.is_finite() && f.is_finite() && e >= 0.0 && f >= 0.0, "{wall} {embed} {fit}: {e} {f}");
+            assert!((e + f - wall).abs() <= f64::EPSILON * wall, "{wall} {embed} {fit}: {e} + {f}");
+        }
+        assert_eq!(split_fused(1e-3, 0.0, 0.0), (5e-4, 5e-4));
     }
 
     /// Two species (water): the type-sorted grouping must respect per-atom

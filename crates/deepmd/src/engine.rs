@@ -11,14 +11,25 @@
 //! Every evaluation — [`DpEngine::energy_forces`], the
 //! [`Potential`] adapter, the batched entry points — is one call of the
 //! pipeline in [`crate::batch`], which cuts jobs into tiles of a few atoms
-//! and runs this module's two per-tile kernels over them:
-//! `DpEngine::embed_atom32` (type-sorted embedding GEMMs, per atom) and
-//! `DpEngine::fit_tile` (type-sorted stacked fitting GEMMs, then the chain
-//! rule and the f64 force scatter in atom order). Both nets run a layer the
-//! same way: GEMM, `+ bias` per row, then the f32 activation kernel
-//! (`Activation::value_grad_rows_f32`) in place over the whole GEMM output,
-//! which leaves the derivative factors the tangent / backward pass needs;
-//! no transcendental is evaluated one element at a time.
+//! and runs each tile through this module's two stages back to back, on one
+//! `TileScratch`:
+//!
+//! 1. `DpEngine::embed_tile` — per atom, type-sorted embedding GEMMs, then
+//!    the T accumulation (`dpmd_simd::env_t_f32`);
+//! 2. `DpEngine::fit_tile` — type-sorted stacked fitting GEMMs, then per
+//!    atom the chain rule through T (`dpmd_simd::env_chain_f32`) and the
+//!    f64 projection and force scatter, in atom and entry order.
+//!
+//! Both nets run a layer the same way: GEMM, `+ bias`, then the f32
+//! activation kernel (`Activation::value_grad_rows_f32`) in place over the
+//! whole GEMM output, which leaves the derivative factors the tangent /
+//! backward pass needs; no transcendental is evaluated one element at a
+//! time. The fitting net is row-major (one row per atom). The embedding net
+//! is feature-major — `Yᵀ = Wᵀ·Xᵀ`, one row per feature, one column per
+//! neighbour — so G and dG/ds come out as the `m1 × n` operands the
+//! environment kernels take. Each element is still the ascending-`p`
+//! `mul_add` fold of the row-major form, because `mul_add(a, b, c)` equals
+//! `mul_add(b, a, c)`: the layout moves no bit.
 //!
 //! The mixed paths share the exact dataflow of
 //! [`crate::model::DeepPotModel`]; Table II and Fig. 6 measure how far the
@@ -45,11 +56,12 @@ use crate::batch::BatchJob;
 use crate::descriptor::Environment;
 use crate::model::DeepPotModel;
 
-/// One embedding layer: (w in×out, b, act, resnet, in, out).
+/// One embedding layer: (wᵀ out×in, b, act, resnet, in, out).
 type EmbLayer32 = (Vec<f32>, Vec<f32>, Activation, Resnet, usize, usize);
 
-/// One embedding net with weights cast to f32, once at engine construction
-/// — the paper's initialization-phase preprocessing.
+/// One embedding net with weights cast to f32 and transposed for the
+/// feature-major layout, once at engine construction — the paper's
+/// initialization-phase preprocessing.
 #[derive(Clone, Debug)]
 struct Emb32 {
     layers: Vec<EmbLayer32>,
@@ -63,7 +75,7 @@ impl Emb32 {
             .iter()
             .map(|l| {
                 (
-                    l.w.as_slice().iter().map(|&x| x as f32).collect(),
+                    l.w.transpose().as_slice().iter().map(|&x| x as f32).collect(),
                     l.b.iter().map(|&x| x as f32).collect(),
                     l.act,
                     l.resnet,
@@ -76,7 +88,7 @@ impl Emb32 {
     }
 }
 
-/// The step between two GEMMs of either net, in place over a whole
+/// The step between two fitting-net GEMMs, in place over a whole
 /// `rows × outd` GEMM output: `+ bias` per row, then the activation over
 /// the block, leaving its derivative factors in `dfac`.
 fn bias_activation(act: Activation, b: &[f32], out: &mut [f32], dfac: &mut Vec<f32>) {
@@ -88,6 +100,13 @@ fn bias_activation(act: Activation, b: &[f32], out: &mut [f32], dfac: &mut Vec<f
     dfac.clear();
     dfac.resize(out.len(), 0.0);
     act.value_grad_rows_f32(out, dfac);
+}
+
+/// `out[i] += x[i]`: an embedding resnet skip over whole feature rows.
+fn add_rows(out: &mut [f32], x: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o += v;
+    }
 }
 
 /// One fitting layer: (w in×out, wᵀ out×in, b, act, resnet, in, out).
@@ -239,13 +258,16 @@ impl Fit32 {
     }
 }
 
-/// Reusable buffers of the type-sorted f32 embedding pass: one instance per
-/// tile, so the per-atom GEMM staging allocates only on growth.
+/// Everything one tile computes between its embedding and its force
+/// scatter, in flat arrays that only grow: one instance per tile, so no
+/// buffer is allocated per atom, and a tile's embeddings are still in cache
+/// when its chain rule reads them. Atom `l` of the tile owns the tile-wide
+/// entries `off[l]..off[l + 1]`.
 #[derive(Default)]
-pub(crate) struct EmbScratch {
-    /// Entry positions of the type currently being batched.
+pub(crate) struct TileScratch {
+    /// Entry positions of the species currently being embedded.
     idx: Vec<u32>,
-    /// Value rows entering the current layer (`rows × ind`).
+    /// Feature rows entering the current embedding layer (`ind × rows`).
     val: Vec<f32>,
     /// Tangent rows (∂/∂s of the value rows), same shape.
     tan: Vec<f32>,
@@ -254,15 +276,28 @@ pub(crate) struct EmbScratch {
     /// The layer's tangent GEMM output; next layer's `tan`.
     dpre: Vec<f32>,
     dfac: Vec<f32>,
-}
-
-/// Per-atom intermediates of the f32 embedding pass (Mix32/Mix16 paths).
-#[derive(Default)]
-pub(crate) struct AtomEmbed32 {
+    /// Per-atom offsets into the tile's entries (`atoms + 1` of them).
+    off: Vec<usize>,
+    /// G per atom, `m1 × n` feature-major, at `off[l]·m1`.
     g: Vec<f32>,
+    /// dG/ds per atom, same layout.
     dg_ds: Vec<f32>,
+    /// R̃ per atom in f32, `4 × n` component-major, at `off[l]·4`.
+    coords: Vec<f32>,
+    /// T per atom, `m1 × 4`, at `l·m1·4`.
     t: Vec<f32>,
-    coords: Vec<[f32; 4]>,
+    /// The fitting net's tape, reused across the tile's central species.
+    tape: FitTape,
+    /// Per-atom fitting energy.
+    efit: Vec<f32>,
+    /// Per-atom ∂E/∂D, one descriptor-length row per atom.
+    de_dd: Vec<f32>,
+    /// ∂E/∂T of the current atom (`m1 × 4`).
+    dt: Vec<f32>,
+    /// ∂E/∂s per entry of the current atom.
+    de_ds: Vec<f32>,
+    /// ∂E/∂R̃ of the current atom, `4 × n` component-major.
+    de_drt: Vec<f32>,
 }
 
 /// What one fitting tile hands to the merge.
@@ -358,25 +393,48 @@ impl DpEngine {
         self.energy_forces(atoms, nl, bx, &mut forces).energy
     }
 
-    /// f32 embedding pass for one atom (Mix32/Mix16), **type-sorted**: the
-    /// environment's same-type entries stack into one GEMM pair per layer
-    /// (value rows from `s`, tangent rows from `∂s/∂s = 1`) — the paper's
-    /// "sort environment matrices by type so one GEMM serves all same-type
-    /// neighbours". Each layer is GEMM → `+ bias` → activation over the
-    /// whole block in place → resnet, the same convention as the fitting
-    /// net; its outputs become the next layer's inputs by swap. Row
-    /// independence of the kernels makes the grouping bitwise-invisible. The order-sensitive T
-    /// accumulation then replays in original entry order.
-    pub(crate) fn embed_atom32(&self, env: &Environment, scratch: &mut EmbScratch) -> AtomEmbed32 {
+    /// Embed every atom of a tile into `s` (see [`embed_atom32`](Self::embed_atom32)),
+    /// after laying out the tile's per-atom offsets.
+    pub(crate) fn embed_tile(&self, envs: &[Environment], s: &mut TileScratch) {
+        let m1 = self.model.config.m1();
+        s.off.clear();
+        s.off.push(0);
+        let mut entries = 0;
+        for env in envs {
+            entries += env.entries.len();
+            s.off.push(entries);
+        }
+        // Every element is overwritten before it is read.
+        s.g.resize(entries * m1, 0.0);
+        s.dg_ds.resize(entries * m1, 0.0);
+        s.coords.resize(entries * 4, 0.0);
+        s.t.resize(envs.len() * m1 * 4, 0.0);
+        for (l, env) in envs.iter().enumerate() {
+            self.embed_atom32(env, l, s);
+        }
+    }
+
+    /// f32 embedding of atom `l` of a tile (Mix32/Mix16), **type-sorted**:
+    /// the environment's same-type entries stack into one GEMM pair per
+    /// layer (value columns from `s`, tangent columns from `∂s/∂s = 1`) —
+    /// the paper's "sort environment matrices by type so one GEMM serves
+    /// all same-type neighbours". Each layer is GEMM → `+ bias` per feature
+    /// row → activation over the whole block in place → resnet as row adds;
+    /// its outputs become the next layer's inputs by swap. Column
+    /// independence of the GEMM makes the grouping bitwise-invisible. The
+    /// last layer's columns land in the atom's G and dG/ds (a copy when
+    /// every entry is of one species, a column scatter otherwise), then
+    /// `dpmd_simd::env_t_f32` folds T in entry order.
+    pub(crate) fn embed_atom32(&self, env: &Environment, l: usize, s: &mut TileScratch) {
         let m1 = self.model.config.m1();
         let inv_nm = 1.0f32 / self.model.config.nmax as f32;
         let n = env.entries.len();
-        let mut g = vec![0.0f32; n * m1]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut dg_ds = vec![0.0f32; n * m1]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut t = vec![0.0f32; m1 * 4]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut coords = vec![[0.0f32; 4]; n]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
         let tally = self.obs.as_ref().map(|o| &o.gemm);
-        let EmbScratch { idx, val, tan, pre, dpre, dfac } = scratch;
+        let TileScratch { idx, val, tan, pre, dpre, dfac, off, g, dg_ds, coords, t, .. } = s;
+        let at = off[l];
+        let g = &mut g[at * m1..(at + n) * m1];
+        let dg_ds = &mut dg_ds[at * m1..(at + n) * m1];
+        let coords = &mut coords[at * 4..(at + n) * 4];
         for (ty, emb_net) in self.emb32.iter().enumerate() {
             idx.clear();
             idx.extend(
@@ -394,78 +452,70 @@ impl DpEngine {
             val.extend(idx.iter().map(|&k| env.entries[k as usize].s as f32));
             tan.clear();
             tan.resize(rows, 1.0);
-            for (w, b, act, resnet, ind, outd) in &emb_net.layers {
+            for (wt, b, act, resnet, ind, outd) in &emb_net.layers {
                 let (ind, outd) = (*ind, *outd);
-                pre.clear();
-                pre.resize(rows * outd, 0.0);
-                dpre.clear();
-                dpre.resize(rows * outd, 0.0);
-                gemm::auto_nn_f32(rows, outd, ind, val, w, pre);
-                gemm::auto_nn_f32(rows, outd, ind, tan, w, dpre);
+                // The GEMM overwrites both outputs.
+                pre.resize(outd * rows, 0.0);
+                dpre.resize(outd * rows, 0.0);
+                gemm::auto_nn_f32(outd, rows, ind, wt, val, pre);
+                gemm::auto_nn_f32(outd, rows, ind, wt, tan, dpre);
                 if let Some(tl) = tally {
                     tl.record(rows, PrecClass::F32);
                     tl.record(rows, PrecClass::F32);
                 }
-                bias_activation(*act, b, pre, dfac);
+                for (row, &bb) in pre.chunks_exact_mut(rows).zip(b) {
+                    for v in row {
+                        *v += bb;
+                    }
+                }
+                dfac.resize(pre.len(), 0.0);
+                act.value_grad_rows_f32(pre, dfac);
                 for (dp, &df) in dpre.iter_mut().zip(dfac.iter()) {
                     *dp *= df;
                 }
-                for r in 0..rows {
-                    let vo = &mut pre[r * outd..(r + 1) * outd];
-                    let to = &mut dpre[r * outd..(r + 1) * outd];
-                    let vi = &val[r * ind..(r + 1) * ind];
-                    let ti = &tan[r * ind..(r + 1) * ind];
-                    match resnet {
-                        Resnet::None => {}
-                        Resnet::Identity => {
-                            for i in 0..ind {
-                                vo[i] += vi[i];
-                                to[i] += ti[i];
-                            }
-                        }
-                        Resnet::Doubling => {
-                            for i in 0..ind {
-                                vo[i] += vi[i];
-                                vo[i + ind] += vi[i];
-                                to[i] += ti[i];
-                                to[i + ind] += ti[i];
-                            }
-                        }
-                    }
+                let skips: &[usize] = match resnet {
+                    Resnet::None => &[],
+                    Resnet::Identity => &[0],
+                    Resnet::Doubling => &[0, ind],
+                };
+                for &skip in skips {
+                    let (from, len) = (skip * rows, ind * rows);
+                    add_rows(&mut pre[from..from + len], &val[..len]);
+                    add_rows(&mut dpre[from..from + len], &tan[..len]);
                 }
                 std::mem::swap(val, pre);
                 std::mem::swap(tan, dpre);
             }
-            // Scatter the final rows back to entry positions.
-            for (r, &k) in idx.iter().enumerate() {
-                let k = k as usize;
-                g[k * m1..(k + 1) * m1].copy_from_slice(&val[r * m1..(r + 1) * m1]);
-                dg_ds[k * m1..(k + 1) * m1].copy_from_slice(&tan[r * m1..(r + 1) * m1]);
-            }
-        }
-        // T accumulation in entry order (the only order-sensitive reduction).
-        for (k, e) in env.entries.iter().enumerate() {
-            let c64 = e.coords();
-            let c = [c64[0] as f32, c64[1] as f32, c64[2] as f32, c64[3] as f32];
-            coords[k] = c;
-            for m in 0..m1 {
-                let gv = g[k * m1 + m];
-                for (cc, &cv) in c.iter().enumerate() {
-                    t[m * 4 + cc] += gv * cv * inv_nm;
+            if rows == n {
+                g.copy_from_slice(&val[..m1 * n]);
+                dg_ds.copy_from_slice(&tan[..m1 * n]);
+            } else {
+                for (m, (gm, sm)) in g.chunks_exact_mut(n).zip(dg_ds.chunks_exact_mut(n)).enumerate() {
+                    let (vm, tm) = (&val[m * rows..(m + 1) * rows], &tan[m * rows..(m + 1) * rows]);
+                    for ((&k, &v), &tv) in idx.iter().zip(vm).zip(tm) {
+                        gm[k as usize] = v;
+                        sm[k as usize] = tv;
+                    }
                 }
             }
         }
-        AtomEmbed32 { g, dg_ds, t, coords }
+        for (k, e) in env.entries.iter().enumerate() {
+            for (c, v) in e.coords().into_iter().enumerate() {
+                coords[c * n + k] = v as f32;
+            }
+        }
+        dpmd_simd::env_t_f32(m1, n, g, coords, inv_nm, &mut t[l * m1 * 4..(l + 1) * m1 * 4]);
     }
 
     /// Fitting pass of one tile: the atoms `start..start + envs.len()` of
-    /// `atoms`, with their environments and embedding intermediates.
+    /// `atoms`, with their environments and the embeddings
+    /// [`embed_tile`](Self::embed_tile) left in `s`.
     pub(crate) fn fit_tile(
         &self,
         atoms: &Atoms,
         start: usize,
         envs: &[Environment],
-        embeds: &[AtomEmbed32],
+        s: &mut TileScratch,
     ) -> TileOut {
         let cfg = &self.model.config;
         let (m1, m2) = (cfg.m1(), cfg.m2);
@@ -475,13 +525,16 @@ impl DpEngine {
         let tally = self.obs.as_ref().map(|o| &o.gemm);
         let n = envs.len();
         let typ = &atoms.typ[start..start + n];
+        let TileScratch { off, g, dg_ds, coords, t, tape, efit, de_dd, dt, de_ds, de_drt, .. } = s;
+        let t_of = |l: usize| &t[l * m1 * 4..(l + 1) * m1 * 4];
 
         // Fitting net, stacked per central species: D rows in (every
         // element overwritten), per-atom energy and ∂E/∂D out.
         let (mut gemms, mut rows_total) = (0u64, 0u64);
-        let mut efit = vec![0.0f32; n]; // dpmd-allow D7: per-tile fitting outputs, one slot per atom
-        let mut de_dd = vec![0.0f32; n * dl]; // dpmd-allow D7: per-tile fitting outputs, one row per atom
-        let mut tape = FitTape::default();
+        efit.clear();
+        efit.resize(n, 0.0);
+        de_dd.clear();
+        de_dd.resize(n * dl, 0.0);
         for (ty, fit) in self.fit32.iter().enumerate() {
             let of_species = || (0..n).filter(|&l| typ[l] as usize == ty);
             let rows = of_species().count();
@@ -491,7 +544,7 @@ impl DpEngine {
             tape.d.clear();
             tape.d.resize(rows * dl, 0.0);
             for (l, drow) in of_species().zip(tape.d.chunks_exact_mut(dl)) {
-                let t = &embeds[l].t;
+                let t = t_of(l);
                 for a in 0..m1 {
                     for b in 0..m2 {
                         let mut acc = 0.0f32;
@@ -502,7 +555,7 @@ impl DpEngine {
                     }
                 }
             }
-            fit.value_grad_rows(rows, f16_first, tally, &mut tape);
+            fit.value_grad_rows(rows, f16_first, tally, tape);
             gemms += 2 * fit.layers.len() as u64;
             rows_total += 2 * (fit.layers.len() * rows) as u64;
             let energies = &tape.xs[fit.layers.len() - 1];
@@ -514,12 +567,12 @@ impl DpEngine {
 
         // Chain rule and force scatter in atom order; forces in f64.
         let mut buf = vec![Vec3::ZERO; atoms.len()]; // dpmd-allow D7: one force buffer per tile, amortized over the tile's atoms
-        let mut dt = vec![0.0f32; m1 * 4]; // dpmd-allow D7: per-tile scratch, reused per atom
+        dt.resize(m1 * 4, 0.0);
         let mut energy = 0.0f64;
         let mut virial = 0.0f64;
-        for (l, (env, emb)) in envs.iter().zip(embeds).enumerate() {
+        for (l, env) in envs.iter().enumerate() {
             let i = start + l;
-            let t = &emb.t;
+            let t = t_of(l);
             energy += efit[l] as f64 + self.model.energy_bias[typ[l] as usize];
             let grad = &de_dd[l * dl..(l + 1) * dl];
 
@@ -534,21 +587,23 @@ impl DpEngine {
                     }
                 }
             }
+            let (at, nk) = (off[l], env.entries.len());
+            // Both outputs are overwritten.
+            de_ds.resize(nk, 0.0);
+            de_drt.resize(4 * nk, 0.0);
+            dpmd_simd::env_chain_f32(
+                m1,
+                nk,
+                dt,
+                &g[at * m1..(at + nk) * m1],
+                &dg_ds[at * m1..(at + nk) * m1],
+                &coords[at * 4..(at + nk) * 4],
+                inv_nm,
+                de_ds,
+                de_drt,
+            );
             for (k, e) in env.entries.iter().enumerate() {
-                let c = emb.coords[k];
-                let mut de_ds = 0.0f32;
-                let mut de_drt = [0.0f32; 4];
-                for m in 0..m1 {
-                    let mut de_dg = 0.0f32;
-                    for cc in 0..4 {
-                        de_dg += dt[m * 4 + cc] * c[cc];
-                        de_drt[cc] += dt[m * 4 + cc] * emb.g[k * m1 + m];
-                    }
-                    de_ds += de_dg * inv_nm * emb.dg_ds[k * m1 + m];
-                }
-                for v in &mut de_drt {
-                    *v *= inv_nm;
-                }
+                let de_drt = [de_drt[k], de_drt[nk + k], de_drt[2 * nk + k], de_drt[3 * nk + k]];
                 let grads = e.coord_grads();
                 let inv_r = 1.0 / e.r;
                 let dsdd = [
@@ -558,7 +613,7 @@ impl DpEngine {
                 ];
                 let mut de_dd_vec = Vec3::ZERO;
                 for axis in 0..3 {
-                    let mut v = de_ds as f64 * dsdd[axis];
+                    let mut v = de_ds[k] as f64 * dsdd[axis];
                     for cc in 0..4 {
                         v += de_drt[cc] as f64 * grads[cc][axis];
                     }

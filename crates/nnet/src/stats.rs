@@ -77,6 +77,13 @@ impl GemmTally {
     }
 
     /// Count one GEMM call with `m` rows at the given precision.
+    ///
+    /// `m` is the call's *stacked* count: atoms for a fitting-net call,
+    /// neighbours of one species for an embedding-net call. The embedding
+    /// runs feature-major (`Yᵀ = Wᵀ·Xᵀ`), so there the neighbours are the
+    /// GEMM's N dimension and its M is the layer width; it is still tallied
+    /// by its neighbour count, which keeps the classes comparable across
+    /// layouts.
     #[inline]
     pub fn record(&self, m: usize, p: PrecClass) {
         self.classes[p as usize * M_CLASS_TAGS.len() + m_class(m)].inc();

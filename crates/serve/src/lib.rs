@@ -6,9 +6,9 @@
 //! call** ([`DpEngine::energy_forces_batched`]) before completing their
 //! steps. The fused call is the engine's one force pipeline fed one job
 //! per tenant: every tenant is cut into tiles of a few atoms, and the
-//! tiles of all tenants share one embedding pass and one fitting pass on
-//! the pool (type-sorted stacked GEMMs inside each tile, never across
-//! tenants).
+//! tiles of all tenants share one pool scope, each tile embedding and
+//! fitting its own atoms (type-sorted stacked GEMMs inside each tile,
+//! never across tenants).
 //!
 //! [`ContinuousScheduler`] (module [`continuous`]) is the only step loop:
 //! a long-running multi-tenant service. Tenants ([`tenant`]) attach and

@@ -1,5 +1,7 @@
-//! The f32 kernels of the mixed-precision force pipeline: the NN GEMM and
-//! the `tanh` activation that runs between GEMMs.
+//! The f32 kernels of the mixed-precision force pipeline: the NN GEMM, the
+//! `tanh` activation that runs between GEMMs, and the two environment
+//! operators around the embedding net (the T accumulation and its chain
+//! rule).
 //!
 //! This crate is the workspace's *audited unsafe island* for CPU features:
 //! every other crate except `dpmd-threads` is `#![forbid(unsafe_code)]`, so
@@ -16,8 +18,8 @@
 //! instantiation from the CPU. The two compute the same bits for every
 //! input, so which one runs is a speed choice, never a bits choice: there
 //! is no dispatch class, and a trajectory is the same bits on every host.
-//! Both `unsafe` blocks here are the call into an `avx2,fma` instantiation,
-//! and both are on the production path.
+//! All four `unsafe` blocks here are the call into an `avx2,fma`
+//! instantiation, and all four are on the production path.
 //!
 //! # The GEMM contract
 //!
@@ -46,6 +48,16 @@
 //! [`tanh_value_grad_f32`] is one body ([`tanh_value_grad_f32_one`]) with
 //! no `mul_add` at all. Rust never contracts `a*b + c`, so enabling `fma`
 //! for its second instantiation cannot move a bit either.
+//!
+//! # The environment operators
+//!
+//! [`env_t_f32`] (`T = G·R̃ᵀ / nmax`) and [`env_chain_f32`] (∂E/∂s and
+//! ∂E/∂R̃ per neighbour from ∂E/∂T) are written the same way: no `mul_add`,
+//! so both instantiations give the bits of the plain loops kept as
+//! [`reference_env_t_f32`] / [`reference_env_chain_f32`]. Their vector
+//! lanes run across outputs — `(feature, coordinate)` pairs for T,
+//! neighbours for the chain rule — never along a sum, so vectorizing
+//! reorders no fold.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -290,6 +302,276 @@ fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
     tanh_rows(x, dfac);
 }
 
+// ---------------------------------------------------------------------------
+// Environment operators: the per-neighbour contractions around the
+// embedding net of one central atom with `n` neighbours and `m1` features
+// (the `ProdEnvMat` / `ProdForce` pair of the DeePMD lineage). `g` and
+// `dg_ds` are `m1×n` feature-major, `coords` is `4×n` component-major.
+//
+// Like `tanh`, each is one portable body with no `mul_add`, so its two
+// instantiations cannot differ. The vector lanes never run along the
+// reduction axis: every output element is the same sequential fold as in
+// the `reference_*` form.
+
+/// Neighbours per vector strip of [`env_chain_f32`]: a 256-bit register.
+const NEIGHBOUR_LANES: usize = 8;
+
+fn check_env_f32(m1: usize, n: usize, g: &[f32], coords: &[f32]) {
+    assert!(g.len() >= m1 * n, "G too small: {} < {m1}×{n}", g.len());
+    assert!(coords.len() >= 4 * n, "coordinates too small: {} < 4×{n}", coords.len());
+}
+
+/// The T accumulation, written plainly: `t[m][c] = Σ_k (g[m][k]·coords[c][k])·scale`,
+/// every element folded over `k` ascending from `+0.0` with one rounding
+/// per multiply and per add. `t[..m1*4]` (`m1×4`) is overwritten. The
+/// semantic definition of [`env_t_f32`], for tests.
+pub fn reference_env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
+    check_env_f32(m1, n, g, coords);
+    t[..m1 * 4].fill(0.0);
+    for k in 0..n {
+        for m in 0..m1 {
+            let gv = g[m * n + k];
+            for c in 0..4 {
+                t[m * 4 + c] += gv * coords[c * n + k] * scale;
+            }
+        }
+    }
+}
+
+/// `T = G·R̃ᵀ·scale` (`m1×4`, overwriting `t[..m1*4]`) for `G` `m1×n` and
+/// `R̃` `4×n`: [`reference_env_t_f32`] bit for bit, with the vector lanes
+/// over the `(m, c)` outputs, on whichever instantiation [`avx2_fma`] picks.
+///
+/// # Panics
+/// If any slice is shorter than its shape requires.
+pub fn env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
+    check_env_f32(m1, n, g, coords);
+    assert!(t.len() >= m1 * 4, "T too small: {} < {m1}×4", t.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: `avx2_fma()` confirmed both target features
+        // `env_t_avx2` enables.
+        unsafe { env_t_avx2(m1, n, g, coords, scale, t) };
+        return;
+    }
+    env_t(m1, n, g, coords, scale, t);
+}
+
+/// [`env_t`] compiled with 256-bit vectors; no `mul_add`, no contraction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn env_t_avx2(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
+    env_t(m1, n, g, coords, scale, t);
+}
+
+/// The T body: eight feature rows at a time (32 accumulators), then one.
+#[inline(always)]
+fn env_t(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
+    let c: [&[f32]; 4] = std::array::from_fn(|cc| &coords[cc * n..][..n]);
+    let mut m = 0;
+    while m + 8 <= m1 {
+        t_rows::<8>(n, &g[m * n..], &c, scale, &mut t[m * 4..]);
+        m += 8;
+    }
+    for m in m..m1 {
+        t_rows::<1>(n, &g[m * n..], &c, scale, &mut t[m * 4..]);
+    }
+}
+
+/// `R` rows of T, accumulated in registers over all `n` neighbours.
+#[inline(always)]
+fn t_rows<const R: usize>(n: usize, g: &[f32], c: &[&[f32]; 4], scale: f32, t: &mut [f32]) {
+    let g: [&[f32]; R] = std::array::from_fn(|r| &g[r * n..][..n]);
+    let mut acc = [[0.0f32; 4]; R];
+    for k in 0..n {
+        let ck = [c[0][k], c[1][k], c[2][k], c[3][k]];
+        for (row, gr) in acc.iter_mut().zip(&g) {
+            let gv = gr[k];
+            for (a, &cv) in row.iter_mut().zip(&ck) {
+                *a += gv * cv * scale;
+            }
+        }
+    }
+    for (row, out) in acc.iter().zip(t.chunks_exact_mut(4)) {
+        out.copy_from_slice(row);
+    }
+}
+
+/// The chain rule through T, written plainly. Given `dt = ∂E/∂T`
+/// (`m1×4`), per neighbour `k`:
+///
+/// * `de_ds[k] = Σ_m (de_dg[m]·scale)·dg_ds[m][k]`, where
+///   `de_dg[m] = Σ_c dt[m][c]·coords[c][k]` (c ascending from `+0.0`);
+/// * `de_drt[c][k] = (Σ_m dt[m][c]·g[m][k])·scale`;
+///
+/// every sum folded in ascending order from `+0.0`, one rounding per
+/// multiply and per add. `de_ds[..n]` and `de_drt[..4*n]` (`4×n`) are
+/// overwritten. The semantic definition of [`env_chain_f32`], for tests.
+#[allow(clippy::too_many_arguments)] // the operator's operands, each its own array
+pub fn reference_env_chain_f32(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    check_chain_f32(m1, n, dt, g, dg_ds, coords, de_ds, de_drt);
+    for k in 0..n {
+        let c = [coords[k], coords[n + k], coords[2 * n + k], coords[3 * n + k]];
+        let mut ds = 0.0f32;
+        let mut drt = [0.0f32; 4];
+        for m in 0..m1 {
+            let mut de_dg = 0.0f32;
+            for cc in 0..4 {
+                de_dg += dt[m * 4 + cc] * c[cc];
+                drt[cc] += dt[m * 4 + cc] * g[m * n + k];
+            }
+            ds += de_dg * scale * dg_ds[m * n + k];
+        }
+        de_ds[k] = ds;
+        for (cc, v) in drt.iter().enumerate() {
+            de_drt[cc * n + k] = v * scale;
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn check_chain_f32(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    de_ds: &[f32],
+    de_drt: &[f32],
+) {
+    check_env_f32(m1, n, g, coords);
+    assert!(dt.len() >= m1 * 4, "dT too small: {} < {m1}×4", dt.len());
+    assert!(dg_ds.len() >= m1 * n, "dG/ds too small: {} < {m1}×{n}", dg_ds.len());
+    assert!(de_ds.len() >= n, "dE/ds too small: {} < {n}", de_ds.len());
+    assert!(de_drt.len() >= 4 * n, "dE/dR̃ too small: {} < 4×{n}", de_drt.len());
+}
+
+/// [`reference_env_chain_f32`] bit for bit, with [`NEIGHBOUR_LANES`]
+/// neighbours as the vector lanes (each lane folds its own neighbour's sums
+/// over `m`), on whichever instantiation [`avx2_fma`] picks.
+///
+/// # Panics
+/// If any slice is shorter than its shape requires.
+#[allow(clippy::too_many_arguments)] // the operator's operands, each its own array
+pub fn env_chain_f32(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    check_chain_f32(m1, n, dt, g, dg_ds, coords, de_ds, de_drt);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: `avx2_fma()` confirmed both target features
+        // `env_chain_avx2` enables.
+        unsafe { env_chain_avx2(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt) };
+        return;
+    }
+    env_chain(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+}
+
+/// [`env_chain`] compiled with 256-bit vectors; no `mul_add`, no
+/// contraction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn env_chain_avx2(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    env_chain(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+}
+
+/// The chain-rule body: full strips of [`NEIGHBOUR_LANES`] neighbours,
+/// then one neighbour at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn env_chain(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    let mut k = 0;
+    while k + NEIGHBOUR_LANES <= n {
+        chain_lanes::<NEIGHBOUR_LANES>(k, m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+        k += NEIGHBOUR_LANES;
+    }
+    for k in k..n {
+        chain_lanes::<1>(k, m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+    }
+}
+
+/// Neighbours `k0..k0 + L`, one per lane, every sum held in registers
+/// across the whole `m` loop.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn chain_lanes<const L: usize>(
+    k0: usize,
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    let lanes = |xs: &[f32], at: usize| -> [f32; L] { xs[at..at + L].try_into().expect("L lanes") };
+    let c: [[f32; L]; 4] = std::array::from_fn(|cc| lanes(coords, cc * n + k0));
+    let mut ds = [0.0f32; L];
+    let mut drt = [[0.0f32; L]; 4];
+    for m in 0..m1 {
+        let (gm, sm) = (lanes(g, m * n + k0), lanes(dg_ds, m * n + k0));
+        let mut de_dg = [0.0f32; L];
+        for cc in 0..4 {
+            let d = dt[m * 4 + cc];
+            for l in 0..L {
+                de_dg[l] += d * c[cc][l];
+                drt[cc][l] += d * gm[l];
+            }
+        }
+        for l in 0..L {
+            ds[l] += de_dg[l] * scale * sm[l];
+        }
+    }
+    de_ds[k0..k0 + L].copy_from_slice(&ds);
+    for (cc, row) in drt.iter().enumerate() {
+        for (o, &v) in de_drt[cc * n + k0..][..L].iter_mut().zip(row) {
+            *o = v * scale;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,5 +748,93 @@ mod tests {
         let sweep = tanh_sweep();
         same(&sweep);
         same(&sweep.iter().map(|x| -x).collect::<Vec<_>>());
+    }
+
+    /// Operands of one environment-kernel case: `(dt, g, dg_ds, coords)`.
+    type EnvOperands = [Vec<f32>; 4];
+
+    /// Three operand sets per shape: finite values in (−1, 1); the same with
+    /// NaN, ±∞ and −0 planted in every operand; and all −0 in `g` and
+    /// `dg_ds`, whose products must fold to +0 from the `+0.0` seed.
+    fn env_operand_sets(m1: usize, n: usize, rng: &mut Rng) -> [EnvOperands; 3] {
+        let mut fill = |len: usize| (0..len).map(|_| rng.next_unit() as f32).collect::<Vec<f32>>();
+        let finite = [fill(m1 * 4), fill(m1 * n), fill(m1 * n), fill(4 * n)];
+        let mut special = finite.clone();
+        for (i, op) in special.iter_mut().enumerate() {
+            let len = op.len();
+            for (j, v) in [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY].into_iter().enumerate() {
+                if len > 0 {
+                    op[(7 * i + 13 * j + 3) % len] = v;
+                }
+            }
+        }
+        let mut zeros = finite.clone();
+        zeros[1].fill(-0.0);
+        zeros[2].fill(-0.0);
+        [finite, special, zeros]
+    }
+
+    /// Equal bits, or both NaN (a NaN's payload is not part of the
+    /// contract).
+    fn same_f32(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Both instantiations of both environment kernels are their reference
+    /// bit for bit — signed zeros included, NaN and ∞ propagated — and
+    /// overwrite every element of a poison-filled output, over neighbour
+    /// counts on both sides of every strip boundary and feature counts on
+    /// both sides of the eight-row block. Miri interprets, so it gets a few
+    /// of each.
+    #[test]
+    fn env_kernels_are_their_reference_bitwise() {
+        type EnvT = fn(usize, usize, &[f32], &[f32], f32, &mut [f32]);
+        type Chain = fn(usize, usize, &[f32], &[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32]);
+        let (ns, m1s): (&[usize], &[usize]) = if cfg!(miri) {
+            (&[0, 1, 8, 9, 17], &[1, 3, 9])
+        } else {
+            (&[0, 1, 7, 8, 9, 15, 16, 17, 176, 177], &[1, 3, 4, 8, 16, 17])
+        };
+        let poison = f32::from_bits(0x7fc0_dead);
+        let dispatched = if avx2_fma() { "avx2,fma" } else { "dispatched plain" };
+        let scale = 1.0 / 92.0;
+        let mut rng = Rng(0x853c49e6748fea9b);
+        for &n in ns {
+            for &m1 in m1s {
+                for (set, [dt, g, dg_ds, coords]) in env_operand_sets(m1, n, &mut rng).iter().enumerate() {
+                    let what = |inst: &str| format!("{inst} m1 {m1} n {n} operand set {set}");
+                    let mut t_want = vec![0.0f32; m1 * 4];
+                    reference_env_t_f32(m1, n, g, coords, scale, &mut t_want);
+                    let (mut ds_want, mut drt_want) = (vec![0.0f32; n], vec![0.0f32; 4 * n]);
+                    reference_env_chain_f32(m1, n, dt, g, dg_ds, coords, scale, &mut ds_want, &mut drt_want);
+                    if set != 1 {
+                        let all = t_want.iter().chain(&ds_want).chain(&drt_want);
+                        assert!(all.clone().all(|x| !x.is_nan()), "{}: reference NaN", what("finite"));
+                        if set == 2 {
+                            assert!(all.clone().all(|x| x.to_bits() != (-0.0f32).to_bits()), "−0 survived");
+                        }
+                    }
+                    for (inst, env_t_k, chain_k) in [
+                        ("plain", env_t as EnvT, env_chain as Chain),
+                        (dispatched, env_t_f32 as EnvT, env_chain_f32 as Chain),
+                    ] {
+                        let mut t = vec![poison; m1 * 4];
+                        env_t_k(m1, n, g, coords, scale, &mut t);
+                        let (mut ds, mut drt) = (vec![poison; n], vec![poison; 4 * n]);
+                        chain_k(m1, n, dt, g, dg_ds, coords, scale, &mut ds, &mut drt);
+                        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        if set == 1 {
+                            assert!(same_f32(&t, &t_want), "{}: T", what(inst));
+                            assert!(same_f32(&ds, &ds_want), "{}: dE/ds", what(inst));
+                            assert!(same_f32(&drt, &drt_want), "{}: dE/dR̃", what(inst));
+                        } else {
+                            assert_eq!(bits(&t), bits(&t_want), "{}: T", what(inst));
+                            assert_eq!(bits(&ds), bits(&ds_want), "{}: dE/ds", what(inst));
+                            assert_eq!(bits(&drt), bits(&drt_want), "{}: dE/dR̃", what(inst));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
