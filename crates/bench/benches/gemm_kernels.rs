@@ -1,9 +1,10 @@
 //! GEMM kernel bench: GF/s of the f32 kernel (`dpmd-simd`'s `mul_add`
 //! fold, in the instantiation this CPU runs), the plain `naive` f32 loop it
-//! is measured against and the software-fp16 kernel, over the shape classes
-//! the force pipeline actually issues — and ns per element of the f32
-//! `tanh` activation kernel that runs between them, against the libm call
-//! it replaced.
+//! is measured against and the binary16 wrapper `gemm_nn_f16` (widen both
+//! operands, then the same f32 kernel), over the shape classes the force
+//! pipeline actually issues — and ns per element of the f32 `tanh`
+//! activation kernel that runs between them, against the libm call it
+//! replaced.
 //!
 //! The classes were read off a shape dump of two-step `copper()` (864 atoms,
 //! Mix32) and `water()` (648 atoms, Mix16) runs, not guessed:
@@ -11,10 +12,10 @@
 //! * fitting tiles — a tile's atoms of one species stacked into one call per
 //!   layer: 3–8 rows (median 6) on water, 13–14 on Cu, against the 240×240
 //!   hidden layers (≈ 75 % of all GEMM flops in both runs) and the 64→240
-//!   first layer, which `Mix16` runs on the fp16 kernel;
-//! * embedding layers — one call per (atom, neighbour species) over the
-//!   type-sorted neighbours: `rows×8×1` then `rows×16×8`, rows = 176 on Cu
-//!   and 25–68 (median 49) on water;
+//!   first layer, which `Mix16` runs on operands rounded through binary16;
+//! * embedding layers — one feature-major call per (atom, neighbour
+//!   species), one column per type-sorted neighbour: `8×n×1` then
+//!   `16×n×8`, n = 176 on Cu and 25–68 (median 49) on water;
 //! * a 64×240×240 panel as the large-M reference point.
 //!
 //! The activation block times `Activation::value_grad_rows_f32(Tanh)` over
@@ -57,7 +58,7 @@ struct Shape {
     n: usize,
     k: usize,
     iters: usize,
-    /// Also time the fp16 kernel (the shapes `Mix16` issues in binary16).
+    /// Also time the binary16 wrapper (the shapes `Mix16` rounds).
     f16: bool,
 }
 
@@ -66,10 +67,10 @@ const SHAPES: [Shape; 9] = [
     Shape { class: "fit_hidden_m14", m: 14, n: 240, k: 240, iters: 400, f16: false },
     Shape { class: "fit_first_m6", m: 6, n: 240, k: 64, iters: 3000, f16: true },
     Shape { class: "fit_first_m14", m: 14, n: 240, k: 64, iters: 1500, f16: true },
-    Shape { class: "embed_l1_m49", m: 49, n: 8, k: 1, iters: 40000, f16: false },
-    Shape { class: "embed_l2_m49", m: 49, n: 16, k: 8, iters: 20000, f16: false },
-    Shape { class: "embed_l1_m176", m: 176, n: 8, k: 1, iters: 10000, f16: false },
-    Shape { class: "embed_l2_m176", m: 176, n: 16, k: 8, iters: 5000, f16: false },
+    Shape { class: "embed_l1_n49", m: 8, n: 49, k: 1, iters: 40000, f16: false },
+    Shape { class: "embed_l2_n49", m: 16, n: 49, k: 8, iters: 20000, f16: false },
+    Shape { class: "embed_l1_n176", m: 8, n: 176, k: 1, iters: 10000, f16: false },
+    Shape { class: "embed_l2_n176", m: 16, n: 176, k: 8, iters: 5000, f16: false },
     Shape { class: "panel", m: 64, n: 240, k: 240, iters: 80, f16: false },
 ];
 

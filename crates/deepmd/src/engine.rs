@@ -5,8 +5,13 @@
 //! * `Mix32` — embedding-net and fitting-net arithmetic in f32 (descriptor
 //!   assembly in f32 as well, per ref [42]); force accumulation stays f64.
 //! * `Mix16` — like `Mix32`, but the first-layer fitting-net GEMMs (forward
-//!   and backward) run on binary16-stored operands with f32 accumulation —
-//!   the paper's fp16-sve-gemm.
+//!   and backward) run on operands rounded through binary16 with f32
+//!   accumulation — the paper's fp16-sve-gemm. No binary16 kernel runs: the
+//!   weights are rounded once at build, the activations by one pass per
+//!   call, and the GEMM is the same f32 `mul_add` fold as every other. A
+//!   binary16 × binary16 product has at most 22 significant bits and lies
+//!   between 2⁻⁴⁸ and 65504², so it is exact in f32 and each fused step
+//!   rounds exactly where an fp16-storage / f32-accumulate unit's add does.
 //!
 //! Every evaluation — [`DpEngine::energy_forces`], the
 //! [`Potential`] adapter, the batched entry points — is one call of the
@@ -130,18 +135,25 @@ struct FitTape {
     g: Vec<f32>,
     dpre: Vec<f32>,
     dx: Vec<f32>,
-    /// binary16 staging of the first layer's GEMM operand (`Mix16`).
-    a16: Vec<F16>,
+    /// The first layer's GEMM operand rounded through binary16 and widened
+    /// back to f32 (`Mix16`).
+    a16: Vec<f32>,
 }
 
-/// One fitting net with f32 weights (and binary16 copies of the first
-/// layer's weight matrices for the `Mix16` path).
+/// One fitting net with f32 weights (and binary16-rounded copies of the
+/// first layer's weight matrices for the `Mix16` path).
 #[derive(Clone, Debug)]
 struct Fit32 {
     layers: Vec<FitLayer32>,
-    // First-layer fp16 copies: weights (in×out) and transpose (out×in).
-    w16_first: Vec<F16>,
-    wt16_first: Vec<F16>,
+    // First-layer weights (in×out) and transpose (out×in), rounded through
+    // binary16 and widened back to f32 once here; widening is exact.
+    w16_first: Vec<f32>,
+    wt16_first: Vec<f32>,
+}
+
+/// `x` rounded to the nearest binary16, widened back to f32 (exactly).
+fn round_f16(x: f32) -> f32 {
+    F16::from_f32(x).to_f32()
 }
 
 impl Fit32 {
@@ -157,14 +169,15 @@ impl Fit32 {
                 (w, wt, b, l.act, l.resnet, l.in_dim(), l.out_dim())
             })
             .collect();
-        let w16_first = layers[0].0.iter().map(|&x| F16::from_f32(x)).collect();
-        let wt16_first = layers[0].1.iter().map(|&x| F16::from_f32(x)).collect();
+        let w16_first = layers[0].0.iter().map(|&x| round_f16(x)).collect();
+        let wt16_first = layers[0].1.iter().map(|&x| round_f16(x)).collect();
         Fit32 { layers, w16_first, wt16_first }
     }
 
     /// Forward + backward of this net over the `rows` descriptor rows
     /// staged in `tape.d`, every layer one stacked GEMM per direction
-    /// (first-layer GEMMs on binary16 operands when `f16_first` is set).
+    /// (first-layer GEMMs on operands rounded through binary16 when
+    /// `f16_first` is set).
     /// Leaves the per-row energies in `tape.xs.last()` and ∂E/∂D in
     /// `tape.g`. Each output row depends only on its own input row: the
     /// kernels are row-independent and bias, activation and resnet apply
@@ -181,18 +194,19 @@ impl Fit32 {
         xs.resize_with(nl, Vec::default);
         dfacs.resize_with(nl, Vec::default);
         // `out = a · w` over the stacked rows (`out` zeroed by the caller),
-        // on binary16 copies of both operands when `w16` is given.
+        // on `a` rounded through binary16 against the rounded `w16` when
+        // given (the module docs say why that is the fp16 fold).
         let mut stacked_gemm =
-            |n: usize, k: usize, a: &[f32], w: &[f32], w16: Option<&[F16]>, out: &mut [f32]| {
-                let prec = if let Some(w16) = w16 {
-                    a16.clear();
-                    a16.extend(a.iter().map(|&v| F16::from_f32(v)));
-                    gemm::batched_nn_f16(rows, 1, n, k, a16, w16, out);
-                    PrecClass::F16
-                } else {
-                    gemm::auto_nn_f32(rows, n, k, a, w, out);
-                    PrecClass::F32
+            |n: usize, k: usize, a: &[f32], w: &[f32], w16: Option<&[f32]>, out: &mut [f32]| {
+                let (a, w, prec) = match w16 {
+                    Some(w16) => {
+                        a16.clear();
+                        a16.extend(a.iter().map(|&v| round_f16(v)));
+                        (&a16[..], w16, PrecClass::F16)
+                    }
+                    None => (a, w, PrecClass::F32),
                 };
+                gemm::auto_nn_f32(rows, n, k, a, w, out);
                 if let Some(t) = tally {
                     t.record(rows, prec);
                 }
@@ -991,6 +1005,24 @@ mod tests {
                 assert_eq!(out_ref.energy, out.energy, "{precision:?} {threads} threads");
                 assert_eq!(out_ref.virial, out.virial, "{precision:?} {threads} threads");
                 assert_eq!(f_ref, f, "{precision:?} {threads} threads");
+            }
+        }
+    }
+
+    /// The `Mix16` first-layer weights are stored rounded: every element is
+    /// a fixed point of the binary16 round trip (so the f32 GEMM sees
+    /// binary16 values), and the rounding did happen.
+    #[test]
+    fn mix16_first_layer_weights_are_binary16_values() {
+        for ntypes in [1, 2] {
+            let engine = DpEngine::new(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 5.0)), Precision::Mix16);
+            for fit in &engine.fit32 {
+                let (w, wt, ..) = &fit.layers[0];
+                for (rounded, full) in [(&fit.w16_first, w), (&fit.wt16_first, wt)] {
+                    assert_eq!(rounded.len(), full.len());
+                    assert!(rounded.iter().all(|&x| round_f16(x).to_bits() == x.to_bits()));
+                    assert_ne!(rounded, full, "first-layer weights were not rounded");
+                }
             }
         }
     }

@@ -5,13 +5,22 @@
 //!   shares no kernel with what it checks.
 //! * [`auto_nn_f32`] — the one f32 kernel, `dpmd-simd`'s register-tiled
 //!   `mul_add` fold, the same bits on every host.
-//! * [`gemm_nn_f16`] — binary16 storage, f32 accumulation (`MIX-fp16`).
 //!
-//! The mixed-precision force pipeline issues every f32 GEMM through
-//! [`auto_nn_f32`] and every binary16 GEMM through [`batched_nn_f16`]. Only
-//! NN (`C = A·B`) forms exist on that path because the engine transposes
-//! each weight matrix once at model build (the paper's NT→NN
-//! preprocessing); the one NT kernel is the trainer's `naive::gemm_nt_f64`.
+//! # Binary16 is an operand rounding, not a kernel
+//! `MIX-fp16` stores the operands in binary16 and accumulates in f32. A
+//! binary16 value has an 11-bit significand, so the product of two has at
+//! most 22 significant bits and a magnitude between 2⁻⁴⁸ and 65504²: it is
+//! exact in f32. `a.mul_add(b, acc)` then equals `acc + a*b` bit for bit,
+//! and [`auto_nn_f32`] on operands rounded through binary16 (widening is
+//! exact) *is* the fp16-storage / f32-accumulate fold. [`gemm_nn_f16`] and
+//! [`batched_nn_f16`] are that, as widening wrappers over [`F16`] slices.
+//!
+//! The mixed-precision force pipeline issues every GEMM through
+//! [`auto_nn_f32`], `Mix16`'s first fitting layer included (on operands it
+//! rounds itself). Only NN (`C = A·B`) forms exist on that path because the
+//! engine transposes each weight matrix once at model build (the paper's
+//! NT→NN preprocessing); the one NT kernel is the trainer's
+//! `naive::gemm_nt_f64`.
 //!
 //! # Output contract
 //! Every kernel **overwrites** `C[..m*n]`: whatever the buffer held on entry
@@ -21,12 +30,12 @@
 //! # Row independence
 //! Every kernel accumulates each output element `c[i][j]` by walking
 //! `p = 0..k` in ascending order from `+0.0`: one fused rounding per step
-//! in the f32 kernel, one rounding per multiply and per add in the binary16
-//! kernel and in `naive`. A row of the output therefore depends only on
-//! (that row of `A`, `B`, `n`, `k`) and never on `m` or on how rows were
-//! tiled, so stacking rows into one call is bitwise-invisible — the
-//! property the per-tile stacked fitting GEMMs and the serving layer's
-//! solo-equals-batched guarantee rest on.
+//! in the f32 kernel, one rounding per multiply and per add in `naive`. A
+//! row of the output therefore depends only on (that row of `A`, `B`, `n`,
+//! `k`) and never on `m` or on how rows were tiled, so stacking rows into
+//! one call is bitwise-invisible — the property the per-tile stacked
+//! fitting GEMMs and the serving layer's solo-equals-batched guarantee rest
+//! on.
 
 use crate::f16::F16;
 
@@ -46,43 +55,22 @@ pub fn auto_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
 }
 
 /// `C = A·B` with `A`, `B` stored in binary16 and accumulation in f32 — the
-/// fp16-sve-gemm of the `MIX-fp16` precision path.
-///
-/// Numerically this is exactly what an fp16 tensor unit with an f32
-/// accumulator computes: inputs carry f16 rounding error, products and sums
-/// are f32. The widening loads stand in for SVE's `fcvt` on load.
+/// fp16-sve-gemm of the `MIX-fp16` precision path: [`auto_nn_f32`] on the
+/// exactly widened operands, which is the binary16-storage fold bit for bit
+/// (module docs). The widening stands in for SVE's `fcvt` on load.
 ///
 /// # Panics
 /// If any slice is shorter than its shape requires.
 pub fn gemm_nn_f16(m: usize, n: usize, k: usize, a: &[F16], b: &[F16], c: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    // f32 lanes of one 512-bit register: the fixed chunk LLVM vectorizes.
-    const L: usize = 16;
-    for i in 0..m {
-        let crow = &mut c[i * n..(i + 1) * n];
-        crow.fill(0.0);
-        for p in 0..k {
-            let av = a[i * k + p].to_f32();
-            let brow = &b[p * n..(p + 1) * n];
-            let chunks = n / L;
-            for ch in 0..chunks {
-                let base = ch * L;
-                let cc: &mut [f32; L] = (&mut crow[base..base + L]).try_into().unwrap();
-                let bb: &[F16; L] = (&brow[base..base + L]).try_into().unwrap();
-                for l in 0..L {
-                    cc[l] += av * bb[l].to_f32();
-                }
-            }
-            for j in chunks * L..n {
-                crow[j] += av * brow[j].to_f32();
-            }
-        }
-    }
+    let a: Vec<f32> = a[..m * k].iter().map(|x| x.to_f32()).collect(); // dpmd-allow D7: per-call widening; the force pipeline stages rounded f32 itself and never calls this
+    let b: Vec<f32> = b[..k * n].iter().map(|x| x.to_f32()).collect(); // dpmd-allow D7: per-call widening; the force pipeline stages rounded f32 itself and never calls this
+    auto_nn_f32(m, n, k, &a, &b, c);
 }
 
-/// Binary16-storage / f32-accumulate `C = A·B` over `batch` stacked calls
-/// of shape `m×n×k` sharing `B`, as one `(batch·m)×n×k` call — bitwise
-/// equal to the per-call results by row independence.
+/// [`gemm_nn_f16`] over `batch` stacked calls of shape `m×n×k` sharing
+/// `B`, as one `(batch·m)×n×k` call — bitwise equal to the per-call results
+/// by row independence.
 pub fn batched_nn_f16(
     batch: usize,
     m: usize,

@@ -6,9 +6,9 @@
 //!   storage type of the paper's fp16 fitting-net GEMM;
 //! * [`matrix`] — a dense row-major matrix over [`Scalar`] element types;
 //! * [`gemm`] — the `naive` reference fold (all f64 arithmetic runs on
-//!   it), the one f32 kernel (`dpmd-simd`'s `mul_add` fold, the same bits
-//!   on every host) and the fp16-storage/fp32-accumulate kernel of the
-//!   `MIX-fp16` path;
+//!   it) and the one f32 kernel (`dpmd-simd`'s `mul_add` fold, the same
+//!   bits on every host), which on operands rounded through binary16 is
+//!   the fp16-storage/fp32-accumulate GEMM of the `MIX-fp16` path;
 //! * [`activation`] — activations used by Deep Potential (tanh and friends);
 //! * [`layers`] — fully connected layers with analytic backward passes (the
 //!   f64 model and the trainer);

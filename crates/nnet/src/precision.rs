@@ -3,8 +3,9 @@
 //! * `Double` — everything in f64 (the baseline).
 //! * `Mix32` — embedding-net and fitting-net arithmetic in f32; descriptor
 //!   assembly and force reduction stay f64.
-//! * `Mix16` — like `Mix32`, but the fitting-net GEMMs run on fp16-stored
-//!   operands with f32 accumulation (the fp16-sve-gemm).
+//! * `Mix16` — like `Mix32`, but the first fitting layer's GEMMs run on
+//!   operands rounded through binary16 with f32 accumulation (the
+//!   fp16-sve-gemm).
 
 use serde::{Deserialize, Serialize};
 

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use dpmd_obs::{Counter, MetricsRegistry};
 
-/// Precision class of a GEMM call (storage type of the operands; the f16
-/// kernel still accumulates in f32, per the paper's fp16-sve-gemm).
+/// Precision class of a GEMM call: the operands' storage precision (binary16
+/// operands are accumulated in f32, per the paper's fp16-sve-gemm).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrecClass {
     /// f32 storage and accumulation.

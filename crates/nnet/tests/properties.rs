@@ -27,6 +27,53 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`] with every NaN mapped to one pattern: the folds agree on
+/// producing NaN, not on its payload.
+fn bits_nan_eq(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// Seeded binary16 operands, widened to f32: random finite bit patterns
+/// (subnormals included), with ±0, the smallest and largest subnormals,
+/// ±65504 and 1 planted one draw in 17, and ±∞ one draw in 4096 (so at
+/// k = 240 about one output in ten is non-finite).
+fn f16_operand(seed: u64) -> impl FnMut() -> f32 {
+    const PLANTED: [u16; 8] = [0x0000, 0x8000, 0x0001, 0x8001, 0x03ff, 0x7bff, 0xfbff, 0x3c00];
+    let mut state = seed;
+    move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let r = (state >> 32) as u32;
+        let h = (r >> 12) as u16;
+        let bits = match r % 4096 {
+            0 => 0x7c00 | (h & 0x8000),
+            1..=240 => PLANTED[h as usize % PLANTED.len()],
+            // Exponent all ones is ∞ or NaN: clear its top bit.
+            _ if h & 0x7c00 == 0x7c00 => h & !0x4000,
+            _ => h,
+        };
+        F16::from_bits(bits).to_f32()
+    }
+}
+
+/// The products a binary16 × binary16 fold can form are exact in f32 at
+/// both ends of the range and at full width: 65504² (2047² · 2¹⁰, 22
+/// significant bits), the smallest subnormal squared (2⁻⁴⁸), their cross
+/// product, and (1 + 2⁻¹⁰)² = 1 + 2⁻⁹ + 2⁻²⁰. So a fused step rounds only
+/// the add.
+#[test]
+fn extreme_binary16_products_are_exact_in_f32() {
+    let widen = |bits| F16::from_bits(bits).to_f32();
+    let (max, tiny, one_up) = (widen(0x7bff), widen(0x0001), widen(0x3c01));
+    assert_eq!((max, tiny, one_up), (65504.0, 2f32.powi(-24), 1.0 + 2f32.powi(-10)));
+    for (x, y) in [(max, max), (tiny, tiny), (max, tiny), (one_up, one_up)] {
+        // An f32 × f32 product has at most 48 significant bits: exact in f64.
+        assert_eq!((x * y) as f64, x as f64 * y as f64, "{x:e} × {y:e} rounds in f32");
+        for acc in [0.0f32, -0.0, 1.0, -3.5e9] {
+            assert_eq!(x.mul_add(y, acc).to_bits(), (acc + x * y).to_bits(), "{x:e} × {y:e} + {acc:e}");
+        }
+    }
+}
+
 proptest! {
     /// Every f16 bit pattern that is not NaN survives a round trip through
     /// f32 exactly.
@@ -82,6 +129,31 @@ proptest! {
         dpmd_simd::reference_nn_f32(m, n, k, &a, &b, &mut want);
         gemm::auto_nn_f32(m, n, k, &a, &b, &mut got);
         prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{}", m, n, k);
+    }
+
+    /// `MIX-fp16` needs no binary16 kernel: a binary16 × binary16 product
+    /// is exact in f32, so on operands rounded through binary16 the fused
+    /// kernel is bitwise the plain mul-then-add fold — the fp16-storage /
+    /// f32-accumulate arithmetic. Operands are random binary16 bit patterns
+    /// with specials planted (`f16_operand`); the planted ∞ sends sums to
+    /// ±∞ and, against 0 or −∞, to NaN, alike in both folds (finite sums
+    /// stay below k·65504² ≪ f32::MAX). m across the four-row groups and
+    /// every tail, ragged n, k up to 240; a poison-filled output.
+    #[test]
+    fn binary16_operands_make_the_fused_fold_the_plain_fold(
+        m in 1usize..10,
+        n in 1usize..50,
+        k in 0usize..241,
+        seed in any::<u64>(),
+    ) {
+        let mut next = f16_operand(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let mut fused = vec![f32::from_bits(0x7f7f_dead); m * n];
+        let mut plain = vec![0.0f32; m * n];
+        gemm::auto_nn_f32(m, n, k, &a, &b, &mut fused);
+        naive::gemm_nn_f32(m, n, k, &a, &b, &mut plain);
+        prop_assert_eq!(bits_nan_eq(&fused), bits_nan_eq(&plain), "{}x{}x{}", m, n, k);
     }
 
     /// Independent oracle: against the plain f64 fold on the same (exactly
