@@ -5,11 +5,13 @@
 //! [`minimd::potential::Potential`] adapter) feeds it one job, the
 //! scheduler in `dpmd-serve` feeds it one job per running tenant. It
 //!
-//! 1. builds each job's environments (`crate::descriptor`);
-//! 2. cuts the work into **tiles** — `(job, atom range)` for every range of
+//! 1. cuts the work into **tiles** — `(job, atom range)` for every range of
 //!    [`dpmd_threads::atom_chunks`]`(nlocal)`, in job-then-chunk order;
-//! 3. runs every tile of every job in **one `pool.scope`**. A tile embeds
-//!    its atoms (`DpEngine::embed_tile`: per atom, the environment's
+//! 2. runs every tile of every job in **one `pool.scope`**, whatever the
+//!    number of jobs. A tile builds its atoms' environments into its own
+//!    scratch (`DpEngine::describe_tile`:
+//!    [`crate::descriptor::push_environment`] per atom, in atom order),
+//!    embeds them (`DpEngine::embed_tile`: per atom, the environment's
 //!    same-species entries stack into one feature-major GEMM pair per
 //!    layer, then T) and, while G and dG/ds are still in the core's cache,
 //!    fits them (`DpEngine::fit_tile`): it groups its atoms by central
@@ -19,17 +21,18 @@
 //!    granularity of the few atoms one core owns), then walks its atoms in
 //!    atom order through the chain rule, scattering f64 forces into the
 //!    tile's own buffer;
-//! 4. merges tiles into their job's outputs in tile order.
+//! 3. merges tiles into their job's outputs in tile order.
 //!
 //! Tiles of different jobs share the scope, so a pool stays busy on a
 //! round of many small tenants; nothing is stacked *across* jobs (on this
 //! kernel set a tile's 8–14 rows already run at large-M throughput). Only
-//! the tiles in flight hold embeddings: one `TileScratch` each, dropped
-//! with the task.
+//! the tiles in flight hold environments and embeddings: one `TileScratch`
+//! each, dropped with the task. No all-atom environment set exists.
 //!
-//! The fused scope is timed as a whole; [`ForcePhases::embedding_s`] and
-//! [`ForcePhases::fitting_s`] split that wall time in proportion to the
-//! thread time the tiles spent in each stage, summed over tiles.
+//! The fused scope is timed as a whole; [`ForcePhases::descriptor_s`],
+//! [`ForcePhases::embedding_s`] and [`ForcePhases::fitting_s`] split that
+//! wall time in proportion to the thread time the tiles spent in each
+//! stage, summed over tiles.
 //!
 //! **Bitwise determinism** — a job's energy, virial and forces do not
 //! depend on the pool width, on which other jobs share the call, or on its
@@ -63,7 +66,6 @@ use minimd::simbox::SimBox;
 use minimd::vec3::Vec3;
 use nnet::precision::Precision;
 
-use crate::descriptor::{build_environments_on, Environment};
 use crate::engine::{DpEngine, TileOut, TileScratch};
 
 /// One system's force evaluation request: borrowed system state plus the
@@ -113,24 +115,23 @@ impl BatchWorkspace {
 }
 
 /// One unit of pool work: an [`atom_chunks`] range of one job, carrying its
-/// outputs and its per-stage thread time to the merge.
+/// outputs and its thread time per stage (descriptor, embedding, fitting)
+/// to the merge.
 struct Tile {
     job: usize,
     atoms: Range<usize>,
     out: Option<TileOut>,
-    embed_s: f64,
-    fit_s: f64,
+    stage_s: [f64; 3],
 }
 
-/// Split the fused scope's wall time `wall_s` into (embedding, fitting) in
-/// proportion to the thread time the tiles spent in each stage. The two
-/// parts are finite and non-negative and sum to `wall_s` up to one
-/// rounding; with no thread time recorded (no tile, or a clock too coarse
-/// to see one) they are equal.
-fn split_fused(wall_s: f64, embed_s: f64, fit_s: f64) -> (f64, f64) {
-    let busy = embed_s + fit_s;
-    let embedding = if busy > 0.0 { wall_s * (embed_s / busy) } else { 0.5 * wall_s };
-    (embedding, wall_s - embedding)
+/// Split the fused scope's wall time `wall_s` over its stages in
+/// proportion to the thread time `busy_s` the tiles spent in each. The
+/// parts are finite and non-negative and sum to `wall_s` up to rounding;
+/// with no thread time recorded (no tile, or a clock too coarse to see
+/// one) they are equal.
+fn split_fused(wall_s: f64, busy_s: [f64; 3]) -> [f64; 3] {
+    let busy: f64 = busy_s.iter().sum();
+    busy_s.map(|b| if busy > 0.0 { wall_s * (b / busy) } else { wall_s / 3.0 })
 }
 
 impl DpEngine {
@@ -192,46 +193,39 @@ impl DpEngine {
             return (outs, stats);
         }
 
-        // Pass 1: descriptors, per job (chunk-parallel inside each call).
-        let cfg = &self.model.config;
-        let t0 = wall_now();
-        let envs: Vec<Vec<Environment>> = jobs
-            .iter()
-            .map(|j| build_environments_on(pool, j.atoms, j.nl, j.bx, cfg.rcut_smth, cfg.rcut))
-            .collect(); // dpmd-allow D5: one environment list per job per call
-        phases.descriptor_s = t0.elapsed().as_secs_f64();
-
         let mut tiles: Vec<Tile> = jobs
             .iter()
             .enumerate()
             .flat_map(|(job, j)| {
                 atom_chunks(j.atoms.nlocal)
                     .into_iter()
-                    .map(move |atoms| Tile { job, atoms, out: None, embed_s: 0.0, fit_s: 0.0 })
+                    .map(move |atoms| Tile { job, atoms, out: None, stage_s: [0.0; 3] })
             })
             .collect(); // dpmd-allow D5: one entry per tile per call
 
-        // Embedding, fitting and chain rule of each tile back to back, in
-        // f32 on the tile's own scratch; one f64 force buffer per tile.
+        // Environments, embedding, fitting and chain rule of each tile back
+        // to back, on the tile's own scratch; one f64 force buffer per tile.
         let t0 = wall_now();
         pool.scope(|sc| {
             for tile in tiles.iter_mut() {
-                let atoms = jobs[tile.job].atoms;
-                let envs = &envs[tile.job][tile.atoms.start..tile.atoms.end];
+                let BatchJob { atoms, nl, bx, .. } = jobs[tile.job];
                 sc.spawn(move || {
                     let mut scratch = TileScratch::default();
                     let t = wall_now();
-                    self.embed_tile(envs, &mut scratch);
-                    tile.embed_s = t.elapsed().as_secs_f64();
+                    self.describe_tile(atoms, nl, bx, tile.atoms.start..tile.atoms.end, &mut scratch);
+                    tile.stage_s[0] = t.elapsed().as_secs_f64();
                     let t = wall_now();
-                    tile.out = Some(self.fit_tile(atoms, tile.atoms.start, envs, &mut scratch));
-                    tile.fit_s = t.elapsed().as_secs_f64();
+                    self.embed_tile(&mut scratch);
+                    tile.stage_s[1] = t.elapsed().as_secs_f64();
+                    let t = wall_now();
+                    tile.out = Some(self.fit_tile(atoms, tile.atoms.start, &mut scratch));
+                    tile.stage_s[2] = t.elapsed().as_secs_f64();
                 });
             }
         });
         let fused_s = t0.elapsed().as_secs_f64();
-        let (embed_s, fit_s) = tiles.iter().fold((0.0, 0.0), |(e, f), t| (e + t.embed_s, f + t.fit_s));
-        (phases.embedding_s, phases.fitting_s) = split_fused(fused_s, embed_s, fit_s);
+        let busy_s = tiles.iter().fold([0.0; 3], |acc, t| [0, 1, 2].map(|k| acc[k] + t.stage_s[k]));
+        [phases.descriptor_s, phases.embedding_s, phases.fitting_s] = split_fused(fused_s, busy_s);
 
         // Deterministic fixed-order reduction: tiles fold into their job in
         // tile (= chunk) order.
@@ -335,12 +329,12 @@ mod tests {
         }
     }
 
-    /// The fused scope's wall time is split between embedding and fitting
-    /// by the tiles' thread time. At one and two threads on both mixed
-    /// precisions, both parts are finite and positive (the benchmark
-    /// divides by them) and, with the descriptor and reduction phases, fit
-    /// inside the call; the split itself sums to the wall time it is given,
-    /// also when no thread time was seen.
+    /// The fused scope's wall time is split over descriptor, embedding and
+    /// fitting by the tiles' thread time. At one and two threads on both
+    /// mixed precisions, all three parts are finite and positive (the
+    /// benchmark divides by them) and, with the reduction, fit inside the
+    /// call; the split itself sums to the wall time it is given, also when
+    /// one stage or every stage saw no thread time.
     #[test]
     fn fused_scope_time_splits_into_embedding_and_fitting() {
         let (bx, atoms, nl) = water_system(2, 31);
@@ -356,19 +350,25 @@ mod tests {
                 let call_s = t0.elapsed().as_secs_f64();
                 let p = stats.phases;
                 let what = format!("{precision:?}, {threads} threads: {p:?}");
-                for part in [p.embedding_s, p.fitting_s] {
+                for part in [p.descriptor_s, p.embedding_s, p.fitting_s] {
                     assert!(part.is_finite() && part > 0.0, "{what}");
                 }
                 assert!(p.total() <= call_s, "{what}: phases exceed the call's {call_s:e} s");
                 assert_eq!(engine.last_phases(), Some(p), "{what}");
             }
         }
-        for (wall, embed, fit) in [(1e-3, 2e-4, 6e-4), (3e-3, 0.0, 5e-4), (7.25e-4, 1e-9, 1.0), (1e-3, 0.0, 0.0)] {
-            let (e, f) = split_fused(wall, embed, fit);
-            assert!(e.is_finite() && f.is_finite() && e >= 0.0 && f >= 0.0, "{wall} {embed} {fit}: {e} {f}");
-            assert!((e + f - wall).abs() <= f64::EPSILON * wall, "{wall} {embed} {fit}: {e} + {f}");
+        for (wall, busy) in [
+            (1e-3, [1e-4, 2e-4, 6e-4]),
+            (3e-3, [0.0, 0.0, 5e-4]),
+            (7.25e-4, [3e-7, 1e-9, 1.0]),
+            (1e-3, [0.0; 3]),
+        ] {
+            let parts = split_fused(wall, busy);
+            assert!(parts.iter().all(|p| p.is_finite() && *p >= 0.0), "{wall} {busy:?}: {parts:?}");
+            let sum: f64 = parts.iter().sum();
+            assert!((sum - wall).abs() <= 2.0 * f64::EPSILON * wall, "{wall} {busy:?}: {parts:?} sum to {sum}");
         }
-        assert_eq!(split_fused(1e-3, 0.0, 0.0), (5e-4, 5e-4));
+        assert_eq!(split_fused(1.5, [0.0; 3]), [0.5; 3]);
     }
 
     /// Two species (water): the type-sorted grouping must respect per-atom

@@ -40,7 +40,7 @@ pub fn smooth(r: f64, rcut_smth: f64, rcut: f64) -> (f64, f64) {
 }
 
 /// One neighbour's contribution to the environment of a central atom.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnvEntry {
     /// Index of the neighbour in the atom arrays (may be a ghost).
     pub j: u32,
@@ -97,15 +97,50 @@ pub struct Environment {
     pub entries: Vec<EnvEntry>,
 }
 
-/// Build environments for every local atom from the neighbour list.
+/// Append the environment of local atom `i` to `out`: one entry per
+/// neighbour within `rcut`, in neighbour-list order. Nothing already in
+/// `out` is touched.
 ///
 /// Distances beyond `rcut` are filtered here (the Verlet list includes the
 /// skin). Ghost-aware: displacements are direct when ghosts are present,
-/// minimum-image otherwise. Atoms are chunked by the even-split policy (a
-/// function of the atom count only) and each chunk's environments are
-/// concatenated in chunk order, so the output is identical — entry for
-/// entry — for any pool width: each atom's environment depends on that
-/// atom alone.
+/// minimum-image otherwise. This is the one environment body: the f64
+/// model (through [`build_environments_on`]) and the mixed-precision
+/// engine's tiles (into their own scratch) both build entries with it.
+pub fn push_environment(
+    atoms: &Atoms,
+    nl: &NeighborList,
+    bx: &SimBox,
+    i: usize,
+    rcut_smth: f64,
+    rcut: f64,
+    out: &mut Vec<EnvEntry>,
+) {
+    let use_min_image = atoms.nghost() == 0;
+    let rc2 = rcut * rcut;
+    for &ju in nl.neighbors(i) {
+        let j = ju as usize;
+        let disp = if use_min_image {
+            bx.min_image(atoms.pos[j], atoms.pos[i])
+        } else {
+            atoms.pos[j] - atoms.pos[i]
+        };
+        let r2 = disp.norm2();
+        if r2 > rc2 || r2 == 0.0 {
+            continue;
+        }
+        let r = r2.sqrt();
+        let (s, ds_dr) = smooth(r, rcut_smth, rcut);
+        out.push(EnvEntry { j: ju, typ: atoms.typ[j], disp, r, s, ds_dr });
+    }
+}
+
+/// Build environments for every local atom from the neighbour list
+/// ([`push_environment`] per atom).
+///
+/// Atoms are chunked by the even-split policy (a function of the atom
+/// count only) and each chunk's environments are concatenated in chunk
+/// order, so the output is identical — entry for entry — for any pool
+/// width: each atom's environment depends on that atom alone.
 pub fn build_environments_on(
     pool: &dpmd_threads::ThreadPool,
     atoms: &Atoms,
@@ -114,25 +149,9 @@ pub fn build_environments_on(
     rcut_smth: f64,
     rcut: f64,
 ) -> Vec<Environment> {
-    let use_min_image = atoms.nghost() == 0;
-    let rc2 = rcut * rcut;
     let env_of = |i: usize| {
         let mut entries = Vec::with_capacity(nl.neighbors(i).len()); // dpmd-allow D7: per-atom neighbour entries retained in the Environment output
-        for &ju in nl.neighbors(i) {
-            let j = ju as usize;
-            let disp = if use_min_image {
-                bx.min_image(atoms.pos[j], atoms.pos[i])
-            } else {
-                atoms.pos[j] - atoms.pos[i]
-            };
-            let r2 = disp.norm2();
-            if r2 > rc2 || r2 == 0.0 {
-                continue;
-            }
-            let r = r2.sqrt();
-            let (s, ds_dr) = smooth(r, rcut_smth, rcut);
-            entries.push(EnvEntry { j: ju, typ: atoms.typ[j], disp, r, s, ds_dr });
-        }
+        push_environment(atoms, nl, bx, i, rcut_smth, rcut, &mut entries);
         Environment { entries }
     };
     let chunks = dpmd_threads::atom_chunks(atoms.nlocal);
@@ -229,6 +248,44 @@ mod tests {
             // FCC at rc=6 Å: shells at a/√2, a, a√1.5, a√2, a√2.5 hold
             // 12+6+24+12+24 = 78 neighbours.
             assert_eq!(env.entries.len(), 78, "atom {i}");
+        }
+    }
+
+    /// `push_environment` only appends: atom after atom into one buffer
+    /// that starts with a sentinel (as a tile's scratch does), the sentinel
+    /// survives and each atom's run equals `build_environments_on`'s
+    /// environment of that atom, entry for entry. On a min-image cell and
+    /// on the same cell carried as locals plus ghost images.
+    #[test]
+    fn push_environment_appends_what_build_environments_builds() {
+        let (bx, periodic) = fcc_copper(4, 4, 4);
+        let mut ghosted = periodic.clone();
+        let (l, reach) = (bx.lengths(), 6.5);
+        for i in 0..periodic.nlocal {
+            for shift in (0..27).filter(|&s| s != 13) {
+                let k = [shift % 3, shift / 3 % 3, shift / 9].map(|d| d as f64 - 1.0);
+                let p = periodic.pos[i] + Vec3::new(k[0] * l.x, k[1] * l.y, k[2] * l.z);
+                if (0..3).all(|d| p[d] > bx.lo[d] - reach && p[d] < bx.hi[d] + reach) {
+                    ghosted.push_ghost(periodic.id[i], periodic.typ[i], p);
+                }
+            }
+        }
+        assert!(ghosted.nghost() > 0);
+        let sentinel = EnvEntry { j: u32::MAX, typ: 9, disp: Vec3::ZERO, r: -1.0, s: 0.0, ds_dr: 0.0 };
+        for atoms in [&periodic, &ghosted] {
+            let mut nl = NeighborList::new(6.0, 0.5, ListKind::Full);
+            nl.build(atoms, &bx);
+            let envs = envs_of(atoms, &nl, &bx);
+            let mut out = vec![sentinel];
+            for (i, env) in envs.iter().enumerate() {
+                let at = out.len();
+                push_environment(atoms, &nl, &bx, i, 0.5, 6.0, &mut out);
+                assert_eq!(&out[at..], &env.entries[..], "atom {i}, {} ghosts", atoms.nghost());
+                assert_eq!(env.entries.len(), 78, "atom {i}, {} ghosts", atoms.nghost());
+            }
+            let all: Vec<EnvEntry> = envs.iter().flat_map(|e| e.entries.iter().copied()).collect();
+            assert_eq!(out[0], sentinel);
+            assert_eq!(&out[1..], &all[..], "{} ghosts: earlier runs were rewritten", atoms.nghost());
         }
     }
 

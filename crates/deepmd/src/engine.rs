@@ -16,12 +16,15 @@
 //! Every evaluation — [`DpEngine::energy_forces`], the
 //! [`Potential`] adapter, the batched entry points — is one call of the
 //! pipeline in [`crate::batch`], which cuts jobs into tiles of a few atoms
-//! and runs each tile through this module's two stages back to back, on one
-//! `TileScratch`:
+//! and runs each tile through this module's three stages back to back, on
+//! one `TileScratch`:
 //!
-//! 1. `DpEngine::embed_tile` — per atom, type-sorted embedding GEMMs, then
+//! 1. `DpEngine::describe_tile` — the tile's environments, one flat entry
+//!    array with per-atom offsets
+//!    ([`crate::descriptor::push_environment`] per atom);
+//! 2. `DpEngine::embed_tile` — per atom, type-sorted embedding GEMMs, then
 //!    the T accumulation (`dpmd_simd::env_t_f32`);
-//! 2. `DpEngine::fit_tile` — type-sorted stacked fitting GEMMs, then per
+//! 3. `DpEngine::fit_tile` — type-sorted stacked fitting GEMMs, then per
 //!    atom the chain rule through T (`dpmd_simd::env_chain_f32`) and the
 //!    f64 projection and force scatter, in atom and entry order.
 //!
@@ -58,7 +61,7 @@ use nnet::precision::Precision;
 use nnet::stats::{GemmTally, PrecClass};
 
 use crate::batch::BatchJob;
-use crate::descriptor::Environment;
+use crate::descriptor::{push_environment, EnvEntry};
 use crate::model::DeepPotModel;
 
 /// One embedding layer: (wᵀ out×in, b, act, resnet, in, out).
@@ -140,15 +143,14 @@ struct FitTape {
     a16: Vec<f32>,
 }
 
-/// One fitting net with f32 weights (and binary16-rounded copies of the
-/// first layer's weight matrices for the `Mix16` path).
+/// One fitting net with f32 weights. For the `Mix16` path the first
+/// layer's weights (in×out and transpose) are rounded through binary16 in
+/// place, once here (widening back is exact), and `round_first` rounds
+/// that layer's activation operand on every call.
 #[derive(Clone, Debug)]
 struct Fit32 {
     layers: Vec<FitLayer32>,
-    // First-layer weights (in×out) and transpose (out×in), rounded through
-    // binary16 and widened back to f32 once here; widening is exact.
-    w16_first: Vec<f32>,
-    wt16_first: Vec<f32>,
+    round_first: bool,
 }
 
 /// `x` rounded to the nearest binary16, widened back to f32 (exactly).
@@ -157,8 +159,8 @@ fn round_f16(x: f32) -> f32 {
 }
 
 impl Fit32 {
-    fn from_model(net: &crate::fitting::FittingNet) -> Self {
-        let layers: Vec<_> = net
+    fn from_model(net: &crate::fitting::FittingNet, round_first: bool) -> Self {
+        let mut layers: Vec<_> = net
             .mlp
             .layers
             .iter()
@@ -169,56 +171,49 @@ impl Fit32 {
                 (w, wt, b, l.act, l.resnet, l.in_dim(), l.out_dim())
             })
             .collect();
-        let w16_first = layers[0].0.iter().map(|&x| round_f16(x)).collect();
-        let wt16_first = layers[0].1.iter().map(|&x| round_f16(x)).collect();
-        Fit32 { layers, w16_first, wt16_first }
+        if round_first {
+            let (w, wt, ..) = &mut layers[0];
+            w.iter_mut().chain(wt.iter_mut()).for_each(|x| *x = round_f16(*x));
+        }
+        Fit32 { layers, round_first }
     }
 
     /// Forward + backward of this net over the `rows` descriptor rows
     /// staged in `tape.d`, every layer one stacked GEMM per direction
     /// (first-layer GEMMs on operands rounded through binary16 when
-    /// `f16_first` is set).
+    /// `round_first` is set).
     /// Leaves the per-row energies in `tape.xs.last()` and ∂E/∂D in
     /// `tape.g`. Each output row depends only on its own input row: the
     /// kernels are row-independent and bias, activation and resnet apply
     /// per row, so how atoms are grouped into calls never changes a bit.
-    fn value_grad_rows(
-        &self,
-        rows: usize,
-        f16_first: bool,
-        tally: Option<&GemmTally>,
-        tape: &mut FitTape,
-    ) {
+    fn value_grad_rows(&self, rows: usize, tally: Option<&GemmTally>, tape: &mut FitTape) {
         let nl = self.layers.len();
         let FitTape { d, xs, dfacs, g, dpre, dx, a16 } = tape;
         xs.resize_with(nl, Vec::default);
         dfacs.resize_with(nl, Vec::default);
         // `out = a · w` over the stacked rows (`out` zeroed by the caller),
-        // on `a` rounded through binary16 against the rounded `w16` when
-        // given (the module docs say why that is the fp16 fold).
-        let mut stacked_gemm =
-            |n: usize, k: usize, a: &[f32], w: &[f32], w16: Option<&[f32]>, out: &mut [f32]| {
-                let (a, w, prec) = match w16 {
-                    Some(w16) => {
-                        a16.clear();
-                        a16.extend(a.iter().map(|&v| round_f16(v)));
-                        (&a16[..], w16, PrecClass::F16)
-                    }
-                    None => (a, w, PrecClass::F32),
-                };
-                gemm::auto_nn_f32(rows, n, k, a, w, out);
-                if let Some(t) = tally {
-                    t.record(rows, prec);
-                }
+        // on `a` rounded through binary16 when `round` is set — against
+        // weights rounded at build, that is the fp16 fold (module docs).
+        let mut stacked_gemm = |n: usize, k: usize, a: &[f32], w: &[f32], round: bool, out: &mut [f32]| {
+            let (a, prec) = if round {
+                a16.clear();
+                a16.extend(a.iter().map(|&v| round_f16(v)));
+                (&a16[..], PrecClass::F16)
+            } else {
+                (a, PrecClass::F32)
             };
+            gemm::auto_nn_f32(rows, n, k, a, w, out);
+            if let Some(t) = tally {
+                t.record(rows, prec);
+            }
+        };
         for (li, (w, _, b, act, resnet, ind, outd)) in self.layers.iter().enumerate() {
             let (ind, outd) = (*ind, *outd);
             let (done, rest) = xs.split_at_mut(li);
             let (x, out) = (done.last().unwrap_or(d), &mut rest[0]);
             out.clear();
             out.resize(rows * outd, 0.0);
-            let w16 = (li == 0 && f16_first).then_some(&self.w16_first[..]);
-            stacked_gemm(outd, ind, x, w, w16, out);
+            stacked_gemm(outd, ind, x, w, li == 0 && self.round_first, out);
             bias_activation(*act, b, out, &mut dfacs[li]);
             for r in 0..rows {
                 let outr = &mut out[r * outd..(r + 1) * outd];
@@ -249,8 +244,7 @@ impl Fit32 {
             dpre.extend(g.iter().zip(&dfacs[li]).map(|(&gv, &df)| gv * df));
             dx.clear();
             dx.resize(rows * ind, 0.0);
-            let wt16 = (li == 0 && f16_first).then_some(&self.wt16_first[..]);
-            stacked_gemm(ind, outd, dpre, wt, wt16, dx);
+            stacked_gemm(ind, outd, dpre, wt, li == 0 && self.round_first, dx);
             for r in 0..rows {
                 let (dxr, gr) = (&mut dx[r * ind..(r + 1) * ind], &g[r * outd..(r + 1) * outd]);
                 match resnet {
@@ -272,13 +266,15 @@ impl Fit32 {
     }
 }
 
-/// Everything one tile computes between its embedding and its force
+/// Everything one tile computes between its environments and its force
 /// scatter, in flat arrays that only grow: one instance per tile, so no
-/// buffer is allocated per atom, and a tile's embeddings are still in cache
-/// when its chain rule reads them. Atom `l` of the tile owns the tile-wide
-/// entries `off[l]..off[l + 1]`.
+/// buffer is allocated per atom, and a tile's environments and embeddings
+/// are still in cache when its chain rule reads them. Atom `l` of the tile
+/// owns the tile-wide entries `off[l]..off[l + 1]`.
 #[derive(Default)]
 pub(crate) struct TileScratch {
+    /// The environments of the tile's atoms, one after another.
+    entries: Vec<EnvEntry>,
     /// Entry positions of the species currently being embedded.
     idx: Vec<u32>,
     /// Feature rows entering the current embedding layer (`ind × rows`).
@@ -337,7 +333,9 @@ pub(crate) struct DpObs {
 pub struct DpEngine {
     /// The underlying f64 model (reference path and source of weights).
     pub model: DeepPotModel,
-    /// Active precision mode.
+    /// Active precision mode, as built: the cast weights depend on it
+    /// (`Mix16` rounds the first fitting layer's), so construct a new
+    /// engine rather than change it.
     pub precision: Precision,
     emb32: Vec<Emb32>,
     fit32: Vec<Fit32>,
@@ -357,7 +355,8 @@ impl DpEngine {
     /// until [`with_pool`](Self::with_pool) hands it a wider pool.
     pub fn new(model: DeepPotModel, precision: Precision) -> Self {
         let emb32 = model.embeddings.iter().map(Emb32::from_model).collect();
-        let fit32 = model.fittings.iter().map(Fit32::from_model).collect();
+        let mix16 = precision == Precision::Mix16;
+        let fit32 = model.fittings.iter().map(|f| Fit32::from_model(f, mix16)).collect();
         DpEngine {
             model,
             precision,
@@ -407,24 +406,39 @@ impl DpEngine {
         self.energy_forces(atoms, nl, bx, &mut forces).energy
     }
 
-    /// Embed every atom of a tile into `s` (see [`embed_atom32`](Self::embed_atom32)),
-    /// after laying out the tile's per-atom offsets.
-    pub(crate) fn embed_tile(&self, envs: &[Environment], s: &mut TileScratch) {
-        let m1 = self.model.config.m1();
+    /// Build the environments of the atoms `range` of `atoms` into `s`
+    /// ([`push_environment`] per atom, in atom order), with the per-atom
+    /// offsets the embedding and fitting stages index them by.
+    pub(crate) fn describe_tile(
+        &self,
+        atoms: &Atoms,
+        nl: &NeighborList,
+        bx: &SimBox,
+        range: std::ops::Range<usize>,
+        s: &mut TileScratch,
+    ) {
+        let cfg = &self.model.config;
+        s.entries.clear();
         s.off.clear();
         s.off.push(0);
-        let mut entries = 0;
-        for env in envs {
-            entries += env.entries.len();
-            s.off.push(entries);
+        for i in range {
+            push_environment(atoms, nl, bx, i, cfg.rcut_smth, cfg.rcut, &mut s.entries);
+            s.off.push(s.entries.len());
         }
+    }
+
+    /// Embed every atom of the tile [`describe_tile`](Self::describe_tile)
+    /// left in `s` (see [`embed_atom32`](Self::embed_atom32)).
+    pub(crate) fn embed_tile(&self, s: &mut TileScratch) {
+        let m1 = self.model.config.m1();
+        let (natoms, nentries) = (s.off.len() - 1, s.entries.len());
         // Every element is overwritten before it is read.
-        s.g.resize(entries * m1, 0.0);
-        s.dg_ds.resize(entries * m1, 0.0);
-        s.coords.resize(entries * 4, 0.0);
-        s.t.resize(envs.len() * m1 * 4, 0.0);
-        for (l, env) in envs.iter().enumerate() {
-            self.embed_atom32(env, l, s);
+        s.g.resize(nentries * m1, 0.0);
+        s.dg_ds.resize(nentries * m1, 0.0);
+        s.coords.resize(nentries * 4, 0.0);
+        s.t.resize(natoms * m1 * 4, 0.0);
+        for l in 0..natoms {
+            self.embed_atom32(l, s);
         }
     }
 
@@ -439,31 +453,25 @@ impl DpEngine {
     /// last layer's columns land in the atom's G and dG/ds (a copy when
     /// every entry is of one species, a column scatter otherwise), then
     /// `dpmd_simd::env_t_f32` folds T in entry order.
-    pub(crate) fn embed_atom32(&self, env: &Environment, l: usize, s: &mut TileScratch) {
+    pub(crate) fn embed_atom32(&self, l: usize, s: &mut TileScratch) {
         let m1 = self.model.config.m1();
         let inv_nm = 1.0f32 / self.model.config.nmax as f32;
-        let n = env.entries.len();
         let tally = self.obs.as_ref().map(|o| &o.gemm);
-        let TileScratch { idx, val, tan, pre, dpre, dfac, off, g, dg_ds, coords, t, .. } = s;
-        let at = off[l];
+        let TileScratch { entries, idx, val, tan, pre, dpre, dfac, off, g, dg_ds, coords, t, .. } = s;
+        let (at, n) = (off[l], off[l + 1] - off[l]);
+        let env = &entries[at..at + n];
         let g = &mut g[at * m1..(at + n) * m1];
         let dg_ds = &mut dg_ds[at * m1..(at + n) * m1];
         let coords = &mut coords[at * 4..(at + n) * 4];
         for (ty, emb_net) in self.emb32.iter().enumerate() {
             idx.clear();
-            idx.extend(
-                env.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.typ as usize == ty)
-                    .map(|(k, _)| k as u32),
-            );
+            idx.extend(env.iter().enumerate().filter(|(_, e)| e.typ as usize == ty).map(|(k, _)| k as u32));
             let rows = idx.len();
             if rows == 0 {
                 continue;
             }
             val.clear();
-            val.extend(idx.iter().map(|&k| env.entries[k as usize].s as f32));
+            val.extend(idx.iter().map(|&k| env[k as usize].s as f32));
             tan.clear();
             tan.resize(rows, 1.0);
             for (wt, b, act, resnet, ind, outd) in &emb_net.layers {
@@ -513,7 +521,7 @@ impl DpEngine {
                 }
             }
         }
-        for (k, e) in env.entries.iter().enumerate() {
+        for (k, e) in env.iter().enumerate() {
             for (c, v) in e.coords().into_iter().enumerate() {
                 coords[c * n + k] = v as f32;
             }
@@ -521,25 +529,18 @@ impl DpEngine {
         dpmd_simd::env_t_f32(m1, n, g, coords, inv_nm, &mut t[l * m1 * 4..(l + 1) * m1 * 4]);
     }
 
-    /// Fitting pass of one tile: the atoms `start..start + envs.len()` of
-    /// `atoms`, with their environments and the embeddings
-    /// [`embed_tile`](Self::embed_tile) left in `s`.
-    pub(crate) fn fit_tile(
-        &self,
-        atoms: &Atoms,
-        start: usize,
-        envs: &[Environment],
-        s: &mut TileScratch,
-    ) -> TileOut {
+    /// Fitting pass of one tile: the atoms `start..` of `atoms` whose
+    /// environments [`describe_tile`](Self::describe_tile) and embeddings
+    /// [`embed_tile`](Self::embed_tile) are in `s`.
+    pub(crate) fn fit_tile(&self, atoms: &Atoms, start: usize, s: &mut TileScratch) -> TileOut {
         let cfg = &self.model.config;
         let (m1, m2) = (cfg.m1(), cfg.m2);
         let dl = m1 * m2;
         let inv_nm = 1.0f32 / cfg.nmax as f32;
-        let f16_first = self.precision == Precision::Mix16;
         let tally = self.obs.as_ref().map(|o| &o.gemm);
-        let n = envs.len();
+        let TileScratch { entries, off, g, dg_ds, coords, t, tape, efit, de_dd, dt, de_ds, de_drt, .. } = s;
+        let n = off.len() - 1;
         let typ = &atoms.typ[start..start + n];
-        let TileScratch { off, g, dg_ds, coords, t, tape, efit, de_dd, dt, de_ds, de_drt, .. } = s;
         let t_of = |l: usize| &t[l * m1 * 4..(l + 1) * m1 * 4];
 
         // Fitting net, stacked per central species: D rows in (every
@@ -569,7 +570,7 @@ impl DpEngine {
                     }
                 }
             }
-            fit.value_grad_rows(rows, f16_first, tally, tape);
+            fit.value_grad_rows(rows, tally, tape);
             gemms += 2 * fit.layers.len() as u64;
             rows_total += 2 * (fit.layers.len() * rows) as u64;
             let energies = &tape.xs[fit.layers.len() - 1];
@@ -584,7 +585,7 @@ impl DpEngine {
         dt.resize(m1 * 4, 0.0);
         let mut energy = 0.0f64;
         let mut virial = 0.0f64;
-        for (l, env) in envs.iter().enumerate() {
+        for l in 0..n {
             let i = start + l;
             let t = t_of(l);
             energy += efit[l] as f64 + self.model.energy_bias[typ[l] as usize];
@@ -601,7 +602,7 @@ impl DpEngine {
                     }
                 }
             }
-            let (at, nk) = (off[l], env.entries.len());
+            let (at, nk) = (off[l], off[l + 1] - off[l]);
             // Both outputs are overwritten.
             de_ds.resize(nk, 0.0);
             de_drt.resize(4 * nk, 0.0);
@@ -616,7 +617,7 @@ impl DpEngine {
                 de_ds,
                 de_drt,
             );
-            for (k, e) in env.entries.iter().enumerate() {
+            for (k, e) in entries[at..at + nk].iter().enumerate() {
                 let de_drt = [de_drt[k], de_drt[nk + k], de_drt[2 * nk + k], de_drt[3 * nk + k]];
                 let grads = e.coord_grads();
                 let inv_r = 1.0 / e.r;
@@ -687,7 +688,6 @@ impl Potential for DpEngine {
 mod tests {
     use super::*;
     use crate::config::DeepPotConfig;
-    use crate::descriptor::build_environments_on;
     use minimd::lattice::fcc_copper;
     use minimd::neighbor::ListKind;
 
@@ -872,9 +872,8 @@ mod tests {
         use nnet::matrix::Matrix;
         let cfg = &model.config;
         let (m1, m2) = (cfg.m1(), cfg.m2);
-        let envs = build_environments_on(&ThreadPool::serial(), atoms, nl, bx, cfg.rcut_smth, cfg.rcut);
         let (mut lo, mut hi) = (f64::MAX, 0.0f64);
-        let mut see = |mlp: &nnet::layers::Mlp, x: &Matrix<f64>| {
+        let mut see = |mlp: &nnet::layers::Mlp, x: &Matrix| {
             let (out, caches) = mlp.forward(x);
             for (layer, cache) in mlp.layers.iter().zip(&caches) {
                 if layer.act == Activation::Tanh {
@@ -886,9 +885,12 @@ mod tests {
             }
             out
         };
-        for (i, env) in envs.iter().enumerate() {
+        let mut env = Vec::new();
+        for i in 0..atoms.nlocal {
+            env.clear();
+            push_environment(atoms, nl, bx, i, cfg.rcut_smth, cfg.rcut, &mut env);
             let mut t = vec![0.0f64; m1 * 4];
-            for e in &env.entries {
+            for e in &env {
                 let g = see(&model.embeddings[e.typ as usize].mlp, &Matrix::from_fn(1, 1, |_, _| e.s));
                 for (m, gv) in g.as_slice().iter().enumerate() {
                     for (cc, cv) in e.coords().iter().enumerate() {
@@ -1009,19 +1011,29 @@ mod tests {
         }
     }
 
-    /// The `Mix16` first-layer weights are stored rounded: every element is
-    /// a fixed point of the binary16 round trip (so the f32 GEMM sees
-    /// binary16 values), and the rounding did happen.
+    /// A `Mix16` engine's first fitting layer holds its weights rounded:
+    /// every element is the binary16 rounding of the `Mix32` engine's
+    /// element (so the f32 GEMM sees binary16 values), and the rounding did
+    /// happen; every other layer is the `Mix32` engine's, bit for bit.
     #[test]
     fn mix16_first_layer_weights_are_binary16_values() {
         for ntypes in [1, 2] {
-            let engine = DpEngine::new(DeepPotModel::new(DeepPotConfig::tiny(ntypes, 5.0)), Precision::Mix16);
-            for fit in &engine.fit32 {
-                let (w, wt, ..) = &fit.layers[0];
-                for (rounded, full) in [(&fit.w16_first, w), (&fit.wt16_first, wt)] {
-                    assert_eq!(rounded.len(), full.len());
-                    assert!(rounded.iter().all(|&x| round_f16(x).to_bits() == x.to_bits()));
-                    assert_ne!(rounded, full, "first-layer weights were not rounded");
+            let model = DeepPotModel::new(DeepPotConfig::tiny(ntypes, 5.0));
+            let mix32 = DpEngine::new(model.clone(), Precision::Mix32);
+            let mix16 = DpEngine::new(model, Precision::Mix16);
+            for (fit16, fit32) in mix16.fit32.iter().zip(&mix32.fit32) {
+                assert!(fit16.round_first && !fit32.round_first);
+                for (li, (l16, l32)) in fit16.layers.iter().zip(&fit32.layers).enumerate() {
+                    for (rounded, full) in [(&l16.0, &l32.0), (&l16.1, &l32.1)] {
+                        assert_eq!(rounded.len(), full.len());
+                        let want: Vec<f32> =
+                            if li == 0 { full.iter().map(|&x| round_f16(x)).collect() } else { full.to_vec() };
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(rounded), bits(&want), "layer {li}");
+                        if li == 0 {
+                            assert_ne!(rounded, full, "first-layer weights were not rounded");
+                        }
+                    }
                 }
             }
         }

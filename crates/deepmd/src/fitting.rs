@@ -31,13 +31,13 @@ impl FittingNet {
     }
 
     /// Atomic energy for a batch of descriptors (`batch × in_dim`).
-    pub fn energy(&self, d: &Matrix<f64>) -> Vec<f64> {
+    pub fn energy(&self, d: &Matrix) -> Vec<f64> {
         self.mlp.forward_infer(d).into_vec()
     }
 
     /// Energy and `∂E/∂D` for a batch of descriptors: the backward pass with
     /// unit cotangent per row.
-    pub fn energy_and_grad(&self, d: &Matrix<f64>) -> (Vec<f64>, Matrix<f64>) {
+    pub fn energy_and_grad(&self, d: &Matrix) -> (Vec<f64>, Matrix) {
         let (out, caches) = self.mlp.forward(d);
         let dout = Matrix::from_fn(d.rows(), 1, |_, _| 1.0);
         let (dd, _) = self.mlp.backward(&caches, &dout);

@@ -169,7 +169,7 @@ impl<'m> GraphExecutor<'m> {
             let built = self.cache.get_mut(&key).expect("just inserted");
 
             // Feeds.
-            let mut feeds: HashMap<String, Matrix<f64>> = HashMap::new();
+            let mut feeds: HashMap<String, Matrix> = HashMap::new();
             for (t, s_name, r_name) in &built.inputs {
                 let idx = &groups[*t];
                 let s = Matrix::from_fn(idx.len(), 1, |r, _| env.entries[idx[r]].s);

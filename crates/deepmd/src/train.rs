@@ -175,10 +175,10 @@ pub fn frame_loss_and_grads(model: &DeepPotModel, frame: &Frame) -> (f64, Vec<f6
     // ---- forward: keep per-atom caches ----
     struct AtomCache {
         // per type: (entry indices, input matrix cache, forward caches, G rows)
-        per_type: Vec<(Vec<usize>, Vec<nnet::layers::DenseCache>, Matrix<f64>)>,
+        per_type: Vec<(Vec<usize>, Vec<nnet::layers::DenseCache>, Matrix)>,
         t: Vec<f64>,
         fit_caches: Vec<nnet::layers::DenseCache>,
-        d: Matrix<f64>,
+        d: Matrix,
     }
     let mut caches: Vec<AtomCache> = Vec::with_capacity(natoms);
     let mut e_pred = 0.0;

@@ -35,24 +35,27 @@ pub struct PotentialOutput {
 /// embedding-net inference, and fitting-net inference plus the force
 /// backward pass. All in seconds.
 ///
-/// An evaluator that runs embedding and fitting back to back inside one
-/// parallel scope (the mixed-precision Deep Potential engine, where each
-/// tile of atoms embeds and then fits) has one wall time for the pair. It
-/// splits that wall time into [`embedding_s`](Self::embedding_s) and
-/// [`fitting_s`](Self::fitting_s) in proportion to the thread time its
-/// tasks spent in each stage, summed over tasks: the two add up to the
-/// scope's wall time, and both are finite and non-negative.
+/// An evaluator that runs every stage of a group of atoms back to back
+/// inside one parallel scope (the mixed-precision Deep Potential engine,
+/// where each tile of atoms builds its environments, embeds and then fits)
+/// has one wall time for the three. It splits that wall time into
+/// [`descriptor_s`](Self::descriptor_s), [`embedding_s`](Self::embedding_s)
+/// and [`fitting_s`](Self::fitting_s) in proportion to the thread time its
+/// tasks spent in each stage, summed over tasks: the three add up to the
+/// scope's wall time, and all are finite and non-negative.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ForcePhases {
-    /// Environment-matrix construction (smooth switching, displacements).
+    /// Environment-matrix construction (smooth switching, displacements):
+    /// the descriptor's share of a fused scope's wall time (see the type
+    /// docs), or its own pass in an evaluator that runs one (the f64
+    /// model).
     pub descriptor_s: f64,
     /// Embedding-net forward + gradient and the T accumulation: the
-    /// embedding's share of a fused scope's wall time (see the type docs).
-    /// Zero from an evaluator that does not separate it (the per-atom f64
-    /// model).
+    /// embedding's share of a fused scope's wall time. Zero from an
+    /// evaluator that does not separate it (the per-atom f64 model).
     pub embedding_s: f64,
     /// Fitting-net forward/backward and the per-neighbour chain rule: the
-    /// rest of a fused scope's wall time.
+    /// fitting's share of a fused scope's wall time.
     pub fitting_s: f64,
     /// Deterministic chunk-ordered merge of per-chunk force buffers and
     /// energy/virial partials (single-threaded by construction).

@@ -1,8 +1,7 @@
 //! Activation functions and their derivatives.
 //!
-//! Deep Potential uses `tanh` throughout (embedding and fitting nets). The
-//! others are kept for ablations and to exercise the graph runtime with more
-//! than one nonlinearity.
+//! Deep Potential uses `tanh` throughout (embedding and fitting nets); the
+//! fitting net's output layer is the identity. Those are the two variants.
 //!
 //! Two precisions, two implementations. The f64 side
 //! ([`Activation::apply`], [`Activation::derivative`]) is libm: it is what
@@ -19,10 +18,6 @@ use serde::{Deserialize, Serialize};
 pub enum Activation {
     /// Hyperbolic tangent — the Deep Potential default.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Gaussian error linear unit (tanh approximation).
-    Gelu,
     /// Identity (used by output layers).
     Linear,
 }
@@ -33,11 +28,6 @@ impl Activation {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Gelu => {
-                let c = (2.0 / std::f64::consts::PI).sqrt();
-                0.5 * x * (1.0 + (c * (x + 0.044715 * x * x * x)).tanh())
-            }
             Activation::Linear => x,
         }
     }
@@ -50,18 +40,6 @@ impl Activation {
                 let t = x.tanh();
                 1.0 - t * t
             }
-            Activation::Sigmoid => {
-                let s = self.apply(x);
-                s * (1.0 - s)
-            }
-            Activation::Gelu => {
-                // d/dx of the tanh approximation.
-                let c = (2.0 / std::f64::consts::PI).sqrt();
-                let u = c * (x + 0.044715 * x * x * x);
-                let t = u.tanh();
-                let du = c * (1.0 + 3.0 * 0.044715 * x * x);
-                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            }
             Activation::Linear => 1.0,
         }
     }
@@ -73,10 +51,9 @@ impl Activation {
     /// element, to what `value_grad_rows_f32` writes, and the derivative is
     /// that function's f32 factor widened. For `Tanh` both come from
     /// `dpmd-simd`'s f32 kernel (≤ 1.4 ulp from libm), not from
-    /// [`apply_f32`](Self::apply_f32) / [`derivative`](Self::derivative),
-    /// which stay f64 libm: the f64 model is the oracle the mixed pipeline
-    /// is checked against. The other variants evaluate in f64 and share one
-    /// transcendental where the derivative is a function of the value.
+    /// [`apply`](Self::apply) / [`derivative`](Self::derivative), which
+    /// stay f64 libm: the f64 model is the oracle the mixed pipeline is
+    /// checked against.
     #[inline]
     pub fn value_grad_f32(self, x: f32) -> (f32, f64) {
         match self {
@@ -84,29 +61,20 @@ impl Activation {
                 let (t, d) = dpmd_simd::tanh_value_grad_f32_one(x);
                 (t, d as f64)
             }
-            Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-(x as f64)).exp());
-                (s as f32, s * (1.0 - s))
-            }
-            // Gelu's derivative is not a function of its value; no sharing.
-            _ => (self.apply_f32(x), self.derivative(x as f64)),
+            Activation::Linear => (x, 1.0),
         }
     }
 
     /// The force pipeline's activation step, in place over a whole GEMM
     /// output: `x ← act(x)`, `dfac ← act′(x)`, equal lengths. `Tanh` is one
     /// call of `dpmd-simd`'s vectorised kernel, whose bits do not depend on
-    /// the host; the other variants go element by element through
-    /// [`value_grad_f32`](Self::value_grad_f32).
+    /// the host; `Linear` leaves `x` and fills `dfac` with ones.
     pub fn value_grad_rows_f32(self, x: &mut [f32], dfac: &mut [f32]) {
         match self {
             Activation::Tanh => dpmd_simd::tanh_value_grad_f32(x, dfac),
-            _ => {
+            Activation::Linear => {
                 assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
-                for (x, d) in x.iter_mut().zip(dfac) {
-                    let (v, g) = self.value_grad_f32(*x);
-                    (*x, *d) = (v, g as f32);
-                }
+                dfac.fill(1.0);
             }
         }
     }
@@ -116,14 +84,6 @@ impl Activation {
         for x in xs {
             *x = self.apply(*x);
         }
-    }
-
-    /// Single-precision apply — the `MIX-fp32` path evaluates activations in
-    /// f32 (the paper keeps fitting-net activations in fp32 even under
-    /// `MIX-fp16`, so there is intentionally no f16 variant).
-    #[inline]
-    pub fn apply_f32(self, x: f32) -> f32 {
-        self.apply(x as f64) as f32
     }
 }
 
@@ -141,7 +101,7 @@ mod tests {
     #[test]
     fn derivatives_match_finite_difference() {
         let h = 1e-6;
-        for act in [Activation::Tanh, Activation::Sigmoid, Activation::Gelu, Activation::Linear] {
+        for act in [Activation::Tanh, Activation::Linear] {
             for &x in &[-2.0, -0.5, 0.0, 0.3, 1.7] {
                 let fd = (act.apply(x + h) - act.apply(x - h)) / (2.0 * h);
                 let an = act.derivative(x);
@@ -153,18 +113,19 @@ mod tests {
     #[test]
     fn slice_apply_matches_scalar() {
         let mut xs = vec![-1.0, 0.0, 2.0];
-        Activation::Sigmoid.apply_slice(&mut xs);
-        assert!((xs[0] - Activation::Sigmoid.apply(-1.0)).abs() < 1e-15);
-        assert_eq!(xs[1], 0.5);
+        Activation::Tanh.apply_slice(&mut xs);
+        assert_eq!(xs[0], Activation::Tanh.apply(-1.0));
+        assert_eq!(xs[1], 0.0);
+        assert_eq!(xs[2], 2.0f64.tanh());
     }
 
-    /// Sigmoid / Gelu / Linear: the fused form is `apply_f32` and
-    /// `derivative` bit for bit. Tanh: the one-element form is the rows form
-    /// bit for bit (its accuracy against libm is `dpmd-simd`'s test).
+    /// Both variants: the one-element form is the rows form bit for bit.
+    /// Linear: the value is the input and the factor is one. Tanh: its
+    /// accuracy against libm is `dpmd-simd`'s test.
     #[test]
     fn fused_value_grad_is_bitwise_identical() {
         let xs: Vec<f32> = (-4000..4000).map(|i| i as f32 * 2.5e-3).collect();
-        for act in [Activation::Tanh, Activation::Sigmoid, Activation::Gelu, Activation::Linear] {
+        for act in [Activation::Tanh, Activation::Linear] {
             let (mut rows, mut dfac) = (xs.clone(), vec![0.0f32; xs.len()]);
             act.value_grad_rows_f32(&mut rows, &mut dfac);
             for ((&x, row), df) in xs.iter().zip(rows).zip(dfac) {
@@ -174,18 +135,10 @@ mod tests {
                 if act == Activation::Tanh {
                     assert_eq!(d, df as f64, "Tanh grad at {x} is the f32 factor widened");
                 } else {
-                    assert_eq!(v.to_bits(), act.apply_f32(x).to_bits(), "{act:?} value at {x}");
-                    assert_eq!(d.to_bits(), act.derivative(x as f64).to_bits(), "{act:?} grad at {x}");
+                    assert_eq!(v.to_bits(), x.to_bits(), "{act:?} value at {x}");
+                    assert_eq!(d, 1.0, "{act:?} grad at {x}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn gelu_is_monotone_near_origin_and_bounded_below() {
-        let g = Activation::Gelu;
-        assert!(g.apply(0.0).abs() < 1e-15);
-        assert!(g.apply(3.0) > g.apply(1.0));
-        assert!(g.apply(-10.0).abs() < 1e-6);
     }
 }

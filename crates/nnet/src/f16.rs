@@ -1,16 +1,15 @@
-//! Software IEEE 754 binary16 ("half precision").
+//! IEEE 754 binary16 ("half precision") as a conversion.
 //!
 //! The paper converts the first-layer GEMM of the fitting net to fp16
-//! (`MIX-fp16`). Fugaku's A64FX executes fp16 natively through SVE; here the
-//! numerics are reproduced in software: values are *stored* as binary16 and
-//! arithmetic is performed by widening to `f32`, exactly like an
-//! fp16-storage / fp32-accumulate tensor kernel. Conversion uses
-//! round-to-nearest-even, matching hardware `fcvt` behaviour, so the rounding
-//! error injected into Table II / Fig. 6 experiments is the real fp16 error.
+//! (`MIX-fp16`). Fugaku's A64FX executes fp16 natively through SVE; here
+//! binary16 is a rounding, not an arithmetic: an `f32` is rounded to the
+//! nearest binary16 (round-to-nearest-even, matching hardware `fcvt`) and
+//! widened back exactly, and the arithmetic on the rounded values is f32 —
+//! exactly an fp16-storage / fp32-accumulate kernel (`crate::gemm` module
+//! docs). The rounding error injected into Table II / Fig. 6 experiments is
+//! therefore the real fp16 error.
 
-use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// An IEEE 754 binary16 floating-point number stored as its bit pattern.
 #[derive(Clone, Copy, Default, PartialEq)]
@@ -98,19 +97,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
-    /// One.
-    pub const ONE: F16 = F16(0x3c00);
-    /// Positive infinity.
-    pub const INFINITY: F16 = F16(0x7c00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xfc00);
-    /// Largest finite value, 65504.
-    pub const MAX: F16 = F16(0x7bff);
-    /// Smallest positive normal value, 2^-14.
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Machine epsilon (2^-10) — the unit roundoff scale that drives the
-    /// MIX-fp16 row of Table II.
-    pub const EPSILON: F16 = F16(0x1400);
 
     /// Round an `f32` to the nearest representable binary16.
     #[inline]
@@ -118,26 +104,10 @@ impl F16 {
         F16(f32_to_f16_bits(x))
     }
 
-    /// Round an `f64` to the nearest representable binary16.
-    ///
-    /// Double rounding through f32 is harmless here: f32 has 13 more mantissa
-    /// bits than f16, so the f32 intermediate never sits exactly on an f16
-    /// rounding boundary unless the f64 did.
-    #[inline]
-    pub fn from_f64(x: f64) -> Self {
-        F16(f32_to_f16_bits(x as f32))
-    }
-
     /// Widen to `f32` (exact).
     #[inline]
     pub fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
-    }
-
-    /// Widen to `f64` (exact).
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.to_f32() as f64
     }
 
     /// Raw bit pattern.
@@ -151,86 +121,6 @@ impl F16 {
     pub fn from_bits(bits: u16) -> Self {
         F16(bits)
     }
-
-    /// `true` if the value is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x03ff) != 0
-    }
-
-    /// `true` if the value is +/- infinity.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7fff) == 0x7c00
-    }
-
-    /// `true` if the value is finite (neither infinite nor NaN).
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        (self.0 & 0x7c00) != 0x7c00
-    }
-
-    /// Absolute value (clears the sign bit).
-    #[inline]
-    pub fn abs(self) -> Self {
-        F16(self.0 & 0x7fff)
-    }
-}
-
-impl From<f32> for F16 {
-    fn from(x: f32) -> Self {
-        F16::from_f32(x)
-    }
-}
-
-impl From<F16> for f32 {
-    fn from(x: F16) -> f32 {
-        x.to_f32()
-    }
-}
-
-impl From<F16> for f64 {
-    fn from(x: F16) -> f64 {
-        x.to_f64()
-    }
-}
-
-impl PartialOrd for F16 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        self.to_f32().partial_cmp(&other.to_f32())
-    }
-}
-
-macro_rules! f16_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl $trait for F16 {
-            type Output = F16;
-            #[inline]
-            fn $method(self, rhs: F16) -> F16 {
-                F16::from_f32(self.to_f32() $op rhs.to_f32())
-            }
-        }
-    };
-}
-
-f16_binop!(Add, add, +);
-f16_binop!(Sub, sub, -);
-f16_binop!(Mul, mul, *);
-f16_binop!(Div, div, /);
-
-impl AddAssign for F16 {
-    #[inline]
-    fn add_assign(&mut self, rhs: F16) {
-        *self = *self + rhs;
-    }
-}
-
-impl Neg for F16 {
-    type Output = F16;
-    #[inline]
-    fn neg(self) -> F16 {
-        F16(self.0 ^ 0x8000)
-    }
 }
 
 impl fmt::Debug for F16 {
@@ -239,15 +129,15 @@ impl fmt::Debug for F16 {
     }
 }
 
-impl fmt::Display for F16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+
+    /// A binary16 NaN: all-ones exponent, non-zero mantissa.
+    fn is_nan_bits(bits: u16) -> bool {
+        (bits & 0x7c00) == 0x7c00 && (bits & 0x03ff) != 0
+    }
 
     #[test]
     fn exact_small_integers_round_trip() {
@@ -269,11 +159,11 @@ mod tests {
 
     #[test]
     fn overflow_rounds_to_infinity() {
-        assert_eq!(F16::from_f32(1.0e5), F16::INFINITY);
-        assert_eq!(F16::from_f32(-1.0e5), F16::NEG_INFINITY);
+        assert_eq!(F16::from_f32(1.0e5).to_bits(), 0x7c00);
+        assert_eq!(F16::from_f32(-1.0e5).to_bits(), 0xfc00);
         // 65520 is the first value that rounds up to infinity (midpoint,
         // ties-to-even picks the "even" infinity side per IEEE).
-        assert_eq!(F16::from_f32(65520.0), F16::INFINITY);
+        assert_eq!(F16::from_f32(65520.0).to_bits(), 0x7c00);
         assert_eq!(F16::from_f32(65519.0).to_bits(), 0x7bff);
     }
 
@@ -304,22 +194,11 @@ mod tests {
 
     #[test]
     fn nan_survives() {
-        assert!(F16::from_f32(f32::NAN).is_nan());
+        assert!(is_nan_bits(F16::from_f32(f32::NAN).to_bits()));
         assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
-        assert!(!F16::from_f32(1.0).is_nan());
-        assert!(F16::INFINITY.is_infinite());
-        assert!(!F16::INFINITY.is_nan());
-    }
-
-    #[test]
-    fn arithmetic_goes_through_f32() {
-        let a = F16::from_f32(1.5);
-        let b = F16::from_f32(2.25);
-        assert_eq!((a + b).to_f32(), 3.75);
-        assert_eq!((a * b).to_f32(), 3.375);
-        assert_eq!((-a).to_f32(), -1.5);
-        assert_eq!((b - a).to_f32(), 0.75);
-        assert_eq!((b / a).to_f32(), 1.5);
+        assert!(!is_nan_bits(F16::from_f32(1.0).to_bits()));
+        assert_eq!(F16::from_f32(f32::INFINITY).to_bits(), 0x7c00);
+        assert!(F16::from_bits(0x7c00).to_f32().is_infinite());
     }
 
     #[test]
@@ -401,7 +280,7 @@ mod tests {
     fn widening_matches_reference_for_all_bit_patterns() {
         for bits in 0u16..=u16::MAX {
             let got = f16_bits_to_f32(bits);
-            if F16(bits).is_nan() {
+            if is_nan_bits(bits) {
                 assert!(got.is_nan(), "bits {bits:#06x} must widen to NaN");
                 continue;
             }
@@ -490,8 +369,8 @@ mod tests {
     fn every_f16_round_trips_through_f32_exactly() {
         for bits in 0u16..=u16::MAX {
             let h = F16::from_bits(bits);
-            if h.is_nan() {
-                assert!(F16::from_f32(h.to_f32()).is_nan());
+            if is_nan_bits(bits) {
+                assert!(is_nan_bits(F16::from_f32(h.to_f32()).to_bits()));
             } else {
                 assert_eq!(F16::from_f32(h.to_f32()).to_bits(), bits, "bits {bits:#06x}");
             }

@@ -45,7 +45,7 @@ pub enum Op {
     /// Named placeholder fed at run time.
     Input(String),
     /// Constant parameter baked into the graph.
-    Param(Matrix<f64>),
+    Param(Matrix),
     /// `A·B`.
     MatMulNN(NodeId, NodeId),
     /// `A·Bᵀ` (B stored `n×k`) — the form the paper converts to NN.
@@ -143,7 +143,7 @@ impl Graph {
     }
 
     /// Convenience: constant parameter.
-    pub fn param(&mut self, m: Matrix<f64>) -> NodeId {
+    pub fn param(&mut self, m: Matrix) -> NodeId {
         self.add(Op::Param(m))
     }
 
@@ -387,14 +387,14 @@ impl Session {
     /// If a required input is missing from `feeds` or shapes are inconsistent.
     pub fn run(
         &mut self,
-        feeds: &HashMap<String, Matrix<f64>>,
+        feeds: &HashMap<String, Matrix>,
         fetches: &[NodeId],
-    ) -> (Vec<Matrix<f64>>, RunStats) {
-        let mut values: Vec<Option<Matrix<f64>>> = vec![None; self.graph.nodes.len()];
+    ) -> (Vec<Matrix>, RunStats) {
+        let mut values: Vec<Option<Matrix>> = vec![None; self.graph.nodes.len()];
         let mut stats = RunStats { framework_overhead_ns: SESSION_FIXED_OVERHEAD_NS, ..Default::default() };
 
         for (i, op) in self.graph.nodes.iter().enumerate() {
-            let val = |id: &NodeId| -> &Matrix<f64> { values[id.0].as_ref().expect("topological order") };
+            let val = |id: &NodeId| -> &Matrix { values[id.0].as_ref().expect("topological order") };
             let out = match op {
                 Op::Input(name) => feeds
                     .get(name)
@@ -568,7 +568,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    fn feeds(pairs: &[(&str, Matrix<f64>)]) -> HashMap<String, Matrix<f64>> {
+    fn feeds(pairs: &[(&str, Matrix)]) -> HashMap<String, Matrix> {
         pairs.iter().map(|(n, m)| (n.to_string(), m.clone())).collect()
     }
 
@@ -612,7 +612,7 @@ mod tests {
         let (dx, dw) = (&outs[1], &outs[2]);
 
         let h = 1e-6;
-        let eval = |sess: &mut Session, x: &Matrix<f64>| -> f64 {
+        let eval = |sess: &mut Session, x: &Matrix| -> f64 {
             sess.run(&feeds(&[("x", x.clone())]), &[loss]).0[0][(0, 0)]
         };
         for r in 0..2 {

@@ -36,7 +36,7 @@ pub enum Resnet {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Dense {
     /// Weight matrix, `in_dim × out_dim`, row-major (so `x·W` is GEMM-NN).
-    pub w: Matrix<f64>,
+    pub w: Matrix,
     /// Bias, length `out_dim`.
     pub b: Vec<f64>,
     /// Activation applied element-wise after the affine map.
@@ -49,16 +49,16 @@ pub struct Dense {
 #[derive(Clone, Debug)]
 pub struct DenseCache {
     /// Layer input, `batch × in`.
-    pub input: Matrix<f64>,
+    pub input: Matrix,
     /// Pre-activation `xW + b`, `batch × out`.
-    pub preact: Matrix<f64>,
+    pub preact: Matrix,
 }
 
 /// Parameter gradients produced by a backward pass.
 #[derive(Clone, Debug)]
 pub struct DenseGrads {
     /// `∂L/∂W`, same shape as `w`.
-    pub dw: Matrix<f64>,
+    pub dw: Matrix,
     /// `∂L/∂b`, same length as `b`.
     pub db: Vec<f64>,
 }
@@ -87,7 +87,7 @@ impl Dense {
     }
 
     /// Forward pass returning the output and the cache for backprop.
-    pub fn forward(&self, x: &Matrix<f64>) -> (Matrix<f64>, DenseCache) {
+    pub fn forward(&self, x: &Matrix) -> (Matrix, DenseCache) {
         let batch = x.rows();
         let (ind, outd) = (self.in_dim(), self.out_dim());
         assert_eq!(x.cols(), ind, "input width mismatch");
@@ -122,12 +122,12 @@ impl Dense {
     }
 
     /// Forward pass without caching (inference).
-    pub fn forward_infer(&self, x: &Matrix<f64>) -> Matrix<f64> {
+    pub fn forward_infer(&self, x: &Matrix) -> Matrix {
         self.forward(x).0
     }
 
     /// Backward pass: given `∂L/∂y`, return `∂L/∂x` and parameter grads.
-    pub fn backward(&self, cache: &DenseCache, dout: &Matrix<f64>) -> (Matrix<f64>, DenseGrads) {
+    pub fn backward(&self, cache: &DenseCache, dout: &Matrix) -> (Matrix, DenseGrads) {
         let batch = cache.input.rows();
         let (ind, outd) = (self.in_dim(), self.out_dim());
         assert_eq!(dout.rows(), batch);
@@ -210,7 +210,7 @@ impl Mlp {
     }
 
     /// Forward pass collecting per-layer caches.
-    pub fn forward(&self, x: &Matrix<f64>) -> (Matrix<f64>, Vec<DenseCache>) {
+    pub fn forward(&self, x: &Matrix) -> (Matrix, Vec<DenseCache>) {
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut cur = x.clone();
         for layer in &self.layers {
@@ -222,7 +222,7 @@ impl Mlp {
     }
 
     /// Inference-only forward pass.
-    pub fn forward_infer(&self, x: &Matrix<f64>) -> Matrix<f64> {
+    pub fn forward_infer(&self, x: &Matrix) -> Matrix {
         let mut cur = x.clone();
         for layer in &self.layers {
             cur = layer.forward_infer(&cur);
@@ -231,7 +231,7 @@ impl Mlp {
     }
 
     /// Backward pass: returns input gradient and per-layer parameter grads.
-    pub fn backward(&self, caches: &[DenseCache], dout: &Matrix<f64>) -> (Matrix<f64>, Vec<DenseGrads>) {
+    pub fn backward(&self, caches: &[DenseCache], dout: &Matrix) -> (Matrix, Vec<DenseGrads>) {
         assert_eq!(caches.len(), self.layers.len());
         let mut grads = Vec::with_capacity(self.layers.len());
         let mut d = dout.clone();

@@ -2,14 +2,15 @@
 //!
 //! A from-scratch neural-network substrate for the DeePMD reproduction:
 //!
-//! * [`f16`] — software IEEE 754 binary16 with round-to-nearest-even, the
-//!   storage type of the paper's fp16 fitting-net GEMM;
-//! * [`matrix`] — a dense row-major matrix over [`Scalar`] element types;
+//! * [`f16`] — IEEE 754 binary16 conversion with round-to-nearest-even,
+//!   the operand rounding of the paper's fp16 fitting-net GEMM;
+//! * [`matrix`] — a dense row-major f64 matrix;
 //! * [`gemm`] — the `naive` reference fold (all f64 arithmetic runs on
 //!   it) and the one f32 kernel (`dpmd-simd`'s `mul_add` fold, the same
 //!   bits on every host), which on operands rounded through binary16 is
 //!   the fp16-storage/fp32-accumulate GEMM of the `MIX-fp16` path;
-//! * [`activation`] — activations used by Deep Potential (tanh and friends);
+//! * [`activation`] — the activations Deep Potential models use (`tanh`,
+//!   and the identity of output layers);
 //! * [`layers`] — fully connected layers with analytic backward passes (the
 //!   f64 model and the trainer);
 //! * [`graph`] — a small computation-graph runtime standing in for the
@@ -41,5 +42,5 @@ pub mod precision;
 pub mod stats;
 
 pub use f16::F16;
-pub use matrix::{Matrix, Scalar};
+pub use matrix::Matrix;
 pub use precision::Precision;

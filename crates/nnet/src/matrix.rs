@@ -1,4 +1,6 @@
-//! Dense row-major matrices over the scalar types used in the reproduction.
+//! Dense row-major f64 matrices: the f64 model's, the trainer's and the
+//! graph runtime's one matrix type (the mixed-precision engine keeps its
+//! f32 weights in flat `Vec<f32>`s).
 //!
 //! DeePMD inference is dominated by small dense GEMMs (the fitting net is a
 //! 3-layer 240×240 MLP evaluated on a tall-and-skinny batch of atoms), so a
@@ -10,96 +12,22 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::f16::F16;
-
-/// Element types matrices can hold.
-///
-/// Implemented for `f64`, `f32` and the software [`F16`]. Conversions route
-/// through `f64`, which is exact for every value in all three types.
-pub trait Scalar: Copy + Default + PartialEq + fmt::Debug + Send + Sync + 'static {
-    /// Exact widening (f16/f32) or identity (f64) conversion.
-    fn to_f64(self) -> f64;
-    /// Rounding conversion from `f64`.
-    fn from_f64(x: f64) -> Self;
-    /// Additive identity.
-    fn zero() -> Self;
-    /// Multiplicative identity.
-    fn one() -> Self;
-}
-
-impl Scalar for f64 {
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    #[inline]
-    fn zero() -> Self {
-        0.0
-    }
-    #[inline]
-    fn one() -> Self {
-        1.0
-    }
-}
-
-impl Scalar for f32 {
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    #[inline]
-    fn zero() -> Self {
-        0.0
-    }
-    #[inline]
-    fn one() -> Self {
-        1.0
-    }
-}
-
-impl Scalar for F16 {
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self.to_f64()
-    }
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        F16::from_f64(x)
-    }
-    #[inline]
-    fn zero() -> Self {
-        F16::ZERO
-    }
-    #[inline]
-    fn one() -> Self {
-        F16::ONE
-    }
-}
-
 /// A dense row-major matrix.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix<T: Scalar> {
+pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Vec<f64>,
 }
 
-impl<T: Scalar> Matrix<T> {
+impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![T::zero(); rows * cols] }
+        Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// Build from a generator `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -113,7 +41,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Panics
     /// If `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length must equal rows*cols");
         Matrix { rows, cols, data }
     }
@@ -144,30 +72,30 @@ impl<T: Scalar> Matrix<T> {
 
     /// The backing row-major slice.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The backing row-major slice, mutably.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<T> {
+    pub fn into_vec(self) -> Vec<f64> {
         self.data
     }
 
     /// Row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[T] {
+    pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Row `r` as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -176,7 +104,7 @@ impl<T: Scalar> Matrix<T> {
     /// The paper preprocesses fitting-net parameter matrices into transposed
     /// form once at startup so every GEMM-NT in the backward pass becomes a
     /// GEMM-NN; this is the primitive that enables that conversion.
-    pub fn transpose(&self) -> Matrix<T> {
+    pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -186,53 +114,30 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Cast every element to another scalar type, rounding as needed.
-    pub fn cast<U: Scalar>(&self) -> Matrix<U> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| U::from_f64(x.to_f64())).collect(),
-        }
-    }
-
-    /// Maximum absolute element-wise difference against another matrix.
-    ///
-    /// # Panics
-    /// If shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x.to_f64() * x.to_f64()).sum::<f64>().sqrt()
+        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 }
 
-impl<T: Scalar> Index<(usize, usize)> for Matrix<T> {
-    type Output = T;
+impl Index<(usize, usize)> for Matrix {
+    type Output = f64;
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &T {
+    fn index(&self, (r, c): (usize, usize)) -> &f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &self.data[r * self.cols + c]
     }
 }
 
-impl<T: Scalar> IndexMut<(usize, usize)> for Matrix<T> {
+impl IndexMut<(usize, usize)> for Matrix {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
     }
 }
 
-impl<T: Scalar> fmt::Debug for Matrix<T> {
+impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         let show_rows = self.rows.min(6);
@@ -278,24 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn cast_f64_f32_f16_chain() {
-        let m = Matrix::from_fn(2, 2, |r, c| 1.0 + 0.1 * (r * 2 + c) as f64);
-        let m32: Matrix<f32> = m.cast();
-        let m16: Matrix<F16> = m.cast();
-        assert!(m.max_abs_diff(&m32.cast()) < 1e-7);
-        assert!(m.max_abs_diff(&m16.cast()) < 1e-3);
-        assert!(m.max_abs_diff(&m16.cast()) > 0.0, "f16 must actually round");
-    }
-
-    #[test]
     #[should_panic(expected = "rows*cols")]
     fn from_vec_length_checked() {
-        let _ = Matrix::<f64>::from_vec(2, 3, vec![0.0; 5]);
+        let _ = Matrix::from_vec(2, 3, vec![0.0; 5]);
     }
 
     #[test]
     fn frobenius_norm_matches_hand_value() {
-        let m = Matrix::from_vec(2, 2, vec![3.0f64, 0.0, 4.0, 0.0]);
+        let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 4.0, 0.0]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }
