@@ -111,15 +111,15 @@ mod tests {
     #[test]
     fn roundtrip_and_split() {
         let findings =
-            vec![f(RuleId::D1, "a.rs", 1), f(RuleId::D1, "a.rs", 9), f(RuleId::D4, "b.rs", 2)];
+            vec![f(RuleId::D2, "a.rs", 1), f(RuleId::D2, "a.rs", 9), f(RuleId::D5, "b.rs", 2)];
         let b = Baseline::covering(&findings);
         let b2 = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(b, b2);
 
         let mut partial = b.clone();
-        partial.entries.insert(("D1".into(), "a.rs".into()), 1);
+        partial.entries.insert(("D2".into(), "a.rs".into()), 1);
         let (fresh, baselined) = partial.split(findings);
-        assert_eq!(fresh.len(), 1, "second D1 in a.rs exceeds the budget");
+        assert_eq!(fresh.len(), 1, "second D2 in a.rs exceeds the budget");
         assert_eq!(fresh[0].line, 9);
         assert_eq!(baselined.len(), 2);
     }

@@ -1,5 +1,5 @@
-//! Analyzer configuration: wall-clock allowlist, hot-path manifest,
-//! blessed reduction helpers, and the D7–D10 interprocedural allowlists.
+//! Analyzer configuration: hot-path manifest, blessed reduction helpers,
+//! and the D7/D10 interprocedural allowlists.
 //!
 //! The committed workspace config lives in `analyze-config.json` at the
 //! repository root; tests build `Config` values directly. Registering a new
@@ -44,8 +44,7 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// One hot-path registration: a function that must not allocate. Reused by
-/// D8's clock-reader allowlist (same `{file, fn}` shape).
+/// One hot-path registration: a function that must not allocate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HotPath {
     /// Path suffix the file must end with (e.g. `crates/serve/src/lib.rs`).
@@ -55,10 +54,8 @@ pub struct HotPath {
 }
 
 /// Rule configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Config {
-    /// Path prefixes where wall-clock reads are legitimate (D4, D8).
-    pub wallclock_allow: Vec<String>,
     /// Functions registered as allocation-free hot paths (D5, D7 roots).
     pub hotpaths: Vec<HotPath>,
     /// Function names allowed to accumulate floats across chunks (D2) —
@@ -67,38 +64,8 @@ pub struct Config {
     /// Path prefixes exempt from D7's transitive-allocation reachability
     /// (e.g. the observability layer, reached only when attached).
     pub d7_alloc_allow: Vec<String>,
-    /// Enumerated legitimate `wall_now` readers (D8): `{file, fn}` entries.
-    pub d8_clock_allow: Vec<HotPath>,
-    /// Path prefixes of the audited unsafe islands (D9).
-    pub d9_islands: Vec<String>,
-    /// Qualified names of audited `pub unsafe fn` exports (D9).
-    pub d9_audited_surface: Vec<String>,
-    /// Qualified names of audited cross-crate callers of unsafe fns (D9).
-    pub d9_audited_callers: Vec<String>,
     /// Blessed interprocedural lock-order edges (D10): `(held, acquired)`.
     pub d10_blessed_edges: Vec<(String, String)>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            wallclock_allow: vec![
-                // The observability crate owns wall time (Unit::WallNs,
-                // span traces) and the bench harness measures it.
-                "crates/obs/".to_string(),
-                "crates/bench/".to_string(),
-                "crates/shims/criterion/".to_string(),
-            ],
-            hotpaths: Vec::new(),
-            blessed_reductions: Vec::new(),
-            d7_alloc_allow: Vec::new(),
-            d8_clock_allow: Vec::new(),
-            d9_islands: vec!["crates/threads/".to_string(), "crates/simd/".to_string()],
-            d9_audited_surface: Vec::new(),
-            d9_audited_callers: Vec::new(),
-            d10_blessed_edges: Vec::new(),
-        }
-    }
 }
 
 impl Config {
@@ -112,14 +79,9 @@ impl Config {
         let mut cfg = Config::default();
         for (key, val) in pairs {
             match key.as_str() {
-                "wallclock_allow" => cfg.wallclock_allow = string_list(key, val)?,
                 "blessed_reductions" => cfg.blessed_reductions = string_list(key, val)?,
                 "d7_alloc_allow" => cfg.d7_alloc_allow = string_list(key, val)?,
-                "d9_islands" => cfg.d9_islands = string_list(key, val)?,
-                "d9_audited_surface" => cfg.d9_audited_surface = string_list(key, val)?,
-                "d9_audited_callers" => cfg.d9_audited_callers = string_list(key, val)?,
                 "hotpaths" => cfg.hotpaths = file_fn_list("hotpaths", val)?,
-                "d8_clock_allow" => cfg.d8_clock_allow = file_fn_list("d8_clock_allow", val)?,
                 "d10_blessed_edges" => {
                     let Value::Array(items) = val else {
                         return Err(ConfigError::BadEntry {
@@ -150,11 +112,6 @@ impl Config {
         Ok(cfg)
     }
 
-    /// Is `path` allowlisted for wall-clock reads?
-    pub fn wallclock_allowed(&self, path: &str) -> bool {
-        self.wallclock_allow.iter().any(|p| path.starts_with(p.as_str()))
-    }
-
     /// Hot-path entries registered for `path`.
     pub fn hotpaths_for<'a>(&'a self, path: &str) -> Vec<&'a HotPath> {
         self.hotpaths.iter().filter(|h| path.ends_with(h.path_suffix.as_str())).collect()
@@ -163,18 +120,6 @@ impl Config {
     /// Is `path` exempt from D7's transitive-allocation reachability?
     pub fn d7_alloc_allowed(&self, path: &str) -> bool {
         self.d7_alloc_allow.iter().any(|p| path.starts_with(p.as_str()))
-    }
-
-    /// Is (`path`, `fn_name`) an enumerated legitimate clock reader (D8)?
-    pub fn d8_clock_allowed(&self, path: &str, fn_name: &str) -> bool {
-        self.d8_clock_allow
-            .iter()
-            .any(|h| path.ends_with(h.path_suffix.as_str()) && h.fn_name == fn_name)
-    }
-
-    /// Is `path` inside an audited unsafe island (D9)?
-    pub fn d9_island(&self, path: &str) -> bool {
-        self.d9_islands.iter().any(|p| path.starts_with(p.as_str()))
     }
 
     /// Is the interprocedural lock edge `held` → `acquired` blessed (D10)?
@@ -188,12 +133,8 @@ fn string_list(key: &str, v: &Value) -> Result<Vec<String>, ConfigError> {
     let keyed = |k: &str| -> &'static str {
         // Map back to the static key names so the error type stays Copy-able.
         match k {
-            "wallclock_allow" => "wallclock_allow",
             "blessed_reductions" => "blessed_reductions",
             "d7_alloc_allow" => "d7_alloc_allow",
-            "d9_islands" => "d9_islands",
-            "d9_audited_surface" => "d9_audited_surface",
-            "d9_audited_callers" => "d9_audited_callers",
             _ => "config",
         }
     };
@@ -242,27 +183,16 @@ mod tests {
     fn parses_the_committed_shape() {
         let cfg = Config::from_json(
             r#"{
-                "wallclock_allow": ["crates/obs/", "crates/bench/"],
                 "hotpaths": [{"file": "crates/serve/src/lib.rs", "fn": "run"}],
                 "blessed_reductions": ["merge_chunks"],
                 "d7_alloc_allow": ["crates/obs/"],
-                "d8_clock_allow": [{"file": "crates/minimd/src/sim.rs", "fn": "step"}],
-                "d9_islands": ["crates/threads/", "crates/simd/"],
-                "d9_audited_surface": ["dpmd_simd::avx2::nn_f32"],
-                "d9_audited_callers": ["nnet::gemm::dispatch"],
                 "d10_blessed_edges": [{"held": "serve::queue", "acquired": "serve::state"}]
             }"#,
         )
         .unwrap();
-        assert!(cfg.wallclock_allowed("crates/obs/src/capture.rs"));
-        assert!(!cfg.wallclock_allowed("crates/minimd/src/sim.rs"));
         assert_eq!(cfg.hotpaths_for("crates/serve/src/lib.rs").len(), 1);
         assert_eq!(cfg.blessed_reductions, vec!["merge_chunks".to_string()]);
         assert!(cfg.d7_alloc_allowed("crates/obs/src/metrics.rs"));
-        assert!(cfg.d8_clock_allowed("crates/minimd/src/sim.rs", "step"));
-        assert!(!cfg.d8_clock_allowed("crates/minimd/src/sim.rs", "init"));
-        assert!(cfg.d9_island("crates/simd/src/lib.rs"));
-        assert_eq!(cfg.d9_audited_surface, vec!["dpmd_simd::avx2::nn_f32".to_string()]);
         assert!(cfg.d10_blessed("serve::queue", "serve::state"));
         assert!(!cfg.d10_blessed("serve::state", "serve::queue"));
     }
@@ -277,16 +207,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_keys_with_a_typed_error() {
-        let err = Config::from_json(r#"{"wallclock_alow": []}"#).unwrap_err();
-        assert_eq!(err, ConfigError::UnknownKey("wallclock_alow".to_string()));
-        assert!(err.to_string().contains("wallclock_alow"));
-    }
-
-    #[test]
-    fn missing_keys_keep_island_defaults() {
-        let cfg = Config::from_json("{}").unwrap();
-        assert!(cfg.d9_island("crates/threads/src/lib.rs"));
-        assert!(cfg.d9_island("crates/simd/src/lib.rs"));
-        assert!(!cfg.d9_island("crates/comm/src/lib.rs"));
+        let err = Config::from_json(r#"{"d7_alloc_alow": []}"#).unwrap_err();
+        assert_eq!(err, ConfigError::UnknownKey("d7_alloc_alow".to_string()));
+        assert!(err.to_string().contains("d7_alloc_alow"));
     }
 }

@@ -2,20 +2,15 @@
 
 use serde::Value;
 
-/// The project invariants the analyzer enforces.
+/// The project invariants the analyzer enforces. The rules rustc and
+/// clippy check exactly (D1, D3, D4, D8, D9) live in the workspace lint
+/// table and `clippy.toml`; the kept rules keep their numbers, so inline
+/// `dpmd-allow` audits stay valid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Hash-order nondeterminism: `HashMap`/`HashSet` iteration feeding
-    /// float accumulation, message construction, or serialized output.
-    D1,
     /// Float accumulation over parallel/per-chunk results outside the
     /// blessed chunk-ordered reduction pattern.
     D2,
-    /// `unsafe` without an adjacent `// SAFETY:` justification.
-    D3,
-    /// Wall-clock reads (`Instant::now`/`SystemTime::now`) outside the
-    /// allowlisted observability/bench crates.
-    D4,
     /// Allocation inside a registered hot-path function.
     D5,
     /// Lock-order cycle (potential deadlock) in the cross-crate
@@ -25,49 +20,25 @@ pub enum RuleId {
     /// (transitive closure over the workspace call graph; closes D5's
     /// one-hop blind spot).
     D7,
-    /// Wall-clock taint: a call-graph path from a deterministic entry
-    /// point to `wall_now`/`Instant::now` outside the enumerated clock
-    /// readers (closes D4's blind spot).
-    D8,
-    /// Unsafe-surface escape: unsafe code or raw-pointer-returning APIs
-    /// outside the audited islands, or unaudited cross-crate callers of
-    /// unsafe functions.
-    D9,
     /// Interprocedural lock-order cycle: lock sets accumulated along real
     /// call chains (lifts D6 beyond single-function bodies).
     D10,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 10] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::D4,
-        RuleId::D5,
-        RuleId::D6,
-        RuleId::D7,
-        RuleId::D8,
-        RuleId::D9,
-        RuleId::D10,
-    ];
+    pub const ALL: [RuleId; 5] = [RuleId::D2, RuleId::D5, RuleId::D6, RuleId::D7, RuleId::D10];
 
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
             RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
-            RuleId::D4 => "D4",
             RuleId::D5 => "D5",
             RuleId::D6 => "D6",
             RuleId::D7 => "D7",
-            RuleId::D8 => "D8",
-            RuleId::D9 => "D9",
             RuleId::D10 => "D10",
         }
     }
 
-    /// Parse a rule name like `"D3"` (None for anything else).
+    /// Parse a rule name like `"D5"` (None for anything else).
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.into_iter().find(|r| r.as_str() == s)
     }
@@ -75,15 +46,10 @@ impl RuleId {
     /// One-line description (shown in `--explain`-style summaries).
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::D1 => "hash-order iteration feeding order-sensitive sinks",
             RuleId::D2 => "unordered float accumulation across parallel chunks",
-            RuleId::D3 => "unsafe without a SAFETY: justification",
-            RuleId::D4 => "wall-clock read on a deterministic code path",
             RuleId::D5 => "allocation inside a registered hot-path function",
             RuleId::D6 => "lock-order cycle (potential deadlock)",
             RuleId::D7 => "allocation reachable from a registered hot path",
-            RuleId::D8 => "wall-clock taint outside the enumerated clock readers",
-            RuleId::D9 => "unsafe surface escaping the audited islands",
             RuleId::D10 => "interprocedural lock-order cycle across call chains",
         }
     }
@@ -141,14 +107,14 @@ mod tests {
     fn json_is_sorted_and_stable() {
         let mut f = vec![
             Finding {
-                rule: RuleId::D3,
+                rule: RuleId::D5,
                 path: "b.rs".into(),
                 line: 9,
                 message: "m".into(),
                 snippet: "s".into(),
             },
             Finding {
-                rule: RuleId::D1,
+                rule: RuleId::D2,
                 path: "a.rs".into(),
                 line: 2,
                 message: "m".into(),
@@ -158,7 +124,7 @@ mod tests {
         sort_findings(&mut f);
         assert_eq!(f[0].path, "a.rs");
         let j = to_json(&f);
-        assert!(j.starts_with("{\"findings\":[{\"rule\":\"D1\""));
+        assert!(j.starts_with("{\"findings\":[{\"rule\":\"D2\""));
         assert_eq!(j, to_json(&f), "printing twice must be identical");
     }
 }

@@ -1,7 +1,6 @@
 //! The workspace call graph: function nodes annotated with the facts the
-//! interprocedural rules query (allocation sites, clock reads, unsafe
-//! surface, lock activity), resolved call edges, and per-run resolution
-//! statistics.
+//! interprocedural rules query (allocation sites, lock activity), resolved
+//! call edges, and per-run resolution statistics.
 //!
 //! Everything here is deterministic by construction: input files are
 //! pre-sorted by path, node ids follow symbol order, and the JSON export
@@ -13,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::Value;
 
 use crate::config::Config;
-use crate::parser::{ParsedFile, UnsafeKind};
+use crate::parser::ParsedFile;
 use crate::resolve::{call_sites, CallSite, EdgeKind, Resolution, Resolver};
 use crate::rules;
 
@@ -32,14 +31,8 @@ pub struct FnNode {
     pub lib: String,
     pub is_test: bool,
     pub is_pub: bool,
-    pub is_unsafe_fn: bool,
-    pub has_unsafe_block: bool,
-    pub returns_raw_ptr: bool,
     /// Direct allocation sites `(line, what)` — same detector as D5.
     pub allocs: Vec<(u32, String)>,
-    /// Direct wall-clock reads `(line, what)` — `Instant::now` and friends
-    /// (calls to `wall_now` become edges to its node instead).
-    pub clocks: Vec<(u32, String)>,
     /// Lock keys this function acquires directly (D10 seed set).
     pub acquires: BTreeSet<String>,
     /// Defining file index (into the analysis input), and fn index within.
@@ -125,17 +118,10 @@ impl CallGraph {
         for sym in &resolver.symbols {
             let parsed = &files[sym.file];
             let f = &parsed.fns[sym.fn_idx];
-            let (allocs, clocks) = match f.body {
-                Some((lo, hi)) => (
-                    rules::alloc_sites(&parsed.tokens, lo, hi),
-                    rules::clock_sites(&parsed.tokens, lo, hi),
-                ),
-                None => (Vec::new(), Vec::new()),
-            };
-            let has_unsafe_block = parsed.unsafes.iter().any(|u| {
-                u.kind == UnsafeKind::Block
-                    && f.body.is_some_and(|(lo, hi)| lo <= u.tok && u.tok <= hi)
-            });
+            let allocs = f
+                .body
+                .map(|(lo, hi)| rules::alloc_sites(&parsed.tokens, lo, hi))
+                .unwrap_or_default();
             nodes.push(FnNode {
                 qname: sym.qname(),
                 path: parsed.path.clone(),
@@ -143,11 +129,7 @@ impl CallGraph {
                 lib: sym.segs.first().cloned().unwrap_or_default(),
                 is_test: f.is_test,
                 is_pub: f.is_pub,
-                is_unsafe_fn: f.is_unsafe_fn,
-                has_unsafe_block,
-                returns_raw_ptr: f.returns_raw_ptr,
                 allocs,
-                clocks,
                 acquires: BTreeSet::new(),
                 file: sym.file,
                 fn_idx: sym.fn_idx,
@@ -333,14 +315,7 @@ impl CallGraph {
                     ("path".to_string(), Value::String(n.path.clone())),
                     ("line".to_string(), Value::Number(n.line.to_string())),
                 ];
-                let flags = [
-                    ("test", n.is_test),
-                    ("pub", n.is_pub),
-                    ("unsafe_fn", n.is_unsafe_fn),
-                    ("unsafe_block", n.has_unsafe_block),
-                    ("raw_ptr_return", n.returns_raw_ptr),
-                ];
-                for (k, v) in flags {
+                for (k, v) in [("test", n.is_test), ("pub", n.is_pub)] {
                     if v {
                         fields.push((k.to_string(), Value::Bool(true)));
                     }
@@ -349,12 +324,6 @@ impl CallGraph {
                     fields.push((
                         "allocs".to_string(),
                         Value::Number(n.allocs.len().to_string()),
-                    ));
-                }
-                if !n.clocks.is_empty() {
-                    fields.push((
-                        "clocks".to_string(),
-                        Value::Number(n.clocks.len().to_string()),
                     ));
                 }
                 Value::Object(fields)

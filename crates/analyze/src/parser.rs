@@ -3,32 +3,11 @@
 //! The rules don't need full Rust syntax — they need to know, for every
 //! file: where each `fn` body starts and ends, which code is test-only
 //! (`#[cfg(test)]` modules, `#[test]` functions, `tests/`/`benches/`/
-//! `examples/` targets), where `unsafe` regions begin, and how braces nest.
+//! `examples/` targets), and how braces nest.
 //! This module extracts exactly that, tolerantly: unparseable stretches are
 //! skipped, never fatal.
 
 use crate::lexer::{lex, Comment, Lexed, Token};
-
-/// Why an `unsafe` keyword appeared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { … }` block.
-    Block,
-    /// `unsafe fn …`.
-    Fn,
-    /// `unsafe impl …` / `unsafe trait …` (safety obligations live on the
-    /// trait contract; still worth a SAFETY note).
-    ImplOrTrait,
-}
-
-/// One `unsafe` occurrence.
-#[derive(Clone, Debug)]
-pub struct UnsafeSite {
-    pub kind: UnsafeKind,
-    pub line: u32,
-    /// Token index of the `unsafe` keyword.
-    pub tok: usize,
-}
 
 /// One function item.
 #[derive(Clone, Debug)]
@@ -54,10 +33,6 @@ pub struct FnItem {
     pub trait_name: Option<String>,
     /// Carries a `pub` / `pub(…)` visibility qualifier.
     pub is_pub: bool,
-    /// Declared `unsafe fn`.
-    pub is_unsafe_fn: bool,
-    /// Return type mentions a raw pointer (`*const T` / `*mut T`).
-    pub returns_raw_ptr: bool,
 }
 
 /// One `use` import: `alias` names `path` in this file's scope.
@@ -76,7 +51,6 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
     pub fns: Vec<FnItem>,
-    pub unsafes: Vec<UnsafeSite>,
     /// `use` imports (aliased names in scope), file-wide.
     pub uses: Vec<UseItem>,
     /// Glob import prefixes (`use a::b::*;` → `[a, b]`).
@@ -107,32 +81,6 @@ impl ParsedFile {
                         rest.starts_with(':') && rest[1..].trim().len() > 2
                     })
         })
-    }
-
-    /// Is a comment containing `SAFETY:` attached to `line` — on the line
-    /// itself, or anywhere in the contiguous run of comment lines directly
-    /// above it? (A multi-line `// SAFETY: …` justification often has the
-    /// keyword only on its first line; a blank line breaks attachment.)
-    pub fn has_safety_comment(&self, line: u32) -> bool {
-        let covering = |l: u32| self.comments.iter().find(|c| c.start_line <= l && l <= c.end_line);
-        let is_safety =
-            |c: &Comment| c.text.contains("SAFETY:") || c.text.contains("Safety:");
-        if covering(line).is_some_and(is_safety) {
-            return true;
-        }
-        let mut l = line;
-        while l > 1 {
-            match covering(l - 1) {
-                Some(c) => {
-                    if is_safety(c) {
-                        return true;
-                    }
-                    l = c.start_line;
-                }
-                None => return false,
-            }
-        }
-        false
     }
 
     /// The trimmed source line `line` (1-based), for snippets.
@@ -186,7 +134,6 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     };
 
     let mut fns = Vec::new();
-    let mut unsafes = Vec::new();
 
     // Test regions: `#[cfg(test)]` (optionally with more attrs) before a
     // `mod name {` — mark the block's token range.
@@ -220,19 +167,6 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.is_ident("unsafe") {
-            let kind = match tokens.get(i + 1) {
-                Some(n) if n.is_punct('{') => Some(UnsafeKind::Block),
-                Some(n) if n.is_ident("fn") || n.is_ident("extern") => Some(UnsafeKind::Fn),
-                Some(n) if n.is_ident("impl") || n.is_ident("trait") => {
-                    Some(UnsafeKind::ImplOrTrait)
-                }
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                unsafes.push(UnsafeSite { kind, line: t.line, tok: i });
-            }
-        }
         if t.is_ident("use") {
             i = parse_use(&tokens, i, &mut uses, &mut globs);
             continue;
@@ -245,20 +179,10 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
                     // closure arguments can't confuse the scan.
                     let mut j = i + 2;
                     let mut body = None;
-                    let mut returns_raw_ptr = false;
                     while j < tokens.len() {
                         if tokens[j].is_punct('(') {
                             j = match_paren(&tokens, j) + 1;
                             continue;
-                        }
-                        if tokens[j].is_punct('*')
-                            && tokens
-                                .get(j + 1)
-                                .is_some_and(|t| t.is_ident("const") || t.is_ident("mut"))
-                        {
-                            // Past the argument parens, a `*const`/`*mut`
-                            // can only live in the return type.
-                            returns_raw_ptr = true;
                         }
                         if tokens[j].is_punct('{') {
                             let close = match_brace(&tokens, j);
@@ -271,7 +195,7 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
                         j += 1;
                     }
                     let is_test = in_test_range(i) || has_test_attr(&tokens, i);
-                    let (is_pub, is_unsafe_fn) = fn_qualifiers(&tokens, i);
+                    let is_pub = is_pub_fn(&tokens, i);
                     let mod_path = mod_regions
                         .iter()
                         .filter(|r| r.open < i && i <= r.close)
@@ -292,8 +216,6 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
                         impl_type,
                         trait_name,
                         is_pub,
-                        is_unsafe_fn,
-                        returns_raw_ptr,
                     });
                 }
             }
@@ -306,7 +228,6 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
         tokens,
         comments,
         fns,
-        unsafes,
         uses,
         globs,
         file_is_testlike,
@@ -448,10 +369,8 @@ fn impl_regions(tokens: &[Token]) -> Vec<ImplRegion> {
     out
 }
 
-/// `pub` / `unsafe` qualifiers in the few tokens before a `fn` keyword.
-fn fn_qualifiers(tokens: &[Token], fn_idx: usize) -> (bool, bool) {
-    let mut is_pub = false;
-    let mut is_unsafe = false;
+/// A `pub` qualifier in the few tokens before a `fn` keyword.
+fn is_pub_fn(tokens: &[Token], fn_idx: usize) -> bool {
     let mut i = fn_idx;
     let lo = fn_idx.saturating_sub(10);
     while i > lo {
@@ -461,13 +380,10 @@ fn fn_qualifiers(tokens: &[Token], fn_idx: usize) -> (bool, bool) {
             break;
         }
         if t.is_ident("pub") {
-            is_pub = true;
-        }
-        if t.is_ident("unsafe") {
-            is_unsafe = true;
+            return true;
         }
     }
-    (is_pub, is_unsafe)
+    false
 }
 
 /// Parse a `use …;` item starting at the `use` keyword at `i`. Appends the
@@ -616,8 +532,7 @@ mod tests {
         assert_eq!(p.fns[0].name, "a");
         assert!(p.fns[0].body.is_some());
         assert!(p.fns[1].body.is_none());
-        assert_eq!(p.unsafes.len(), 1);
-        assert_eq!(p.unsafes[0].kind, UnsafeKind::Fn);
+        assert!(p.fns[0].is_pub && !p.fns[2].is_pub);
     }
 
     #[test]
@@ -638,20 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_blocks_and_safety_comments() {
-        let src = "fn f() {\n    // SAFETY: the latch outlives the borrow.\n    let j = unsafe { transmute(job) };\n}\n";
-        let p = parse_file("crates/x/src/lib.rs", src);
-        assert_eq!(p.unsafes.len(), 1);
-        assert_eq!(p.unsafes[0].kind, UnsafeKind::Block);
-        assert!(p.has_safety_comment(p.unsafes[0].line));
-    }
-
-    #[test]
     fn dpmd_allow_requires_a_reason() {
         let src = "// dpmd-allow D5: scratch reused across rounds\nlet v = Vec::new();\n// dpmd-allow D5:\nlet w = Vec::new();\n";
         let p = parse_file("crates/x/src/lib.rs", src);
         assert!(p.allowed("D5", 2));
         assert!(!p.allowed("D5", 4), "empty justification must not count");
-        assert!(!p.allowed("D4", 2), "rule must match");
+        assert!(!p.allowed("D7", 2), "rule must match");
     }
 }

@@ -1,6 +1,5 @@
 // Blessed-pattern fixture: every construct here is the sanctioned version
 // of something a rule polices. The analyzer must stay silent on all of it.
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// D2's blessed shape: per-chunk buffers merged in chunk index order.
@@ -18,31 +17,6 @@ pub fn chunk_ordered_sum(chunks: &[Vec<f64>]) -> f64 {
         total += *p;
     }
     total
-}
-
-/// D1's blessed shape: collect-then-sort. The hash iteration exists, but
-/// the very next statement restores a deterministic order.
-pub fn sorted_keys(m: &HashMap<u32, u32>) -> Vec<u32> {
-    let mut keys: Vec<u32> = m.keys().copied().collect();
-    keys.sort_unstable();
-    keys
-}
-
-/// D1's inline escape hatch: an order-independent reduction over hash
-/// iteration, justified in place.
-pub fn checksum(m: &HashMap<u32, u32>) -> u32 {
-    // dpmd-allow D1: wrapping add is commutative and associative, so hash order is harmless
-    m.values().fold(0u32, |a, b| a.wrapping_add(*b))
-}
-
-/// D3's escape hatch is the justification itself.
-pub fn first_or_zero(bytes: &[u8]) -> u8 {
-    if bytes.is_empty() {
-        return 0;
-    }
-    // SAFETY: emptiness was checked above, so index 0 is in bounds and
-    // the pointer read is within the slice's allocation.
-    unsafe { *bytes.as_ptr() }
 }
 
 /// D6 stays quiet when every function agrees on one acquisition order.

@@ -12,18 +12,7 @@ use dpmd_analyze::analyze_source;
 use dpmd_analyze::config::{Config, HotPath};
 use dpmd_analyze::diag::{self, Finding};
 
-const BAD_FIXTURES: &[&str] = &[
-    "d1_bad.rs",
-    "d2_bad.rs",
-    "d3_bad.rs",
-    "d4_bad.rs",
-    "d5_bad.rs",
-    "d6_bad.rs",
-    "d7_bad.rs",
-    "d8_bad.rs",
-    "d9_bad.rs",
-    "d10_bad.rs",
-];
+const BAD_FIXTURES: &[&str] = &["d2_bad.rs", "d5_bad.rs", "d6_bad.rs", "d7_bad.rs", "d10_bad.rs"];
 
 fn analyze_all() -> Vec<Finding> {
     let mut cfg = Config::default();
@@ -35,7 +24,6 @@ fn analyze_all() -> Vec<Finding> {
         path_suffix: "crates/fixture/src/d7_bad.rs".to_string(),
         fn_name: "hot_entry".to_string(),
     });
-    cfg.d9_islands.push("crates/fixture/src/d3_bad.rs".to_string());
     let mut findings = Vec::new();
     for name in BAD_FIXTURES {
         let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));

@@ -18,7 +18,7 @@ fn finding(rule: RuleId, line: u32) -> Finding {
 #[test]
 fn record_metrics_counts_rules_and_suppressions() {
     let reg = MetricsRegistry::new();
-    let fresh = vec![finding(RuleId::D1, 1), finding(RuleId::D1, 2), finding(RuleId::D4, 3)];
+    let fresh = vec![finding(RuleId::D2, 1), finding(RuleId::D2, 2), finding(RuleId::D7, 3)];
     let baselined = vec![finding(RuleId::D5, 4)];
     record_metrics(&reg, &fresh, &baselined, 157);
 
@@ -26,10 +26,10 @@ fn record_metrics_counts_rules_and_suppressions() {
     assert_eq!(snap.counter("analyze.files_scanned"), Some(157));
     assert_eq!(snap.counter("analyze.findings.total"), Some(3 + 1));
     assert_eq!(snap.counter("analyze.findings.suppressed"), Some(1));
-    assert_eq!(snap.counter("analyze.rule.d1"), Some(2));
-    assert_eq!(snap.counter("analyze.rule.d4"), Some(1));
+    assert_eq!(snap.counter("analyze.rule.d2"), Some(2));
+    assert_eq!(snap.counter("analyze.rule.d7"), Some(1));
     assert_eq!(snap.counter("analyze.rule.d5"), Some(1));
-    assert_eq!(snap.counter("analyze.rule.d2"), None, "unhit rules register no counter");
+    assert_eq!(snap.counter("analyze.rule.d6"), None, "unhit rules register no counter");
 }
 
 #[test]

@@ -14,10 +14,6 @@
 //!   a rank is as slow as its busiest thread);
 //! * [`ghost`] — the memory-overhead analysis, equations (1) and (2).
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub mod assign;
 pub mod ghost;
 pub mod pair_time;

@@ -10,7 +10,3 @@
 //!
 //! The paper's tables and figures are regenerated by `dpmd <name>` (one
 //! registry, `dpmd_scaling::experiments::ALL`), not from here.
-
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]

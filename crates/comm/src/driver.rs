@@ -265,7 +265,7 @@ mod tests {
             if step % 5 == 4 {
                 let gathered = dist.gather();
                 // Compare positions by id.
-                let mut ref_by_id = std::collections::HashMap::new();
+                let mut ref_by_id = std::collections::BTreeMap::new();
                 for i in 0..reference.atoms.nlocal {
                     ref_by_id.insert(reference.atoms.id[i], reference.atoms.pos[i]);
                 }

@@ -32,7 +32,7 @@
 //!
 //! Example: `seed=7;drop=0.15;dup=0.1;reorder=0.3;stall-leader=0@3+4`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::mempool::MemPool;
 
@@ -341,8 +341,8 @@ pub struct FaultSession {
     pub stats: FaultStats,
     /// Staging pool for send payloads (capacity from `plan.pool_bytes`).
     pub pool: MemPool,
-    next_seq: HashMap<(u64, u32, u32), u64>,
-    last_accepted: HashMap<(u64, u32, u32), u64>,
+    next_seq: BTreeMap<(u64, u32, u32), u64>,
+    last_accepted: BTreeMap<(u64, u32, u32), u64>,
 }
 
 impl FaultSession {
@@ -356,8 +356,8 @@ impl FaultSession {
             plan,
             stats: FaultStats::default(),
             pool,
-            next_seq: HashMap::new(),
-            last_accepted: HashMap::new(),
+            next_seq: BTreeMap::new(),
+            last_accepted: BTreeMap::new(),
         }
     }
 

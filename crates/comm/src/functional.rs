@@ -15,7 +15,7 @@
 //! [`exchange_ghosts`] / [`reverse_forces`] are those bodies with nothing
 //! attached.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use minimd::atoms::Atoms;
 use minimd::domain::Decomposition;
@@ -368,7 +368,7 @@ pub fn exchange_ghosts_three_stage(decomp: &Decomposition, per_rank: &mut [Atoms
             }
             // Merge with dedup by (id, quantized position).
             for (rank, inc) in incoming.into_iter().enumerate() {
-                let mut seen: std::collections::HashSet<(u64, [i64; 3])> = held[rank]
+                let mut seen: std::collections::BTreeSet<(u64, [i64; 3])> = held[rank]
                     .iter()
                     .map(|&(id, _, p)| (id, quant(p)))
                     .collect();
@@ -451,7 +451,7 @@ pub(crate) fn reverse_forces_with(
 /// to the sequential reference, so applying delivered messages is bitwise
 /// equal to [`reverse_forces`] — for either exchange scheme.
 pub fn build_reverse_messages(per_rank: &[Atoms]) -> Vec<Message<ForceEntry>> {
-    let mut owner_rank: HashMap<u64, u32> = HashMap::new();
+    let mut owner_rank = BTreeMap::new();
     for (r, a) in per_rank.iter().enumerate() {
         for i in 0..a.nlocal {
             owner_rank.insert(a.id[i], r as u32);
@@ -478,7 +478,7 @@ pub fn build_reverse_messages(per_rank: &[Atoms]) -> Vec<Message<ForceEntry>> {
 /// Apply delivered reverse messages onto the owners' force arrays, in
 /// canonical message order (independent of arrival order).
 pub fn apply_reverse_messages(per_rank: &mut [Atoms], messages: &[Message<ForceEntry>]) {
-    let index: Vec<HashMap<u64, usize>> = per_rank
+    let index: Vec<BTreeMap<u64, usize>> = per_rank
         .iter()
         .map(|a| (0..a.nlocal).map(|i| (a.id[i], i)).collect()) // dpmd-allow D5: per-exchange id index, rebuilt after migration
         .collect();
@@ -550,7 +550,7 @@ mod tests {
             let sig_lb = ghost_signature(&lb[r]);
             assert!(sig_lb.len() >= sig_plain.len(), "rank {r}");
             // Every plain ghost appears in the lb set.
-            let set: std::collections::HashSet<_> = sig_lb.into_iter().collect();
+            let set: std::collections::BTreeSet<_> = sig_lb.into_iter().collect();
             for s in sig_plain {
                 assert!(set.contains(&s), "rank {r} missing ghost {s:?}");
             }
@@ -590,7 +590,7 @@ mod tests {
         nl.build(&global, &bx);
         global.zero_forces();
         let gout = lj.compute(&mut global, &nl, &bx);
-        let mut ref_force: HashMap<u64, Vec3> = HashMap::new();
+        let mut ref_force = std::collections::BTreeMap::new();
         for i in 0..global.nlocal {
             ref_force.insert(global.id[i], global.force[i]);
         }

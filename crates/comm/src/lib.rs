@@ -36,10 +36,6 @@
 //!   per scheme, transport retries and backoffs, mempool high-water, TNI
 //!   utilization). The driver owns the only copy and lends it per call.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub mod driver;
 pub mod fault;
 pub mod functional;

@@ -30,7 +30,7 @@
 //! | `fugaku.tniN.messages` | count | messages routed to RDMA engine N |
 //! | `fugaku.rdma.bytes_simulated` | bytes | bytes injected in the timing model |
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dpmd_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
@@ -80,7 +80,7 @@ pub struct CommMetrics {
     pub tni_messages: Vec<Counter>,
     /// Bytes injected into the network in the timing model.
     pub rdma_bytes: Counter,
-    edges: Arc<Mutex<HashMap<(u32, u32), Counter>>>,
+    edges: Arc<Mutex<BTreeMap<(u32, u32), Counter>>>,
 }
 
 impl CommMetrics {
@@ -108,7 +108,7 @@ impl CommMetrics {
                 .map(|i| reg.counter(&format!("fugaku.tni{i}.messages"), Unit::Count))
                 .collect(),
             rdma_bytes: reg.counter("fugaku.rdma.bytes_simulated", Unit::Bytes),
-            edges: Arc::new(Mutex::new(HashMap::new())),
+            edges: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
 

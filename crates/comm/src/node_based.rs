@@ -289,7 +289,7 @@ fn simulate_faulted(
     // their engines busy but are not work — a wedged engine that nothing
     // waits on must not count as schedule time.
     let sched = g.run();
-    let is_hold: std::collections::HashSet<usize> = hold_jobs.iter().map(|j| j.0).collect();
+    let is_hold: std::collections::BTreeSet<usize> = hold_jobs.iter().map(|j| j.0).collect();
     result.comm.total_ns = sched
         .finish
         .iter()

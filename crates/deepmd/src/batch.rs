@@ -56,8 +56,8 @@
 //! thread count.
 
 use std::ops::Range;
+use std::time::Instant;
 
-use dpmd_obs::clock::wall_now;
 use dpmd_threads::atom_chunks;
 use minimd::atoms::Atoms;
 use minimd::neighbor::NeighborList;
@@ -160,6 +160,7 @@ impl DpEngine {
     /// of every job at the engine's precision, forces accumulated in f64
     /// into each job's buffer. The phase breakdown also lands in
     /// [`last_phases`](Self::last_phases).
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub(crate) fn evaluate(
         &self,
         jobs: &mut [BatchJob<'_>],
@@ -205,19 +206,19 @@ impl DpEngine {
 
         // Environments, embedding, fitting and chain rule of each tile back
         // to back, on the tile's own scratch; one f64 force buffer per tile.
-        let t0 = wall_now();
+        let t0 = Instant::now();
         pool.scope(|sc| {
             for tile in tiles.iter_mut() {
                 let BatchJob { atoms, nl, bx, .. } = jobs[tile.job];
                 sc.spawn(move || {
                     let mut scratch = TileScratch::default();
-                    let t = wall_now();
+                    let t = Instant::now();
                     self.describe_tile(atoms, nl, bx, tile.atoms.start..tile.atoms.end, &mut scratch);
                     tile.stage_s[0] = t.elapsed().as_secs_f64();
-                    let t = wall_now();
+                    let t = Instant::now();
                     self.embed_tile(&mut scratch);
                     tile.stage_s[1] = t.elapsed().as_secs_f64();
-                    let t = wall_now();
+                    let t = Instant::now();
                     tile.out = Some(self.fit_tile(atoms, tile.atoms.start, &mut scratch));
                     tile.stage_s[2] = t.elapsed().as_secs_f64();
                 });
@@ -229,7 +230,7 @@ impl DpEngine {
 
         // Deterministic fixed-order reduction: tiles fold into their job in
         // tile (= chunk) order.
-        let t0 = wall_now();
+        let t0 = Instant::now();
         for tile in tiles {
             let (out, tout) = (&mut outs[tile.job], tile.out.expect("the fitting scope ran every tile"));
             out.energy += tout.energy;
@@ -336,6 +337,7 @@ mod tests {
     /// call; the split itself sums to the wall time it is given, also when
     /// one stage or every stage saw no thread time.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     fn fused_scope_time_splits_into_embedding_and_fitting() {
         let (bx, atoms, nl) = water_system(2, 31);
         let model = DeepPotModel::new(DeepPotConfig::tiny(2, 4.0));
@@ -344,7 +346,7 @@ mod tests {
                 let pool = std::sync::Arc::new(dpmd_threads::ThreadPool::new(threads));
                 let engine = DpEngine::new(model.clone(), precision).with_pool(pool);
                 let mut forces = vec![Vec3::ZERO; atoms.len()];
-                let t0 = wall_now();
+                let t0 = Instant::now();
                 let (_, stats) =
                     engine.energy_forces_batched(&mut [BatchJob { atoms: &atoms, nl: &nl, bx: &bx, forces: &mut forces }]);
                 let call_s = t0.elapsed().as_secs_f64();

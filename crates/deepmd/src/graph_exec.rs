@@ -13,7 +13,7 @@
 //! baseline pays: one 4 ms session overhead per run plus one allocation per
 //! intermediate tensor.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dpmd_threads::ThreadPool;
 use minimd::atoms::Atoms;
@@ -44,7 +44,7 @@ struct BuiltGraph {
 /// The graph-based executor over a trained model.
 pub struct GraphExecutor<'m> {
     model: &'m DeepPotModel,
-    cache: HashMap<(u32, Vec<usize>), BuiltGraph>,
+    cache: BTreeMap<(u32, Vec<usize>), BuiltGraph>,
     cumulative: RunStats,
     runs: u64,
 }
@@ -72,7 +72,7 @@ fn add_mlp(g: &mut Graph, mlp: &nnet::layers::Mlp, mut x: NodeId) -> NodeId {
 impl<'m> GraphExecutor<'m> {
     /// A fresh executor over `model`.
     pub fn new(model: &'m DeepPotModel) -> Self {
-        GraphExecutor { model, cache: HashMap::new(), cumulative: RunStats::default(), runs: 0 }
+        GraphExecutor { model, cache: BTreeMap::new(), cumulative: RunStats::default(), runs: 0 }
     }
 
     /// Cumulative framework statistics (session overheads, kernel launches,
@@ -169,7 +169,7 @@ impl<'m> GraphExecutor<'m> {
             let built = self.cache.get_mut(&key).expect("just inserted");
 
             // Feeds.
-            let mut feeds: HashMap<String, Matrix> = HashMap::new();
+            let mut feeds: BTreeMap<String, Matrix> = BTreeMap::new();
             for (t, s_name, r_name) in &built.inputs {
                 let idx = &groups[*t];
                 let s = Matrix::from_fn(idx.len(), 1, |r, _| env.entries[idx[r]].s);

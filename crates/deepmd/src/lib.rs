@@ -27,10 +27,6 @@
 //!    species (`DpEngine::fit_tile`), scattering results back in place —
 //!    no slice-and-concat copies.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub mod batch;
 pub mod compress;
 pub mod config;

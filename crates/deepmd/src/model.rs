@@ -5,7 +5,7 @@
 //! and TensorFlow-graph execution paths (crate modules [`crate::engine`] and
 //! the `nnet::graph` baseline) are validated against it.
 
-use dpmd_obs::clock::wall_now;
+use std::time::Instant;
 
 use dpmd_threads::{atom_chunks, ThreadPool};
 use minimd::atoms::Atoms;
@@ -318,6 +318,7 @@ impl DeepPotModel {
     /// into its own full-length buffer, merged by this thread in chunk
     /// order. The result is therefore bit-identical for any pool width,
     /// including the 1-thread pool that serves as the serial reference.
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub fn energy_forces_on(
         &self,
         pool: &ThreadPool,
@@ -329,12 +330,12 @@ impl DeepPotModel {
         assert!(forces.len() >= atoms.len());
         let mut phases = ForcePhases::default();
 
-        let t0 = wall_now();
+        let t0 = Instant::now();
         let envs =
             build_environments_on(pool, atoms, nl, bx, self.config.rcut_smth, self.config.rcut);
         phases.descriptor_s = t0.elapsed().as_secs_f64();
 
-        let t0 = wall_now();
+        let t0 = Instant::now();
         let chunks = atom_chunks(atoms.nlocal);
         // Per chunk: (energy, virial, forces over all stored atoms).
         let mut outs: Vec<(f64, f64, Vec<Vec3>)> =
@@ -353,7 +354,7 @@ impl DeepPotModel {
         phases.fitting_s = t0.elapsed().as_secs_f64();
 
         // Deterministic fixed-order reduction: merge in chunk order.
-        let t0 = wall_now();
+        let t0 = Instant::now();
         let mut total_e = 0.0;
         let mut virial = 0.0;
         for (e, v, buf) in &outs {

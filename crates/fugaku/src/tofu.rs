@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn cells_hold_twelve_nodes() {
         let t = Torus3d::new([4, 6, 4]);
-        let mut per_cell = std::collections::HashMap::new();
+        let mut per_cell = std::collections::BTreeMap::new();
         for id in 0..t.len() {
             *per_cell.entry(t.cell_of(id)).or_insert(0usize) += 1;
         }
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn six_d_mapping_is_injective() {
         let t = Torus3d::new([4, 6, 4]);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in 0..t.len() {
             assert!(seen.insert(t.to_tofu6d(id)), "duplicate 6-D coordinate");
         }

@@ -31,7 +31,7 @@ proptest! {
     /// The 6-D mapping is a bijection onto distinct coordinates.
     #[test]
     fn six_d_mapping_injective(t in torus()) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in 0..t.len() {
             prop_assert!(seen.insert(t.to_tofu6d(id)), "collision at {id}");
         }

@@ -26,10 +26,6 @@
 //! * [`migrate`] — owner exchange of "flying atoms" at rebuild time;
 //! * [`sim`] — a single-process simulation driver tying it all together.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub mod atoms;
 pub mod compute;
 pub mod domain;

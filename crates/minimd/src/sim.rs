@@ -9,7 +9,6 @@
 
 use std::time::{Duration, Instant};
 
-use dpmd_obs::clock::wall_now;
 use dpmd_obs::{Counter, MetricsRegistry, TraceBuffer, Unit};
 
 use crate::atoms::Atoms;
@@ -231,12 +230,13 @@ impl Simulation {
     }
 
     /// Advance one velocity-Verlet step.
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub fn step(&mut self) -> Thermo {
         let tok = self.begin_step();
         self.atoms.zero_forces();
-        let t_force = wall_now();
+        let t_force = Instant::now();
         let out = self.potential.compute(&mut self.atoms, &self.nl, &self.bx);
-        let t_force_end = wall_now();
+        let t_force_end = Instant::now();
         let phases = self.potential.phase_times().unwrap_or_default();
         self.complete_step(out, phases, (t_force, t_force_end), tok)
     }
@@ -247,13 +247,14 @@ impl Simulation {
     /// scheduler fuses many replicas' evaluations here) and hand the result
     /// to [`complete_step`](Self::complete_step). [`step`](Self::step) is
     /// exactly `begin_step` + a solo `potential.compute` + `complete_step`.
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub fn begin_step(&mut self) -> StepInFlight {
-        let t_step = wall_now();
+        let t_step = Instant::now();
         let mut rec = StepTiming::default();
 
-        let t0 = wall_now();
+        let t0 = Instant::now();
         self.integrator.first_half(&mut self.atoms, &self.bx);
-        let t1 = wall_now();
+        let t1 = Instant::now();
         rec.integrate_s += (t1 - t0).as_secs_f64();
         if let Some(o) = &self.obs {
             o.trace.push_complete("integrate.first", t0, t1);
@@ -261,9 +262,9 @@ impl Simulation {
 
         let cadence_hit = self.rebuild_every > 0 && (self.step + 1).is_multiple_of(self.rebuild_every);
         if cadence_hit || self.nl.needs_rebuild(&self.atoms, &self.bx) {
-            let t0 = wall_now();
+            let t0 = Instant::now();
             self.nl.build(&self.atoms, &self.bx);
-            let t1 = wall_now();
+            let t1 = Instant::now();
             rec.neighbor_s = (t1 - t0).as_secs_f64();
             if let Some(o) = &self.obs {
                 o.rebuilds.inc();
@@ -279,6 +280,7 @@ impl Simulation {
     /// closing Verlet kick, and refresh the thermodynamic snapshot. The
     /// resulting state is field-for-field identical to a solo
     /// [`step`](Self::step) producing the same `out`.
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub fn complete_step(
         &mut self,
         out: PotentialOutput,
@@ -313,9 +315,9 @@ impl Simulation {
             }
         }
 
-        let t0 = wall_now();
+        let t0 = Instant::now();
         self.integrator.second_half(&mut self.atoms);
-        let t1 = wall_now();
+        let t1 = Instant::now();
         rec.integrate_s += (t1 - t0).as_secs_f64();
         if let Some(o) = &self.obs {
             o.trace.push_complete("integrate.second", t0, t1);
@@ -333,7 +335,7 @@ impl Simulation {
         self.step += 1;
         self.last.step = self.step;
         rec.step = self.step;
-        let t_end = wall_now();
+        let t_end = Instant::now();
         rec.total_s = (t_end - t_step).as_secs_f64();
         if let Some(o) = &self.obs {
             o.trace.push_complete("step", t_step, t_end);

@@ -23,7 +23,7 @@
 //! hand-written backward passes in [`crate::layers`] and `deepmd::model`
 //! (`deepmd::graph_exec` builds the whole Deep Potential this way).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::activation::Activation;
 use crate::gemm::naive;
@@ -387,7 +387,7 @@ impl Session {
     /// If a required input is missing from `feeds` or shapes are inconsistent.
     pub fn run(
         &mut self,
-        feeds: &HashMap<String, Matrix>,
+        feeds: &BTreeMap<String, Matrix>,
         fetches: &[NodeId],
     ) -> (Vec<Matrix>, RunStats) {
         let mut values: Vec<Option<Matrix>> = vec![None; self.graph.nodes.len()];
@@ -568,7 +568,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    fn feeds(pairs: &[(&str, Matrix)]) -> HashMap<String, Matrix> {
+    fn feeds(pairs: &[(&str, Matrix)]) -> BTreeMap<String, Matrix> {
         pairs.iter().map(|(n, m)| (n.to_string(), m.clone())).collect()
     }
 
@@ -666,7 +666,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("x");
         let mut sess = Session::new(g.clone());
-        let _ = sess.run(&HashMap::new(), &[x]);
+        let _ = sess.run(&BTreeMap::new(), &[x]);
     }
 
     #[test]

@@ -215,15 +215,11 @@ impl Default for TraceBuffer {
 
 impl TraceBuffer {
     /// Empty buffer; timestamps are measured from now.
+    #[expect(clippy::disallowed_methods, reason = "WallNs timing")]
     pub fn new() -> Self {
         TraceBuffer {
             inner: Arc::new(Mutex::new(TraceInner { origin: Instant::now(), events: Vec::new() })),
         }
-    }
-
-    /// Open a span that records itself into the buffer when dropped.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard { buf: self.clone(), name, start: Instant::now() }
     }
 
     /// Record an already-measured span from its wall-clock endpoints.
@@ -252,21 +248,6 @@ impl TraceBuffer {
     /// Render the buffer as a Chrome trace-event JSON array.
     pub fn to_chrome_json(&self) -> String {
         chrome_trace_json(&self.inner.lock().unwrap().events)
-    }
-}
-
-/// RAII span: opened by [`TraceBuffer::span`], records a complete event on
-/// drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    buf: TraceBuffer,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.buf.push_complete(self.name, self.start, Instant::now());
     }
 }
 
@@ -334,15 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_on_drop_and_nest() {
+    fn pushed_spans_nest_and_export_a_valid_trace() {
         let trace = TraceBuffer::new();
-        {
-            let _outer = trace.span("outer");
-            let _inner = trace.span("inner");
-        }
+        let t0 = trace.inner.lock().unwrap().origin;
+        let at = |us| t0 + std::time::Duration::from_micros(us);
+        // Inner ends first, so it is recorded first and sits inside outer.
+        trace.push_complete("inner", at(1), at(2));
+        trace.push_complete("outer", at(0), at(3));
         let events = trace.events();
         assert_eq!(events.len(), 2);
-        // Inner drops first, so it is recorded first and sits inside outer.
         assert_eq!(events[0].name, "inner");
         assert_eq!(events[1].name, "outer");
         crate::trace::validate_well_nested(&events).unwrap();

@@ -5,8 +5,7 @@
 //! individual kernels and exchange phases. This crate is the repro's
 //! equivalent instrument: a **global-free** [`MetricsRegistry`] of typed
 //! counters, gauges and fixed-bucket histograms, plus a [`TraceBuffer`] of
-//! nestable span timers that exports `chrome://tracing` / Perfetto event
-//! files.
+//! completed spans that exports `chrome://tracing` / Perfetto event files.
 //!
 //! Design constraints (per the observability issue):
 //!
@@ -26,21 +25,20 @@
 //!   (schema-validated, not golden-compared) Chrome trace instead.
 //!
 //! Beside the handles: [`schema`] (JSON validators for profile and trace
-//! files), [`trace::TraceEvent`] utilities, and [`clock::wall_now`] — the
-//! single sanctioned wall-clock read outside this crate's span recorder
-//! (determinism invariant D4, enforced by `dpmd-analyze`).
+//! files) and [`trace::TraceEvent`] utilities.
+//!
+//! Wall-clock values feed only [`Unit::WallNs`] metrics, span traces and
+//! human-facing timing printouts. `clippy.toml` bans `Instant::now` and
+//! `SystemTime::now`; each function that reads the clock carries
+//! `#[expect(clippy::disallowed_methods, reason = "WallNs timing")]`, so the
+//! list of clock readers is in the code and a stale `expect` fails the lint.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
-pub mod clock;
 pub mod schema;
 pub mod snapshot;
 pub mod trace;
 
 mod capture;
-pub use capture::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceBuffer};
+pub use capture::{Counter, Gauge, Histogram, MetricsRegistry, TraceBuffer};
 
 pub use snapshot::{HistogramSnapshot, ScalarMetric, Snapshot, Unit};
 pub use trace::TraceEvent;

@@ -9,10 +9,6 @@
 //! Conventions: times in nanoseconds, sizes in bytes, the headline metric
 //! is ns/day via [`minimd::units::ns_per_day`].
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub mod kernels;
 pub mod memory;
 pub mod report;

@@ -7,7 +7,7 @@
 //! refills the batch every round from an admission queue, keeping the
 //! pool's passes full of tiles for the whole run. Time is a **logical
 //! round counter** — wall clocks are banned on deterministic paths
-//! (analyzer rule D4), so arrivals, deadlines, and pauses are all specified
+//! (the `clippy.toml` clock ban), so arrivals, deadlines, and pauses are all specified
 //! in rounds (see [`crate::script`]).
 //!
 //! **Determinism guarantee (the hard bar):** every tenant's trajectory is
@@ -421,6 +421,7 @@ impl ContinuousScheduler {
 /// borrow the simulations immutably, the engine evaluates every job in one
 /// call, and the arrays go back holding the new forces. Returns the
 /// per-tenant outputs, the call's statistics and its wall-clock span.
+#[expect(clippy::disallowed_methods, reason = "WallNs timing")]
 fn fused_forces(
     engine: &DpEngine,
     tenants: &mut [Tenant],
@@ -432,7 +433,7 @@ fn fused_forces(
         f.fill(Vec3::ZERO);
         force_bufs.push(f);
     }
-    let t_force = dpmd_obs::clock::wall_now();
+    let t_force = Instant::now();
     let (outs, stats) = {
         let mut jobs: Vec<BatchJob<'_>> = idxs
             .iter()
@@ -444,7 +445,7 @@ fn fused_forces(
             .collect(); // dpmd-allow D7: per-round borrow of the tenants; cannot be stored across rounds
         engine.energy_forces_batched(&mut jobs)
     };
-    let t_force_end = dpmd_obs::clock::wall_now();
+    let t_force_end = Instant::now();
     for (&idx, buf) in idxs.iter().zip(force_bufs.drain(..)) {
         tenants[idx].sim.atoms.force = buf;
     }

@@ -1,6 +1,6 @@
 //! Deterministic arrival scripts for the continuous scheduler.
 //!
-//! Wall clocks are banned on deterministic paths (analyzer rule D4), so the
+//! Wall clocks are banned on deterministic paths (the `clippy.toml` clock ban), so the
 //! service cannot be driven by "whenever requests happen to show up".
 //! Instead an [`ArrivalScript`] derives every tenant's arrival round from a
 //! seed (plus explicit overrides), giving a schedule that replays

@@ -12,10 +12,6 @@
 //! `--bench` itself) are treated as substring filters on `group/name` ids,
 //! matching `cargo bench <filter>` usage.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

@@ -10,10 +10,6 @@
 //! No shrinking: a failing case reports its arguments' source expressions
 //! and the assertion message, not a minimized counterexample.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 use rand::{RngExt, SeedableRng};
 
 /// The RNG driving case generation.

@@ -12,10 +12,6 @@
 //! `StdRng::seed_from_u64`, and the reproduction's trajectory-equality
 //! tests assert bit-identical results for equal seeds.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 use std::ops::Range;
 
 /// Seeding constructors (mirrors `rand::SeedableRng`).

@@ -11,10 +11,6 @@
 //! numbers (numbers are kept as their literal text until a concrete type
 //! parses them — `u64::MAX` and every finite `f64` survive exactly).
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt;

@@ -11,10 +11,6 @@
 //! ignored rather than rejected, mirroring how far this workspace actually
 //! exercises serde.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize, attributes(serde))]

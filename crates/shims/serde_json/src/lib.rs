@@ -7,10 +7,6 @@
 //! for the full `u64`/`i64` ranges — the `float_roundtrip` behaviour of the
 //! real crate, always on.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
 

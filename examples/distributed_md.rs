@@ -46,7 +46,7 @@ fn main() {
         }
         // Worst positional deviation vs the reference.
         let gathered = dist.gather();
-        let mut by_id = std::collections::HashMap::new();
+        let mut by_id = std::collections::BTreeMap::new();
         for i in 0..reference.atoms.nlocal {
             by_id.insert(reference.atoms.id[i], reference.atoms.pos[i]);
         }

@@ -17,10 +17,6 @@
 //!
 //! Quickstart: `cargo run --release --example quickstart`.
 
-// Enforced workspace-wide (dpmd-analyze rule D3 audits the exception
-// in dpmd-threads); everything else is safe Rust by construction.
-#![forbid(unsafe_code)]
-
 pub use deepmd;
 pub use dpmd_balance as balance;
 pub use dpmd_comm as comm;

@@ -38,7 +38,7 @@ fn deep_potential_distributed_trajectory_matches_single_box() {
         dist.stride();
     }
     let gathered = dist.gather();
-    let mut by_id = std::collections::HashMap::new();
+    let mut by_id = std::collections::BTreeMap::new();
     for i in 0..reference.atoms.nlocal {
         by_id.insert(reference.atoms.id[i], reference.atoms.pos[i]);
     }

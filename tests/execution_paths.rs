@@ -4,7 +4,7 @@
 //! pass — must agree numerically, while the graph path exhibits the
 //! overhead structure the paper measures.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dpmd_repro::nnet::activation::Activation;
 use dpmd_repro::nnet::graph::{Graph, Op, Session, SESSION_FIXED_OVERHEAD_NS};
@@ -43,7 +43,7 @@ fn graph_layers_and_direct_agree_bitwise_on_the_fitting_net_shape() {
     // Graph path.
     let (g, out, _) = mlp_graph(&mlp);
     let mut sess = Session::new(g);
-    let feeds: HashMap<String, Matrix> = [("x".to_string(), x.clone())].into();
+    let feeds: BTreeMap<String, Matrix> = [("x".to_string(), x.clone())].into();
     let (outs, stats) = sess.run(&feeds, &[out]);
 
     for r in 0..2 {
@@ -70,7 +70,7 @@ fn graph_autodiff_matches_direct_backward() {
     let kernels_total = g.kernel_count();
     assert!(kernels_total > kernels_fwd, "backward adds kernels");
     let mut sess = Session::new(g);
-    let feeds: HashMap<String, Matrix> = [("x".to_string(), x.clone())].into();
+    let feeds: BTreeMap<String, Matrix> = [("x".to_string(), x.clone())].into();
     let (outs, _) = sess.run(&feeds, &[grads[0]]);
 
     // The layers' own hand-written backward pass.
@@ -96,7 +96,7 @@ fn session_overhead_dominates_at_strong_scaling_workloads() {
     let (g, out, _) = mlp_graph(&mlp);
     let mut sess = Session::new(g);
     let x = Matrix::from_fn(1, 16, |_, c| 0.01 * c as f64);
-    let feeds: HashMap<String, Matrix> = [("x".to_string(), x)].into();
+    let feeds: BTreeMap<String, Matrix> = [("x".to_string(), x)].into();
     let (_, stats) = sess.run(&feeds, &[out]);
     // Even generously assuming 1 ns per FLOP-equivalent kernel work, the
     // fixed overhead exceeds it by orders of magnitude.

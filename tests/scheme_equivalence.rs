@@ -3,7 +3,7 @@
 //! global single-box reference — the invariant that makes the paper's
 //! node-based optimization legal physics.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dpmd_repro::comm::functional::{
     exchange_ghosts, ghost_signature, partition, reverse_forces, ExchangeScheme,
@@ -51,7 +51,7 @@ fn deep_potential_forces_are_identical_distributed_and_global() {
     nl.build(&global, &bx);
     let mut ref_forces = vec![Vec3::ZERO; global.len()];
     let ref_out = dp.energy_forces(&global, &nl, &bx, &mut ref_forces);
-    let mut by_id: HashMap<u64, Vec3> = HashMap::new();
+    let mut by_id: BTreeMap<u64, Vec3> = BTreeMap::new();
     for (&id, &f) in global.id.iter().zip(&ref_forces).take(global.nlocal) {
         by_id.insert(id, f);
     }
@@ -99,7 +99,7 @@ fn lb_broadcast_layout_preserves_forces_too() {
     nl.build(&global, &bx);
     let mut ref_forces = vec![Vec3::ZERO; global.len()];
     dp.energy_forces(&global, &nl, &bx, &mut ref_forces);
-    let mut by_id: HashMap<u64, Vec3> = HashMap::new();
+    let mut by_id: BTreeMap<u64, Vec3> = BTreeMap::new();
     for (&id, &f) in global.id.iter().zip(&ref_forces).take(global.nlocal) {
         by_id.insert(id, f);
     }
