@@ -117,8 +117,8 @@ fn md_setup(
     if let Some(n) = parse_opt(args, "--threads")? {
         builder = builder.threads(n);
     }
-    // Which instantiation of the f32 kernels this CPU runs (avx2 /
-    // baseline): a speed label, the bits are the same on either.
+    // Which instantiation of the f32 kernels this CPU runs (avx512 / avx2 /
+    // baseline): a speed label, the bits are the same on every one.
     println!(
         "precision: {precision}, f32 kernels: {}",
         nnet::gemm::dispatch::active_class().tag()

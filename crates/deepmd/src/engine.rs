@@ -105,7 +105,7 @@ fn bias_activation(act: Activation, b: &[f32], out: &mut [f32], dfac: &mut Vec<f
             *o += bb;
         }
     }
-    dfac.clear();
+    // Sized, not cleared: the activation overwrites every factor.
     dfac.resize(out.len(), 0.0);
     act.value_grad_rows_f32(out, dfac);
 }
@@ -191,7 +191,7 @@ impl Fit32 {
         let FitTape { d, xs, dfacs, g, dpre, dx, a16 } = tape;
         xs.resize_with(nl, Vec::default);
         dfacs.resize_with(nl, Vec::default);
-        // `out = a · w` over the stacked rows (`out` zeroed by the caller),
+        // `out = a · w` over the stacked rows (the GEMM overwrites `out`),
         // on `a` rounded through binary16 when `round` is set — against
         // weights rounded at build, that is the fp16 fold (module docs).
         let mut stacked_gemm = |n: usize, k: usize, a: &[f32], w: &[f32], round: bool, out: &mut [f32]| {
@@ -211,7 +211,7 @@ impl Fit32 {
             let (ind, outd) = (*ind, *outd);
             let (done, rest) = xs.split_at_mut(li);
             let (x, out) = (done.last().unwrap_or(d), &mut rest[0]);
-            out.clear();
+            // Every element is overwritten before it is read.
             out.resize(rows * outd, 0.0);
             stacked_gemm(outd, ind, x, w, li == 0 && self.round_first, out);
             bias_activation(*act, b, out, &mut dfacs[li]);
@@ -242,7 +242,6 @@ impl Fit32 {
             let (ind, outd) = (*ind, *outd);
             dpre.clear();
             dpre.extend(g.iter().zip(&dfacs[li]).map(|(&gv, &df)| gv * df));
-            dx.clear();
             dx.resize(rows * ind, 0.0);
             stacked_gemm(ind, outd, dpre, wt, li == 0 && self.round_first, dx);
             for r in 0..rows {

@@ -10,17 +10,20 @@
 //! and clippy's `undocumented_unsafe_blocks`, so every `unsafe` block
 //! carries a `// SAFETY:` comment and no operation is implicitly unsafe.
 //!
-//! # One body per kernel, compiled twice
+//! # One body per kernel, compiled three times
 //!
 //! Each kernel is one portable `#[inline(always)]` body with no intrinsics,
 //! instantiated plainly (the target's baseline ISA: SSE2 on x86_64, NEON
-//! with FMA on aarch64) and, on x86_64, once more under
-//! `#[target_feature(enable = "avx2,fma")]`. [`avx2_fma`] picks the
-//! instantiation from the CPU. The two compute the same bits for every
-//! input, so which one runs is a speed choice, never a bits choice: there
-//! is no dispatch class, and a trajectory is the same bits on every host.
-//! All four `unsafe` blocks here are the call into an `avx2,fma`
-//! instantiation, and all four are on the production path.
+//! with FMA on aarch64) and, on x86_64, twice more: under
+//! `#[target_feature(enable = "avx2,fma")]` and under
+//! `#[target_feature(enable = "avx512f,avx2,fma")]`. Where a body's tile
+//! or strip widths matter they are const parameters, and each
+//! instantiation only names its widths. [`isa`] picks the instantiation
+//! from the CPU. All three compute the same bits for every input, so which
+//! one runs is a speed choice, never a bits choice: there is no dispatch
+//! class, and a trajectory is the same bits on every host. All eight
+//! `unsafe` blocks outside the tests are the call into an `avx2` or
+//! `avx512` instantiation, and all eight are on the production path.
 //!
 //! # The GEMM contract
 //!
@@ -48,30 +51,40 @@
 //!
 //! [`tanh_value_grad_f32`] is one body ([`tanh_value_grad_f32_one`]) with
 //! no `mul_add` at all. Rust never contracts `a*b + c`, so enabling `fma`
-//! for its second instantiation cannot move a bit either.
+//! for its other instantiations cannot move a bit either.
 //!
 //! # The environment operators
 //!
 //! [`env_t_f32`] (`T = G·R̃ᵀ / nmax`) and [`env_chain_f32`] (∂E/∂s and
 //! ∂E/∂R̃ per neighbour from ∂E/∂T) are written the same way: no `mul_add`,
-//! so both instantiations give the bits of the plain loops kept as
+//! so every instantiation gives the bits of the plain loops kept as
 //! [`reference_env_t_f32`] / [`reference_env_chain_f32`]. Their vector
 //! lanes run across outputs — `(feature, coordinate)` pairs for T,
 //! neighbours for the chain rule — never along a sum, so vectorizing
 //! reorders no fold.
 
-/// Whether this CPU runs the `avx2,fma` instantiations: x86_64 with both
-/// features (std caches the CPUID probe after the first call). Never under
-/// Miri, which interprets the plain instantiation.
-pub fn avx2_fma() -> bool {
+/// An instantiation of this crate's kernels, from least to most capable:
+/// a CPU that runs one runs every one before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Isa {
+    /// The target's baseline ISA, compiled plainly.
+    Baseline,
+    /// `avx2,fma`: 256-bit vectors.
+    Avx2,
+    /// `avx512f,avx2,fma`: 512-bit vectors.
+    Avx512,
+}
+
+/// The instantiation this CPU runs: `Avx2` on x86_64 with AVX2 and FMA,
+/// `Avx512` if it has AVX-512F as well (std caches the CPUID probe after
+/// the first call). `Baseline` otherwise, and always under Miri, which
+/// interprets the plain instantiation.
+pub fn isa() -> Isa {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+        return if std::is_x86_feature_detected!("avx512f") { Isa::Avx512 } else { Isa::Avx2 };
     }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    {
-        false
-    }
+    Isa::Baseline
 }
 
 fn check_dims_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) {
@@ -99,65 +112,113 @@ pub fn reference_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &
 // ---------------------------------------------------------------------------
 // f32 GEMM: `C = A·B`, row-major, overwrite.
 //
-// The paper's tall-and-skinny shape: four-row groups for stacked panels,
-// then the M ≤ 3 rows left over on tiles as wide as the register file
-// allows (`R×W` accumulators: 4×16, 1×48, 2×32, 3×24 — six to nine
-// 256-bit registers), then 8-wide strips, then a scalar column tail.
+// The paper's tall-and-skinny shape, in the widths each instantiation
+// names: `G`-row groups for stacked panels; after 8-row groups, one 4-row
+// group if four or more rows are left; then the M ≤ 3 rows left over on
+// tiles as wide as the register file allows; then `S`-wide strips, 8-wide
+// strips and a scalar column tail. An `R×W` tile is `R·W/V` accumulators
+// of `V` f32 lanes:
+//
+// | instantiation | groups | 4-row | M ≤ 3 tails      | strips | accumulators |
+// |---------------|--------|-------|------------------|--------|--------------|
+// | plain, avx2   | 4×16   | —     | 1×48, 2×32, 3×24 | 8      | 6–9 ymm      |
+// | avx512        | 8×32   | 4×32  | 1×96, 2×64, 3×48 | 16, 8  | 6–16 zmm     |
+//
+// avx2 keeps 4-row groups: an 8×16 tile would take all 16 ymm registers
+// for accumulators and spill.
 
-/// Columns of one strip after the wide tiles: a 256-bit register of f32.
+/// Columns of the narrowest strip before the scalar tail: a 256-bit
+/// register of f32.
 const STRIP: usize = 8;
 
 /// `C = A·B` in f32: `A` is `m×k`, `B` is `k×n`, `C` is `m×n`, row-major;
 /// `C[..m*n]` is overwritten. Every element is the fold of
-/// [`reference_nn_f32`], bit for bit, on whichever instantiation
-/// [`avx2_fma`] picks.
+/// [`reference_nn_f32`], bit for bit, on whichever instantiation [`isa`]
+/// picks.
 ///
 /// # Panics
 /// If any slice is shorter than its shape requires.
 pub fn gemm_nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     check_dims_f32(m, n, k, a, b, c);
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: `avx2_fma()` confirmed both target features
-        // `nn_f32_avx2` enables.
-        unsafe { nn_f32_avx2(m, n, k, a, b, c) };
-        return;
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `nn_f32_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { nn_f32_avx512(m, n, k, a, b, c) },
+        // SAFETY: `isa()` confirmed both target features `nn_f32_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { nn_f32_avx2(m, n, k, a, b, c) },
+        Isa::Baseline => {}
     }
-    nn_f32(m, n, k, a, b, c);
+    nn_f32_plain(m, n, k, a, b, c);
+}
+
+/// [`nn_f32`] in the plain instantiation's widths.
+fn nn_f32_plain(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    nn_f32::<4, 16, 48, 32, 24, 8>(m, n, k, a, b, c);
 }
 
 /// [`nn_f32`] compiled with 256-bit vectors and FMA.
 ///
 /// # Safety
-/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
+/// The CPU must have AVX2 and FMA ([`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn nn_f32_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    nn_f32(m, n, k, a, b, c);
+    nn_f32::<4, 16, 48, 32, 24, 8>(m, n, k, a, b, c);
 }
 
-/// The GEMM body: four-row groups, then the M ≤ 3 tail on its own tile.
+/// [`nn_f32`] compiled with 512-bit vectors and FMA.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn nn_f32_avx512(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    nn_f32::<8, 32, 96, 64, 48, 16>(m, n, k, a, b, c);
+}
+
+/// The GEMM body: `G`-row groups on `G×W` tiles, one `4×W` group if
+/// `G = 8` left four or more rows, then the M ≤ 3 tail on its own `1×W1`,
+/// `2×W2` or `3×W3` tile; `S`-wide strips follow every tile run.
 #[inline(always)]
-fn nn_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+fn nn_f32<const G: usize, const W: usize, const W1: usize, const W2: usize, const W3: usize, const S: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     let mut i = 0;
-    while i + 4 <= m {
-        rows_f32::<4, 16>(n, k, &a[i * k..], b, &mut c[i * n..]);
+    while i + G <= m {
+        rows_f32::<G, W, S>(n, k, &a[i * k..], b, &mut c[i * n..]);
+        i += G;
+    }
+    if i + 4 <= m {
+        rows_f32::<4, W, S>(n, k, &a[i * k..], b, &mut c[i * n..]);
         i += 4;
     }
     match m - i {
-        1 => rows_f32::<1, 48>(n, k, &a[i * k..], b, &mut c[i * n..]),
-        2 => rows_f32::<2, 32>(n, k, &a[i * k..], b, &mut c[i * n..]),
-        3 => rows_f32::<3, 24>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        1 => rows_f32::<1, W1, S>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        2 => rows_f32::<2, W2, S>(n, k, &a[i * k..], b, &mut c[i * n..]),
+        3 => rows_f32::<3, W3, S>(n, k, &a[i * k..], b, &mut c[i * n..]),
         _ => {}
     }
 }
 
-/// Every column of `R` rows: `W`-wide tiles, then [`STRIP`]-wide ones, then
-/// one scalar fold per leftover column. The rows are sliced once here, at
-/// their exact lengths, so the compiler can drop the tiles' bounds checks
-/// on them.
+/// Every column of `R` rows: `W`-wide tiles, then `S`-wide strips, then
+/// [`STRIP`]-wide ones (none when `S` is [`STRIP`]), then one scalar fold
+/// per leftover column. The rows are sliced once here, at their exact
+/// lengths, so the compiler can drop the tiles' bounds checks on them.
 #[inline(always)]
-fn rows_f32<const R: usize, const W: usize>(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+fn rows_f32<const R: usize, const W: usize, const S: usize>(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
     let mut rest = c;
     let mut c: [&mut [f32]; R] = std::array::from_fn(|_| {
@@ -169,6 +230,10 @@ fn rows_f32<const R: usize, const W: usize>(n: usize, k: usize, a: &[f32], b: &[
     while j + W <= n {
         tile_f32::<R, W>(n, &a, b, j, &mut c);
         j += W;
+    }
+    while j + S <= n {
+        tile_f32::<R, S>(n, &a, b, j, &mut c);
+        j += S;
     }
     while j + STRIP <= n {
         tile_f32::<R, STRIP>(n, &a, b, j, &mut c);
@@ -219,7 +284,7 @@ fn tile_f32<const R: usize, const W: usize>(
 // and Rust never contracts `a*b + c`, so the instantiations cannot differ.
 
 /// `(tanh x, 1 − tanh² x)` in f32 — the one-element form of
-/// [`tanh_value_grad_f32`] and the single body both of its instantiations
+/// [`tanh_value_grad_f32`] and the single body all of its instantiations
 /// inline.
 ///
 /// Branch-free: both sides are computed and a compare picks one.
@@ -281,17 +346,19 @@ fn tanh_rows(x: &mut [f32], dfac: &mut [f32]) {
 
 /// In place over equal-length slices: `x ← tanh x`, `dfac ← 1 − tanh² x`.
 ///
-/// Runs the `avx2,fma` instantiation where [`avx2_fma`] detects it, the
-/// plain one otherwise. Both are [`tanh_value_grad_f32_one`] element for
-/// element, bit for bit.
+/// Runs the instantiation [`isa`] picks. Each one is
+/// [`tanh_value_grad_f32_one`] element for element, bit for bit.
 pub fn tanh_value_grad_f32(x: &mut [f32], dfac: &mut [f32]) {
     assert_eq!(x.len(), dfac.len(), "one derivative factor per element");
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: `avx2_fma()` confirmed both target features
-        // `tanh_rows_avx2` enables.
-        unsafe { tanh_rows_avx2(x, dfac) };
-        return;
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `tanh_rows_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { tanh_rows_avx512(x, dfac) },
+        // SAFETY: `isa()` confirmed both target features `tanh_rows_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { tanh_rows_avx2(x, dfac) },
+        Isa::Baseline => {}
     }
     tanh_rows(x, dfac);
 }
@@ -300,10 +367,21 @@ pub fn tanh_value_grad_f32(x: &mut [f32], dfac: &mut [f32]) {
 /// and Rust never contracts, so `fma` rounds no product differently.
 ///
 /// # Safety
-/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
+/// The CPU must have AVX2 and FMA ([`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
+    tanh_rows(x, dfac);
+}
+
+/// [`tanh_rows`] compiled with 512-bit vectors; no `mul_add`, no
+/// contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn tanh_rows_avx512(x: &mut [f32], dfac: &mut [f32]) {
     tanh_rows(x, dfac);
 }
 
@@ -313,12 +391,13 @@ fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
 // (the `ProdEnvMat` / `ProdForce` pair of the DeePMD lineage). `g` and
 // `dg_ds` are `m1×n` feature-major, `coords` is `4×n` component-major.
 //
-// Like `tanh`, each is one portable body with no `mul_add`, so its two
+// Like `tanh`, each is one portable body with no `mul_add`, so its
 // instantiations cannot differ. The vector lanes never run along the
 // reduction axis: every output element is the same sequential fold as in
 // the `reference_*` form.
 
-/// Neighbours per vector strip of [`env_chain_f32`]: a 256-bit register.
+/// Neighbours in the narrowest vector strip of [`env_chain_f32`] before
+/// the one-at-a-time tail: a 256-bit register.
 const NEIGHBOUR_LANES: usize = 8;
 
 fn check_env_f32(m1: usize, n: usize, g: &[f32], coords: &[f32]) {
@@ -345,7 +424,7 @@ pub fn reference_env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale
 
 /// `T = G·R̃ᵀ·scale` (`m1×4`, overwriting `t[..m1*4]`) for `G` `m1×n` and
 /// `R̃` `4×n`: [`reference_env_t_f32`] bit for bit, with the vector lanes
-/// over the `(m, c)` outputs, on whichever instantiation [`avx2_fma`] picks.
+/// over the `(m, c)` outputs, on whichever instantiation [`isa`] picks.
 ///
 /// # Panics
 /// If any slice is shorter than its shape requires.
@@ -353,11 +432,14 @@ pub fn env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: 
     check_env_f32(m1, n, g, coords);
     assert!(t.len() >= m1 * 4, "T too small: {} < {m1}×4", t.len());
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: `avx2_fma()` confirmed both target features
-        // `env_t_avx2` enables.
-        unsafe { env_t_avx2(m1, n, g, coords, scale, t) };
-        return;
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `env_t_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { env_t_avx512(m1, n, g, coords, scale, t) },
+        // SAFETY: `isa()` confirmed both target features `env_t_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { env_t_avx2(m1, n, g, coords, scale, t) },
+        Isa::Baseline => {}
     }
     env_t(m1, n, g, coords, scale, t);
 }
@@ -365,10 +447,20 @@ pub fn env_t_f32(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: 
 /// [`env_t`] compiled with 256-bit vectors; no `mul_add`, no contraction.
 ///
 /// # Safety
-/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
+/// The CPU must have AVX2 and FMA ([`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn env_t_avx2(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
+    env_t(m1, n, g, coords, scale, t);
+}
+
+/// [`env_t`] compiled with 512-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn env_t_avx512(m1: usize, n: usize, g: &[f32], coords: &[f32], scale: f32, t: &mut [f32]) {
     env_t(m1, n, g, coords, scale, t);
 }
 
@@ -465,9 +557,9 @@ fn check_chain_f32(
     assert!(de_drt.len() >= 4 * n, "dE/dR̃ too small: {} < 4×{n}", de_drt.len());
 }
 
-/// [`reference_env_chain_f32`] bit for bit, with [`NEIGHBOUR_LANES`]
-/// neighbours as the vector lanes (each lane folds its own neighbour's sums
-/// over `m`), on whichever instantiation [`avx2_fma`] picks.
+/// [`reference_env_chain_f32`] bit for bit, with neighbours as the vector
+/// lanes (each lane folds its own neighbour's sums over `m`), on whichever
+/// instantiation [`isa`] picks.
 ///
 /// # Panics
 /// If any slice is shorter than its shape requires.
@@ -485,20 +577,39 @@ pub fn env_chain_f32(
 ) {
     check_chain_f32(m1, n, dt, g, dg_ds, coords, de_ds, de_drt);
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: `avx2_fma()` confirmed both target features
-        // `env_chain_avx2` enables.
-        unsafe { env_chain_avx2(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt) };
-        return;
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `env_chain_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { env_chain_avx512(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt) },
+        // SAFETY: `isa()` confirmed both target features `env_chain_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { env_chain_avx2(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt) },
+        Isa::Baseline => {}
     }
-    env_chain(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+    env_chain_plain(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
 }
 
-/// [`env_chain`] compiled with 256-bit vectors; no `mul_add`, no
-/// contraction.
+/// [`env_chain`] on the plain instantiation's [`NEIGHBOUR_LANES`] lanes.
+#[allow(clippy::too_many_arguments)]
+fn env_chain_plain(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    env_chain::<NEIGHBOUR_LANES>(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+}
+
+/// [`env_chain`] compiled with 256-bit vectors on [`NEIGHBOUR_LANES`]
+/// lanes; no `mul_add`, no contraction.
 ///
 /// # Safety
-/// The CPU must have AVX2 and FMA ([`avx2_fma`]).
+/// The CPU must have AVX2 and FMA ([`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -513,14 +624,37 @@ fn env_chain_avx2(
     de_ds: &mut [f32],
     de_drt: &mut [f32],
 ) {
-    env_chain(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+    env_chain::<NEIGHBOUR_LANES>(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
 }
 
-/// The chain-rule body: full strips of [`NEIGHBOUR_LANES`] neighbours,
-/// then one neighbour at a time.
+/// [`env_chain`] compiled with 512-bit vectors on 16 lanes; no `mul_add`,
+/// no contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn env_chain_avx512(
+    m1: usize,
+    n: usize,
+    dt: &[f32],
+    g: &[f32],
+    dg_ds: &[f32],
+    coords: &[f32],
+    scale: f32,
+    de_ds: &mut [f32],
+    de_drt: &mut [f32],
+) {
+    env_chain::<16>(m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+}
+
+/// The chain-rule body: strips of `L` neighbours, then of
+/// [`NEIGHBOUR_LANES`] (none when `L` is [`NEIGHBOUR_LANES`]), then one
+/// neighbour at a time.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn env_chain(
+fn env_chain<const L: usize>(
     m1: usize,
     n: usize,
     dt: &[f32],
@@ -532,6 +666,10 @@ fn env_chain(
     de_drt: &mut [f32],
 ) {
     let mut k = 0;
+    while k + L <= n {
+        chain_lanes::<L>(k, m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
+        k += L;
+    }
     while k + NEIGHBOUR_LANES <= n {
         chain_lanes::<NEIGHBOUR_LANES>(k, m1, n, dt, g, dg_ds, coords, scale, de_ds, de_drt);
         k += NEIGHBOUR_LANES;
@@ -598,6 +736,58 @@ mod tests {
         }
     }
 
+    /// The instantiations of one kernel this CPU runs, plain first, each
+    /// with its name; prints a note for each one it lacks.
+    fn runnable<F>(all: Vec<(Isa, F)>) -> Vec<(&'static str, F)> {
+        let name = |on: Isa| match on {
+            Isa::Baseline => "plain",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        };
+        let here = isa();
+        all.into_iter()
+            .filter(|&(on, _)| {
+                if on > here {
+                    println!("note: skipping the {} instantiation, this CPU runs {}", name(on), name(here));
+                }
+                on <= here
+            })
+            .map(|(on, f)| (name(on), f))
+            .collect()
+    }
+
+    type Gemm = unsafe fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    type Tanh = unsafe fn(&mut [f32], &mut [f32]);
+    type EnvT = unsafe fn(usize, usize, &[f32], &[f32], f32, &mut [f32]);
+    type Chain = unsafe fn(usize, usize, &[f32], &[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32]);
+
+    fn gemms() -> Vec<(&'static str, Gemm)> {
+        #[allow(unused_mut)] // nothing to add off x86_64
+        let mut all = vec![(Isa::Baseline, nn_f32_plain as Gemm)];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([(Isa::Avx2, nn_f32_avx2 as Gemm), (Isa::Avx512, nn_f32_avx512)]);
+        runnable(all)
+    }
+
+    fn tanhs() -> Vec<(&'static str, Tanh)> {
+        #[allow(unused_mut)]
+        let mut all = vec![(Isa::Baseline, tanh_rows as Tanh)];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([(Isa::Avx2, tanh_rows_avx2 as Tanh), (Isa::Avx512, tanh_rows_avx512)]);
+        runnable(all)
+    }
+
+    fn env_kernels() -> Vec<(&'static str, (EnvT, Chain))> {
+        #[allow(unused_mut)]
+        let mut all = vec![(Isa::Baseline, (env_t as EnvT, env_chain_plain as Chain))];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([
+            (Isa::Avx2, (env_t_avx2 as EnvT, env_chain_avx2 as Chain)),
+            (Isa::Avx512, (env_t_avx512, env_chain_avx512)),
+        ]);
+        runnable(all)
+    }
+
     const EDGE_SHAPES: &[(usize, usize, usize)] = &[
         (0, 5, 4),    // m = 0
         (1, 1, 0),    // k = 0
@@ -607,25 +797,31 @@ mod tests {
         (4, 5, 3),
         (5, 31, 7),   // m % 4 != 0 and ragged n
         (8, 48, 24),
+        (14, 240, 64), // a Cu fitting tile: one 8-row group, one 4-row, a 2-row tail
         (17, 33, 12),
     ];
 
-    /// m on every row path (four-row groups, each M ≤ 3 tail, both), n
-    /// ragged around every tile and strip width, k = 0 included. Miri
-    /// interprets, so it gets a few of each and the small edge shapes.
+    /// m on every row path (eight- and four-row groups, each M ≤ 3 tail,
+    /// and each combination), n ragged around every tile and strip width
+    /// of every instantiation, k = 0 included. Miri interprets the plain
+    /// instantiation alone, so it gets a few of each and the small edge
+    /// shapes.
     fn gemm_shapes() -> Vec<(usize, usize, usize)> {
-        let (ms, ns, ks): (&[usize], &[usize], &[usize]) = if cfg!(miri) {
-            (&[1, 2, 3, 5], &[0, 9, 17, 25, 33, 49], &[0, 2])
+        let (ms, ns, ks): (Vec<usize>, &[usize], &[usize]) = if cfg!(miri) {
+            (vec![1, 2, 3, 5], &[0, 9, 17, 25, 33, 49], &[0, 2])
         } else {
             (
-                &[1, 2, 3, 4, 5, 6, 7, 8, 9],
-                &[0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 97],
+                (1..=17).collect(),
+                &[
+                    0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 45, 47, 48, 49, 63, 64, 65, 95, 96, 97,
+                    176,
+                ],
                 &[0, 1, 7],
             )
         };
         let mut shapes: Vec<_> =
             EDGE_SHAPES.iter().copied().filter(|&(m, n, k)| !cfg!(miri) || m * n * k <= 4096).collect();
-        for &m in ms {
+        for m in ms {
             for &n in ns {
                 shapes.extend(ks.iter().map(|&k| (m, n, k)));
             }
@@ -633,28 +829,30 @@ mod tests {
         shapes
     }
 
-    /// Both instantiations are the fused fold bit for bit, overwrite every
-    /// element of a poison-filled output, and compute each row of a stacked
-    /// panel exactly as they compute it alone.
+    /// Every instantiation this CPU runs is the fused fold bit for bit,
+    /// overwrites every element of a poison-filled output, and computes
+    /// each row of a stacked panel exactly as it computes it alone.
     #[test]
     fn gemm_instantiations_are_the_fused_fold_bitwise() {
-        type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
         let poison = f32::from_bits(0x7fc0_dead);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let dispatched = if avx2_fma() { "avx2,fma" } else { "dispatched plain" };
+        let gemms = gemms();
         let mut rng = Rng(0x9e3779b97f4a7c15);
         for (m, n, k) in gemm_shapes() {
             let a: Vec<f32> = (0..m * k).map(|_| rng.next_unit() as f32).collect();
             let b: Vec<f32> = (0..k * n).map(|_| rng.next_unit() as f32).collect();
             let mut want = vec![0.0f32; m * n];
             reference_nn_f32(m, n, k, &a, &b, &mut want);
-            for (inst, gemm) in [("plain", nn_f32 as Gemm), (dispatched, gemm_nn_f32)] {
+            for &(inst, gemm) in &gemms {
                 let mut got = vec![poison; m * n];
-                gemm(m, n, k, &a, &b, &mut got);
+                // SAFETY: `runnable` kept only the instantiations `isa()`
+                // allows.
+                unsafe { gemm(m, n, k, &a, &b, &mut got) };
                 assert_eq!(bits(&got), bits(&want), "{inst} {m}x{n}x{k}");
                 for i in 0..m {
                     let mut solo = vec![poison; n];
-                    gemm(1, n, k, &a[i * k..(i + 1) * k], &b, &mut solo);
+                    // SAFETY: as above.
+                    unsafe { gemm(1, n, k, &a[i * k..(i + 1) * k], &b, &mut solo) };
                     assert_eq!(bits(&solo), bits(&want[i * n..(i + 1) * n]), "{inst} row {i} of {m}x{n}x{k}");
                 }
             }
@@ -729,30 +927,31 @@ mod tests {
         assert!(t.is_nan() && d.is_nan());
     }
 
-    /// Both instantiations of the slice kernel are the one-element form,
-    /// bit for bit, at every slice length and alignment (vector bodies and
-    /// tails) and over the whole sweep.
+    /// Every instantiation of the slice kernel this CPU runs is the
+    /// one-element form, bit for bit, at every slice length and alignment
+    /// (vector bodies and tails) and over the whole sweep.
     #[test]
     fn tanh_instantiations_agree_bitwise() {
+        let tanhs = tanhs();
         let same = |xs: &[f32]| {
-            let (mut a, mut da) = (xs.to_vec(), vec![0.0f32; xs.len()]);
-            let (mut b, mut db) = (xs.to_vec(), vec![7.0f32; xs.len()]);
-            tanh_value_grad_f32(&mut a, &mut da);
-            tanh_rows(&mut b, &mut db);
-            for (i, &x) in xs.iter().enumerate() {
-                let (t, d) = tanh_value_grad_f32_one(x);
-                let want = (t.to_bits(), d.to_bits());
-                assert_eq!((a[i].to_bits(), da[i].to_bits()), want, "dispatched, {x:e} at {i}");
-                assert_eq!((b[i].to_bits(), db[i].to_bits()), want, "plain, {x:e} at {i}");
+            for &(inst, tanh) in &tanhs {
+                let (mut t, mut d) = (xs.to_vec(), vec![7.0f32; xs.len()]);
+                // SAFETY: `runnable` kept only the instantiations `isa()`
+                // allows.
+                unsafe { tanh(&mut t, &mut d) };
+                for (i, &x) in xs.iter().enumerate() {
+                    let (tw, dw) = tanh_value_grad_f32_one(x);
+                    assert_eq!((t[i].to_bits(), d[i].to_bits()), (tw.to_bits(), dw.to_bits()), "{inst}, {x:e} at {i}");
+                }
             }
         };
         let mut rng = Rng(0x2545f4914f6cdd1d);
-        let mut pool: Vec<f32> = (0..41).map(|_| (rng.next_unit() * 12.0) as f32).collect();
+        let mut pool: Vec<f32> = (0..57).map(|_| (rng.next_unit() * 12.0) as f32).collect();
         pool[3] = f32::NAN;
         pool[17] = f32::NEG_INFINITY;
         pool[29] = -0.0;
-        for offset in 0..8 {
-            for len in 0..=33 {
+        for offset in 0..16 {
+            for len in 0..=41 {
                 same(&pool[offset..offset + len]);
             }
         }
@@ -791,23 +990,21 @@ mod tests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
     }
 
-    /// Both instantiations of both environment kernels are their reference
-    /// bit for bit — signed zeros included, NaN and ∞ propagated — and
-    /// overwrite every element of a poison-filled output, over neighbour
-    /// counts on both sides of every strip boundary and feature counts on
-    /// both sides of the eight-row block. Miri interprets, so it gets a few
-    /// of each.
+    /// Every instantiation of both environment kernels this CPU runs is
+    /// their reference bit for bit — signed zeros included, NaN and ∞
+    /// propagated — and overwrites every element of a poison-filled output,
+    /// over neighbour counts on both sides of every strip boundary and
+    /// feature counts on both sides of the eight-row block. Miri interprets,
+    /// so it gets a few of each.
     #[test]
     fn env_kernels_are_their_reference_bitwise() {
-        type EnvT = fn(usize, usize, &[f32], &[f32], f32, &mut [f32]);
-        type Chain = fn(usize, usize, &[f32], &[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32]);
         let (ns, m1s): (&[usize], &[usize]) = if cfg!(miri) {
             (&[0, 1, 8, 9, 17], &[1, 3, 9])
         } else {
-            (&[0, 1, 7, 8, 9, 15, 16, 17, 176, 177], &[1, 3, 4, 8, 16, 17])
+            (&[0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 176, 177], &[1, 3, 4, 8, 16, 17])
         };
         let poison = f32::from_bits(0x7fc0_dead);
-        let dispatched = if avx2_fma() { "avx2,fma" } else { "dispatched plain" };
+        let kernels = env_kernels();
         let scale = 1.0 / 92.0;
         let mut rng = Rng(0x853c49e6748fea9b);
         for &n in ns {
@@ -825,14 +1022,15 @@ mod tests {
                             assert!(all.clone().all(|x| x.to_bits() != (-0.0f32).to_bits()), "−0 survived");
                         }
                     }
-                    for (inst, env_t_k, chain_k) in [
-                        ("plain", env_t as EnvT, env_chain as Chain),
-                        (dispatched, env_t_f32 as EnvT, env_chain_f32 as Chain),
-                    ] {
+                    for &(inst, (env_t_k, chain_k)) in &kernels {
                         let mut t = vec![poison; m1 * 4];
-                        env_t_k(m1, n, g, coords, scale, &mut t);
                         let (mut ds, mut drt) = (vec![poison; n], vec![poison; 4 * n]);
-                        chain_k(m1, n, dt, g, dg_ds, coords, scale, &mut ds, &mut drt);
+                        // SAFETY: `runnable` kept only the instantiations
+                        // `isa()` allows.
+                        unsafe {
+                            env_t_k(m1, n, g, coords, scale, &mut t);
+                            chain_k(m1, n, dt, g, dg_ds, coords, scale, &mut ds, &mut drt);
+                        }
                         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         if set == 1 {
                             assert!(same_f32(&t, &t_want), "{}: T", what(inst));
