@@ -9,9 +9,10 @@
 //!    [`dpmd_threads::atom_chunks`]`(nlocal)`, in job-then-chunk order;
 //! 2. runs every tile of every job in **one `pool.scope`**, whatever the
 //!    number of jobs. A tile builds its atoms' environments into its own
-//!    scratch (`DpEngine::describe_tile`:
-//!    [`crate::descriptor::push_environment`] per atom, in atom order),
-//!    embeds them (`DpEngine::embed_tile`: per atom, the environment's
+//!    scratch as f64 columns (`DpEngine::describe_tile`, in atom and
+//!    neighbour-list order; bitwise what
+//!    [`crate::descriptor::push_environment`] computes per atom), embeds
+//!    them (`DpEngine::embed_tile`: per atom, the environment's
 //!    same-species entries stack into one feature-major GEMM pair per
 //!    layer, then T) and, while G and dG/ds are still in the core's cache,
 //!    fits them (`DpEngine::fit_tile`): it groups its atoms by central
@@ -24,10 +25,17 @@
 //! 3. merges tiles into their job's outputs in tile order.
 //!
 //! Tiles of different jobs share the scope, so a pool stays busy on a
-//! round of many small tenants; nothing is stacked *across* jobs (on this
-//! kernel set a tile's 8–14 rows already run at large-M throughput). Only
-//! the tiles in flight hold environments and embeddings: one `TileScratch`
-//! each, dropped with the task. No all-atom environment set exists.
+//! round of many small tenants; nothing is stacked *across* jobs or
+//! tiles. A tile's fitting GEMMs are not large-M: a Cu tile stacks 13–14
+//! rows, but on `water_solo` a tile of about 10 atoms gives roughly 3 O
+//! rows and 7 H rows per GEMM. Fitting a run of 4 tiles in one sweep is
+//! bit-identical (rows are independent; the scatter and merge stay per
+//! tile) and was measured (2 vCPUs, `avx512`) at −7.5 %
+//! `us_per_step_atom` on `water_solo` (lower in 4 of 6 pairs), but it
+//! raised `peak_rss_mb` from 13.4 to 15.4 MiB, so it is not done here
+//! (ROADMAP item 18). Only the tiles in flight hold environments and
+//! embeddings: one `TileScratch` each, dropped with the task. No all-atom
+//! environment set exists.
 //!
 //! The fused scope is timed as a whole; [`ForcePhases::descriptor_s`],
 //! [`ForcePhases::embedding_s`] and [`ForcePhases::fitting_s`] split that

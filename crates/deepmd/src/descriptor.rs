@@ -103,9 +103,12 @@ pub struct Environment {
 ///
 /// Distances beyond `rcut` are filtered here (the Verlet list includes the
 /// skin). Ghost-aware: displacements are direct when ghosts are present,
-/// minimum-image otherwise. This is the one environment body: the f64
-/// model (through [`build_environments_on`]) and the mixed-precision
-/// engine's tiles (into their own scratch) both build entries with it.
+/// minimum-image otherwise. The f64 model builds its entries with it
+/// (through [`build_environments_on`]), and it is the scalar reference the
+/// mixed-precision engine's f64 environment columns are pinned to, field
+/// for field and bit for bit (`tile_columns_are_the_reference_environment_bitwise`):
+/// the engine computes the same expressions lane-wise in `dpmd-simd`, so
+/// a bug in those kernels cannot hide in the oracle.
 pub fn push_environment(
     atoms: &Atoms,
     nl: &NeighborList,
@@ -258,19 +261,7 @@ mod tests {
     /// on the same cell carried as locals plus ghost images.
     #[test]
     fn push_environment_appends_what_build_environments_builds() {
-        let (bx, periodic) = fcc_copper(4, 4, 4);
-        let mut ghosted = periodic.clone();
-        let (l, reach) = (bx.lengths(), 6.5);
-        for i in 0..periodic.nlocal {
-            for shift in (0..27).filter(|&s| s != 13) {
-                let k = [shift % 3, shift / 3 % 3, shift / 9].map(|d| d as f64 - 1.0);
-                let p = periodic.pos[i] + Vec3::new(k[0] * l.x, k[1] * l.y, k[2] * l.z);
-                if (0..3).all(|d| p[d] > bx.lo[d] - reach && p[d] < bx.hi[d] + reach) {
-                    ghosted.push_ghost(periodic.id[i], periodic.typ[i], p);
-                }
-            }
-        }
-        assert!(ghosted.nghost() > 0);
+        let (bx, [periodic, ghosted]) = cu_periodic_and_ghosted();
         let sentinel = EnvEntry { j: u32::MAX, typ: 9, disp: Vec3::ZERO, r: -1.0, s: 0.0, ds_dr: 0.0 };
         for atoms in [&periodic, &ghosted] {
             let mut nl = NeighborList::new(6.0, 0.5, ListKind::Full);
@@ -287,6 +278,112 @@ mod tests {
             assert_eq!(out[0], sentinel);
             assert_eq!(&out[1..], &all[..], "{} ghosts: earlier runs were rewritten", atoms.nghost());
         }
+    }
+
+    /// A 4×4×4 fcc Cu cell twice: as it is (minimum image), and carried
+    /// as locals plus every ghost image within 6.5 Å of the box.
+    fn cu_periodic_and_ghosted() -> (SimBox, [Atoms; 2]) {
+        let (bx, periodic) = fcc_copper(4, 4, 4);
+        let mut ghosted = periodic.clone();
+        let (l, reach) = (bx.lengths(), 6.5);
+        for i in 0..periodic.nlocal {
+            for shift in (0..27).filter(|&s| s != 13) {
+                let k = [shift % 3, shift / 3 % 3, shift / 9].map(|d| d as f64 - 1.0);
+                let p = periodic.pos[i] + Vec3::new(k[0] * l.x, k[1] * l.y, k[2] * l.z);
+                if (0..3).all(|d| p[d] > bx.lo[d] - reach && p[d] < bx.hi[d] + reach) {
+                    ghosted.push_ghost(periodic.id[i], periodic.typ[i], p);
+                }
+            }
+        }
+        assert!(ghosted.nghost() > 0);
+        (bx, [periodic, ghosted])
+    }
+
+    /// The bits of every field of an entry.
+    fn entry_bits(e: &EnvEntry) -> (u32, u32, [u64; 6]) {
+        (e.j, e.typ, [e.disp.x, e.disp.y, e.disp.z, e.r, e.s, e.ds_dr].map(f64::to_bits))
+    }
+
+    /// The mixed engine's tile columns are this module's reference, bit for
+    /// bit. In every tile, atom `i`'s entries are [`push_environment`]'s, field
+    /// for field; the tile's f32 R̃ is [`EnvEntry::coords`] rounded; and
+    /// `dpmd_simd::env_proj_f64` over the columns is the projection through
+    /// [`EnvEntry::coord_grads`] (`∂E/∂s·∂s/∂d + Σ_c ∂E/∂R̃_c·∂R̃_c/∂d`,
+    /// folded in that order) for arbitrary ∂E/∂s and ∂E/∂R̃. One scratch
+    /// serves every tile, as a reused one would. On a min-image Cu cell, the
+    /// same cell carried as ghosts, and a two-species water box, whose O–H
+    /// pairs sit inside `r_cs`.
+    #[test]
+    fn tile_columns_are_the_reference_environment_bitwise() {
+        use crate::config::DeepPotConfig;
+        use crate::engine::{DpEngine, TileScratch};
+        use crate::model::DeepPotModel;
+        use nnet::precision::Precision;
+
+        let (cu_bx, [periodic, ghosted]) = cu_periodic_and_ghosted();
+        let (w_bx, water) = minimd::lattice::water_box(3, 3, 3, 31);
+        let cu = DeepPotConfig::tiny(1, 6.0);
+        let systems = [
+            ("Cu", cu.clone(), &cu_bx, &periodic),
+            ("Cu, ghosts", cu, &cu_bx, &ghosted),
+            ("water", DeepPotConfig::tiny(2, 4.0), &w_bx, &water),
+        ];
+        let (mut inner, mut species) = (0usize, [0usize; 2]);
+        let mut s = TileScratch::default();
+        let mut want = Vec::new();
+        for (name, cfg, bx, atoms) in systems {
+            let mut nl = NeighborList::new(cfg.rcut, 0.5, ListKind::Full);
+            nl.build(atoms, bx);
+            let engine = DpEngine::new(DeepPotModel::new(cfg.clone()), Precision::Mix32);
+            for tile in dpmd_threads::atom_chunks(atoms.nlocal) {
+                engine.describe_tile(atoms, &nl, bx, tile.clone(), &mut s);
+                assert_eq!(s.off.len(), tile.len() + 1, "{name}");
+                assert_eq!(s.env.r.len(), s.off[tile.len()], "{name}: columns past the last atom");
+                for (l, i) in tile.enumerate() {
+                    want.clear();
+                    push_environment(atoms, &nl, bx, i, cfg.rcut_smth, cfg.rcut, &mut want);
+                    let (at, n) = (s.off[l], s.off[l + 1] - s.off[l]);
+                    assert_eq!(n, want.len(), "{name} atom {i}: entry count");
+                    let env = &s.env;
+                    for (k, e) in want.iter().enumerate() {
+                        let c = at + k;
+                        let disp = Vec3::new(env.d[0][c], env.d[1][c], env.d[2][c]);
+                        let got = EnvEntry { j: env.j[c], typ: env.typ[c], disp, r: env.r[c], s: env.s[c], ds_dr: env.ds_dr[c] };
+                        assert_eq!(entry_bits(&got), entry_bits(e), "{name} atom {i} entry {k}");
+                        inner += usize::from(e.r < cfg.rcut_smth);
+                        species[e.typ as usize] += 1;
+                    }
+
+                    let mut rt = vec![f32::NAN; 4 * n];
+                    env.rt_f32(at, n, &mut rt);
+                    for (k, e) in want.iter().enumerate() {
+                        for (c, v) in e.coords().into_iter().enumerate() {
+                            assert_eq!(rt[c * n + k].to_bits(), (v as f32).to_bits(), "{name} atom {i} entry {k} R̃{c}");
+                        }
+                    }
+
+                    let wave = |x: usize| ((x * 7919 + i * 104_729) % 2001) as f32 / 1000.0 - 1.0;
+                    let de_ds: Vec<f32> = (0..n).map(wave).collect();
+                    let de_drt: Vec<f32> = (0..4 * n).map(|x| wave(x + n)).collect();
+                    let mut got = [vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]];
+                    let [gx, gy, gz] = &mut got;
+                    dpmd_simd::env_proj_f64(env.cols(at, n), &de_ds, &de_drt, [gx, gy, gz]);
+                    for (k, e) in want.iter().enumerate() {
+                        let grads = e.coord_grads();
+                        let inv_r = 1.0 / e.r;
+                        let dsdd = [e.ds_dr * e.disp.x * inv_r, e.ds_dr * e.disp.y * inv_r, e.ds_dr * e.disp.z * inv_r];
+                        for (axis, col) in got.iter().enumerate() {
+                            let mut v = de_ds[k] as f64 * dsdd[axis];
+                            for (c, g) in grads.iter().enumerate() {
+                                v += de_drt[c * n + k] as f64 * g[axis];
+                            }
+                            assert_eq!(col[k].to_bits(), v.to_bits(), "{name} atom {i} entry {k} ∂E/∂d axis {axis}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(inner > 0 && species.iter().all(|&c| c > 0), "inner {inner}, per species {species:?}");
     }
 
     #[test]

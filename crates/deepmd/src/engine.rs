@@ -19,25 +19,37 @@
 //! and runs each tile through this module's three stages back to back, on
 //! one `TileScratch`:
 //!
-//! 1. `DpEngine::describe_tile` — the tile's environments, one flat entry
-//!    array with per-atom offsets
-//!    ([`crate::descriptor::push_environment`] per atom);
-//! 2. `DpEngine::embed_tile` — per atom, type-sorted embedding GEMMs, then
-//!    the T accumulation (`dpmd_simd::env_t_f32`);
+//! 1. `DpEngine::describe_tile` — the tile's environments as f64 columns
+//!    (`EnvColumns`) with per-atom offsets: per atom the displacements and
+//!    squared distances of its whole neighbour list
+//!    (`dpmd_simd::env_dist_f64`) and a branch-free compaction to the
+//!    entries inside `r_c`, then one switching-weight pass over the tile
+//!    (`dpmd_simd::env_smooth_f64`). The scalar
+//!    [`crate::descriptor::push_environment`] is the reference these
+//!    columns equal bit for bit;
+//! 2. `DpEngine::embed_tile` — per atom, type-sorted embedding GEMMs, each
+//!    `tanh` layer's bias, activation, tangent product and resnet skip in
+//!    one pass (`dpmd_simd::tanh_bias_tangent_f32`), then R̃ from the
+//!    columns and the T accumulation (`dpmd_simd::env_t_f32`);
 //! 3. `DpEngine::fit_tile` — type-sorted stacked fitting GEMMs, then per
-//!    atom the chain rule through T (`dpmd_simd::env_chain_f32`) and the
-//!    f64 projection and force scatter, in atom and entry order.
+//!    atom the chain rule through T (`dpmd_simd::env_chain_f32`), the f64
+//!    projection onto the displacements (`dpmd_simd::env_proj_f64`) and
+//!    the force scatter, in atom and entry order.
+//!
+//! Every per-neighbour pass is a `dpmd-simd` body with lanes across
+//! neighbours: the same expression trees as the scalar reference, exact
+//! IEEE ops and compare-selects only, and no f64 sum reordered.
 //!
 //! Both nets run a layer the same way: GEMM, `+ bias`, then the f32
-//! activation kernel (`Activation::value_grad_rows_f32`) in place over the
-//! whole GEMM output, which leaves the derivative factors the tangent /
-//! backward pass needs; no transcendental is evaluated one element at a
-//! time. The fitting net is row-major (one row per atom). The embedding net
-//! is feature-major — `Yᵀ = Wᵀ·Xᵀ`, one row per feature, one column per
-//! neighbour — so G and dG/ds come out as the `m1 × n` operands the
-//! environment kernels take. Each element is still the ascending-`p`
-//! `mul_add` fold of the row-major form, because `mul_add(a, b, c)` equals
-//! `mul_add(b, a, c)`: the layout moves no bit.
+//! activation kernel in place over the whole GEMM output, which leaves the
+//! derivative factors the tangent / backward pass needs (the embedding
+//! multiplies them into its tangents in the same pass); no transcendental
+//! is evaluated one element at a time. The fitting net is row-major (one
+//! row per atom). The embedding net is feature-major — `Yᵀ = Wᵀ·Xᵀ`, one
+//! row per feature, one column per neighbour — so G and dG/ds come out as
+//! the `m1 × n` operands the environment kernels take. Each element is
+//! still the ascending-`p` `mul_add` fold of the row-major form, because
+//! `mul_add(a, b, c)` equals `mul_add(b, a, c)`: the layout moves no bit.
 //!
 //! The mixed paths share the exact dataflow of
 //! [`crate::model::DeepPotModel`]; Table II and Fig. 6 measure how far the
@@ -61,7 +73,6 @@ use nnet::precision::Precision;
 use nnet::stats::{GemmTally, PrecClass};
 
 use crate::batch::BatchJob;
-use crate::descriptor::{push_environment, EnvEntry};
 use crate::model::DeepPotModel;
 
 /// One embedding layer: (wᵀ out×in, b, act, resnet, in, out).
@@ -265,6 +276,58 @@ impl Fit32 {
     }
 }
 
+/// The environments of a tile's atoms, one after another, as one column
+/// per field: entry `k` is neighbour `j[k]` (species `typ[k]`) at
+/// displacement `(d[0][k], d[1][k], d[2][k])`, distance `r[k]`, with
+/// switching weight `s[k]` and its derivative `ds_dr[k]`. The f64 fields
+/// are what the reference [`crate::descriptor::push_environment`] computes
+/// per entry, bit for bit.
+#[derive(Default)]
+pub(crate) struct EnvColumns {
+    pub(crate) j: Vec<u32>,
+    pub(crate) typ: Vec<u32>,
+    pub(crate) d: [Vec<f64>; 3],
+    pub(crate) r: Vec<f64>,
+    pub(crate) s: Vec<f64>,
+    pub(crate) ds_dr: Vec<f64>,
+}
+
+impl EnvColumns {
+    fn resize(&mut self, len: usize) {
+        let EnvColumns { j, typ, d: [x, y, z], r, s, ds_dr } = self;
+        j.resize(len, 0);
+        typ.resize(len, 0);
+        for col in [x, y, z, r, s, ds_dr] {
+            col.resize(len, 0.0);
+        }
+    }
+
+    /// The f64 columns of the `n` entries from `at`, for the projection
+    /// kernel.
+    pub(crate) fn cols(&self, at: usize, n: usize) -> dpmd_simd::EnvCols<'_> {
+        dpmd_simd::EnvCols {
+            d: self.d.each_ref().map(|col| &col[at..at + n]),
+            r: &self.r[at..at + n],
+            s: &self.s[at..at + n],
+            ds_dr: &self.ds_dr[at..at + n],
+        }
+    }
+
+    /// R̃ = `(s, f·x, f·y, f·z)` with `f = s/r`, rounded to f32, of the `n`
+    /// entries from `at` into `out` (`4 × n` component-major).
+    pub(crate) fn rt_f32(&self, at: usize, n: usize, out: &mut [f32]) {
+        let c = self.cols(at, n);
+        let (s0, rest) = out[..4 * n].split_at_mut(n);
+        let (s1, rest) = rest.split_at_mut(n);
+        let (s2, s3) = rest.split_at_mut(n);
+        for k in 0..n {
+            let (s, f) = (c.s[k], c.s[k] / c.r[k]);
+            let [x, y, z] = c.d.map(|col| (f * col[k]) as f32);
+            (s0[k], s1[k], s2[k], s3[k]) = (s as f32, x, y, z);
+        }
+    }
+}
+
 /// Everything one tile computes between its environments and its force
 /// scatter, in flat arrays that only grow: one instance per tile, so no
 /// buffer is allocated per atom, and a tile's environments and embeddings
@@ -272,8 +335,8 @@ impl Fit32 {
 /// owns the tile-wide entries `off[l]..off[l + 1]`.
 #[derive(Default)]
 pub(crate) struct TileScratch {
-    /// The environments of the tile's atoms, one after another.
-    entries: Vec<EnvEntry>,
+    /// The environments of the tile's atoms.
+    pub(crate) env: EnvColumns,
     /// Entry positions of the species currently being embedded.
     idx: Vec<u32>,
     /// Feature rows entering the current embedding layer (`ind × rows`).
@@ -286,7 +349,7 @@ pub(crate) struct TileScratch {
     dpre: Vec<f32>,
     dfac: Vec<f32>,
     /// Per-atom offsets into the tile's entries (`atoms + 1` of them).
-    off: Vec<usize>,
+    pub(crate) off: Vec<usize>,
     /// G per atom, `m1 × n` feature-major, at `off[l]·m1`.
     g: Vec<f32>,
     /// dG/ds per atom, same layout.
@@ -307,6 +370,8 @@ pub(crate) struct TileScratch {
     de_ds: Vec<f32>,
     /// ∂E/∂R̃ of the current atom, `4 × n` component-major.
     de_drt: Vec<f32>,
+    /// ∂E/∂d per entry of the current atom, one column per axis.
+    de_dx: [Vec<f64>; 3],
 }
 
 /// What one fitting tile hands to the merge.
@@ -405,9 +470,16 @@ impl DpEngine {
         self.energy_forces(atoms, nl, bx, &mut forces).energy
     }
 
-    /// Build the environments of the atoms `range` of `atoms` into `s`
-    /// ([`push_environment`] per atom, in atom order), with the per-atom
-    /// offsets the embedding and fitting stages index them by.
+    /// Build the environments of the atoms `range` of `atoms` into the
+    /// columns of `s`, in atom and neighbour-list order, with the per-atom
+    /// offsets the embedding and fitting stages index them by. Per atom:
+    /// gather the whole list's positions into the columns at the write
+    /// index, `dpmd_simd::env_dist_f64` over them (minimum image unless the
+    /// system carries ghosts), then a branch-free compaction in place that
+    /// writes every list entry and advances past those inside `r_c` and
+    /// not on the atom itself. One
+    /// `dpmd_simd::env_smooth_f64` call then gives every kept entry its
+    /// `r`, `s` and `ds/dr`.
     pub(crate) fn describe_tile(
         &self,
         atoms: &Atoms,
@@ -417,20 +489,48 @@ impl DpEngine {
         s: &mut TileScratch,
     ) {
         let cfg = &self.model.config;
-        s.entries.clear();
-        s.off.clear();
-        s.off.push(0);
+        let rc2 = cfg.rcut * cfg.rcut;
+        let period = (atoms.nghost() == 0).then(|| {
+            let l = bx.lengths();
+            [l.x, l.y, l.z]
+        });
+        let TileScratch { env, off, .. } = s;
+        // An atom's whole list lands at the write index, which never passes
+        // the list's own place in the lists' total, so the compaction reads
+        // every entry before it can overwrite it.
+        env.resize((range.start..range.end).map(|i| nl.neighbors(i).len()).sum());
+        off.clear();
+        off.push(0);
+        let mut w = 0;
+        let EnvColumns { j: jc, typ: tc, d: [x, y, z], r: r2, .. } = env;
         for i in range {
-            push_environment(atoms, nl, bx, i, cfg.rcut_smth, cfg.rcut, &mut s.entries);
-            s.off.push(s.entries.len());
+            let (list, at) = (nl.neighbors(i), w);
+            let n = list.len();
+            let (xs, ys, zs) = (&mut x[at..at + n], &mut y[at..at + n], &mut z[at..at + n]);
+            for (k, &j) in list.iter().enumerate() {
+                let p = atoms.pos[j as usize];
+                (xs[k], ys[k], zs[k]) = (p.x, p.y, p.z);
+            }
+            let xi = atoms.pos[i];
+            dpmd_simd::env_dist_f64([xi.x, xi.y, xi.z], period, [xs, ys, zs], &mut r2[at..at + n]);
+            for (k, &j) in (at..).zip(list) {
+                let rr = r2[k];
+                jc[w] = j;
+                tc[w] = atoms.typ[j as usize];
+                (x[w], y[w], z[w], r2[w]) = (x[k], y[k], z[k], rr);
+                w += usize::from(!(rr > rc2 || rr == 0.0));
+            }
+            off.push(w);
         }
+        env.resize(w);
+        dpmd_simd::env_smooth_f64(cfg.rcut_smth, cfg.rcut, &mut env.r, &mut env.s, &mut env.ds_dr);
     }
 
     /// Embed every atom of the tile [`describe_tile`](Self::describe_tile)
     /// left in `s` (see [`embed_atom32`](Self::embed_atom32)).
     pub(crate) fn embed_tile(&self, s: &mut TileScratch) {
         let m1 = self.model.config.m1();
-        let (natoms, nentries) = (s.off.len() - 1, s.entries.len());
+        let (natoms, nentries) = (s.off.len() - 1, s.env.r.len());
         // Every element is overwritten before it is read.
         s.g.resize(nentries * m1, 0.0);
         s.dg_ds.resize(nentries * m1, 0.0);
@@ -445,72 +545,87 @@ impl DpEngine {
     /// the environment's same-type entries stack into one GEMM pair per
     /// layer (value columns from `s`, tangent columns from `∂s/∂s = 1`) —
     /// the paper's "sort environment matrices by type so one GEMM serves
-    /// all same-type neighbours". Each layer is GEMM → `+ bias` per feature
-    /// row → activation over the whole block in place → resnet as row adds;
-    /// its outputs become the next layer's inputs by swap. Column
-    /// independence of the GEMM makes the grouping bitwise-invisible. The
-    /// last layer's columns land in the atom's G and dG/ds (a copy when
-    /// every entry is of one species, a column scatter otherwise), then
+    /// all same-type neighbours". Each layer is a GEMM pair, then one
+    /// `dpmd_simd::tanh_bias_tangent_f32` pass over the block — `+ bias`
+    /// per feature row, `tanh`, the tangent product and the resnet skip
+    /// (a `Linear` layer runs those steps one pass each); its outputs become
+    /// the next layer's inputs by swap. Column independence of the GEMM
+    /// makes the grouping bitwise-invisible. The last layer's columns land
+    /// in the atom's G and dG/ds (written there directly when every entry
+    /// is of one species, a column scatter otherwise), then
     /// `dpmd_simd::env_t_f32` folds T in entry order.
     pub(crate) fn embed_atom32(&self, l: usize, s: &mut TileScratch) {
         let m1 = self.model.config.m1();
         let inv_nm = 1.0f32 / self.model.config.nmax as f32;
         let tally = self.obs.as_ref().map(|o| &o.gemm);
-        let TileScratch { entries, idx, val, tan, pre, dpre, dfac, off, g, dg_ds, coords, t, .. } = s;
+        let TileScratch { env, idx, val, tan, pre, dpre, dfac, off, g, dg_ds, coords, t, .. } = s;
         let (at, n) = (off[l], off[l + 1] - off[l]);
-        let env = &entries[at..at + n];
+        let (typ, sw) = (&env.typ[at..at + n], &env.s[at..at + n]);
         let g = &mut g[at * m1..(at + n) * m1];
         let dg_ds = &mut dg_ds[at * m1..(at + n) * m1];
         let coords = &mut coords[at * 4..(at + n) * 4];
         for (ty, emb_net) in self.emb32.iter().enumerate() {
             idx.clear();
-            idx.extend(env.iter().enumerate().filter(|(_, e)| e.typ as usize == ty).map(|(k, _)| k as u32));
+            idx.extend((0..n as u32).filter(|&k| typ[k as usize] as usize == ty));
             let rows = idx.len();
             if rows == 0 {
                 continue;
             }
             val.clear();
-            val.extend(idx.iter().map(|&k| env[k as usize].s as f32));
+            val.extend(idx.iter().map(|&k| sw[k as usize] as f32));
             tan.clear();
             tan.resize(rows, 1.0);
-            for (wt, b, act, resnet, ind, outd) in &emb_net.layers {
+            let last = emb_net.layers.len() - 1;
+            for (li, (wt, b, act, resnet, ind, outd)) in emb_net.layers.iter().enumerate() {
                 let (ind, outd) = (*ind, *outd);
-                // The GEMM overwrites both outputs.
-                pre.resize(outd * rows, 0.0);
-                dpre.resize(outd * rows, 0.0);
-                gemm::auto_nn_f32(outd, rows, ind, wt, val, pre);
-                gemm::auto_nn_f32(outd, rows, ind, wt, tan, dpre);
+                // The last layer of a one-species environment lands in G and
+                // dG/ds directly, every other one in `pre`/`dpre`. The GEMM
+                // overwrites both outputs.
+                let direct = li == last && rows == n;
+                let (out, dout) = if direct {
+                    (&mut g[..], &mut dg_ds[..])
+                } else {
+                    pre.resize(outd * rows, 0.0);
+                    dpre.resize(outd * rows, 0.0);
+                    (&mut pre[..], &mut dpre[..])
+                };
+                gemm::auto_nn_f32(outd, rows, ind, wt, val, out);
+                gemm::auto_nn_f32(outd, rows, ind, wt, tan, dout);
                 if let Some(tl) = tally {
                     tl.record(rows, PrecClass::F32);
                     tl.record(rows, PrecClass::F32);
                 }
-                for (row, &bb) in pre.chunks_exact_mut(rows).zip(b) {
-                    for v in row {
-                        *v += bb;
+                // A resnet layer adds its input: output row `m` gets input
+                // row `m mod ind` (identity: `outd = ind`; doubling:
+                // `outd = 2·ind`).
+                let skip = (*resnet != Resnet::None).then(|| [&val[..ind * rows], &tan[..ind * rows]]);
+                if *act == Activation::Tanh {
+                    dpmd_simd::tanh_bias_tangent_f32(rows, b, out, dout, skip);
+                } else {
+                    for (row, &bb) in out.chunks_exact_mut(rows).zip(b) {
+                        for v in row {
+                            *v += bb;
+                        }
+                    }
+                    dfac.resize(out.len(), 0.0);
+                    act.value_grad_rows_f32(out, dfac);
+                    for (dp, &df) in dout.iter_mut().zip(dfac.iter()) {
+                        *dp *= df;
+                    }
+                    if let Some([sv, st]) = skip {
+                        for (m, (o, d)) in out.chunks_exact_mut(rows).zip(dout.chunks_exact_mut(rows)).enumerate() {
+                            let from = m % ind * rows;
+                            add_rows(o, &sv[from..from + rows]);
+                            add_rows(d, &st[from..from + rows]);
+                        }
                     }
                 }
-                dfac.resize(pre.len(), 0.0);
-                act.value_grad_rows_f32(pre, dfac);
-                for (dp, &df) in dpre.iter_mut().zip(dfac.iter()) {
-                    *dp *= df;
+                if !direct {
+                    std::mem::swap(val, pre);
+                    std::mem::swap(tan, dpre);
                 }
-                let skips: &[usize] = match resnet {
-                    Resnet::None => &[],
-                    Resnet::Identity => &[0],
-                    Resnet::Doubling => &[0, ind],
-                };
-                for &skip in skips {
-                    let (from, len) = (skip * rows, ind * rows);
-                    add_rows(&mut pre[from..from + len], &val[..len]);
-                    add_rows(&mut dpre[from..from + len], &tan[..len]);
-                }
-                std::mem::swap(val, pre);
-                std::mem::swap(tan, dpre);
             }
-            if rows == n {
-                g.copy_from_slice(&val[..m1 * n]);
-                dg_ds.copy_from_slice(&tan[..m1 * n]);
-            } else {
+            if rows != n {
                 for (m, (gm, sm)) in g.chunks_exact_mut(n).zip(dg_ds.chunks_exact_mut(n)).enumerate() {
                     let (vm, tm) = (&val[m * rows..(m + 1) * rows], &tan[m * rows..(m + 1) * rows]);
                     for ((&k, &v), &tv) in idx.iter().zip(vm).zip(tm) {
@@ -520,11 +635,7 @@ impl DpEngine {
                 }
             }
         }
-        for (k, e) in env.iter().enumerate() {
-            for (c, v) in e.coords().into_iter().enumerate() {
-                coords[c * n + k] = v as f32;
-            }
-        }
+        env.rt_f32(at, n, coords);
         dpmd_simd::env_t_f32(m1, n, g, coords, inv_nm, &mut t[l * m1 * 4..(l + 1) * m1 * 4]);
     }
 
@@ -537,7 +648,7 @@ impl DpEngine {
         let dl = m1 * m2;
         let inv_nm = 1.0f32 / cfg.nmax as f32;
         let tally = self.obs.as_ref().map(|o| &o.gemm);
-        let TileScratch { entries, off, g, dg_ds, coords, t, tape, efit, de_dd, dt, de_ds, de_drt, .. } = s;
+        let TileScratch { env, off, g, dg_ds, coords, t, tape, efit, de_dd, dt, de_ds, de_drt, de_dx, .. } = s;
         let n = off.len() - 1;
         let typ = &atoms.typ[start..start + n];
         let t_of = |l: usize| &t[l * m1 * 4..(l + 1) * m1 * 4];
@@ -616,27 +727,25 @@ impl DpEngine {
                 de_ds,
                 de_drt,
             );
-            for (k, e) in entries[at..at + nk].iter().enumerate() {
-                let de_drt = [de_drt[k], de_drt[nk + k], de_drt[2 * nk + k], de_drt[3 * nk + k]];
-                let grads = e.coord_grads();
-                let inv_r = 1.0 / e.r;
-                let dsdd = [
-                    e.ds_dr * e.disp.x * inv_r,
-                    e.ds_dr * e.disp.y * inv_r,
-                    e.ds_dr * e.disp.z * inv_r,
-                ];
-                let mut de_dd_vec = Vec3::ZERO;
-                for axis in 0..3 {
-                    let mut v = de_ds[k] as f64 * dsdd[axis];
-                    for cc in 0..4 {
-                        v += de_drt[cc] as f64 * grads[cc][axis];
-                    }
-                    de_dd_vec[axis] = v;
-                }
-                buf[e.j as usize] -= de_dd_vec;
-                buf[i] += de_dd_vec;
-                virial += de_dd_vec.dot(e.disp);
+            for col in de_dx.iter_mut() {
+                col.resize(nk, 0.0);
             }
+            let [fx, fy, fz] = de_dx;
+            dpmd_simd::env_proj_f64(env.cols(at, nk), de_ds, de_drt, [&mut fx[..], &mut fy[..], &mut fz[..]]);
+            // `buf[j] -= v; buf[i] += v` per entry, with `buf[i]` held in a
+            // register across the atom's entries: the same sequence of adds.
+            let mut fi = buf[i];
+            for k in 0..nk {
+                let e = at + k;
+                let v = Vec3::new(fx[k], fy[k], fz[k]);
+                match env.j[e] as usize {
+                    j if j == i => fi -= v,
+                    j => buf[j] -= v,
+                }
+                fi += v;
+                virial += v.dot(Vec3::new(env.d[0][e], env.d[1][e], env.d[2][e]));
+            }
+            buf[i] = fi;
         }
         TileOut { energy, virial, forces: buf, gemms, rows: rows_total }
     }
@@ -868,6 +977,7 @@ mod tests {
     /// on this system, from the f64 nets (the mixed pipeline's own
     /// pre-activations are these to f32 rounding).
     fn tanh_input_span(model: &DeepPotModel, atoms: &Atoms, nl: &NeighborList, bx: &SimBox) -> (f64, f64) {
+        use crate::descriptor::push_environment;
         use nnet::matrix::Matrix;
         let cfg = &model.config;
         let (m1, m2) = (cfg.m1(), cfg.m2);
@@ -984,6 +1094,32 @@ mod tests {
                     assert_eq!(out, outs[0], "{name} ×{scale} {precision:?}: energy/virial, solo vs batched");
                     assert_eq!(f, bufs[0], "{name} ×{scale} {precision:?}: forces, solo vs batched");
                 }
+            }
+        }
+    }
+
+    /// A model may hold `Linear` embedding layers (a loaded model picks the
+    /// activation per layer); those run the unfused epilogue, resnet skip
+    /// included. With every mix of `Linear` and `tanh` layers on the Cu and
+    /// water cells, Mix32 forces stay within the 1e-5 bar of the f64 model.
+    #[test]
+    fn linear_embedding_layers_track_the_f64_model() {
+        for (name, cfg, bx, atoms, nl) in cu_and_water() {
+            for acts in [[Activation::Linear; 2], [Activation::Tanh, Activation::Linear], [Activation::Linear, Activation::Tanh]] {
+                let mut model = DeepPotModel::new(cfg.clone());
+                for emb in &mut model.embeddings {
+                    assert_eq!(emb.mlp.layers.len(), acts.len());
+                    assert_ne!(emb.mlp.layers[1].resnet, Resnet::None, "the second layer is a resnet layer");
+                    for (layer, &act) in emb.mlp.layers.iter_mut().zip(&acts) {
+                        layer.act = act;
+                    }
+                }
+                let mut f_ref = vec![Vec3::ZERO; atoms.len()];
+                model.energy_forces_on(&ThreadPool::serial(), &atoms, &nl, &bx, &mut f_ref);
+                let mut f = vec![Vec3::ZERO; atoms.len()];
+                DpEngine::new(model, Precision::Mix32).energy_forces(&atoms, &nl, &bx, &mut f);
+                let relerr = max_norm(f.iter().zip(&f_ref).map(|(a, b)| *a - *b)) / max_norm(f_ref.iter().copied());
+                assert!(relerr > 0.0 && relerr <= 1e-5, "{name} {acts:?}: relerr {relerr:e}");
             }
         }
     }

@@ -1,7 +1,10 @@
-//! The f32 kernels of the mixed-precision force pipeline: the NN GEMM, the
-//! `tanh` activation that runs between GEMMs, and the two environment
-//! operators around the embedding net (the T accumulation and its chain
-//! rule).
+//! The kernels of the mixed-precision force pipeline. In f32: the NN GEMM,
+//! the `tanh` activation that runs between GEMMs (alone, and fused with an
+//! embedding layer's bias, tangent product and resnet skip), and the two
+//! environment operators around the embedding net (the T accumulation and
+//! its chain rule). In f64: the per-neighbour descriptor passes (displacement and
+//! squared distance, switching weight) and the projection of ∂E/∂R̃ onto
+//! the displacement that the force scatter consumes.
 //!
 //! This crate is the workspace's *audited unsafe island* for CPU features:
 //! the workspace lint table forbids `unsafe_code` in every other crate
@@ -21,9 +24,9 @@
 //! instantiation only names its widths. [`isa`] picks the instantiation
 //! from the CPU. All three compute the same bits for every input, so which
 //! one runs is a speed choice, never a bits choice: there is no dispatch
-//! class, and a trajectory is the same bits on every host. All eight
+//! class, and a trajectory is the same bits on every host. All sixteen
 //! `unsafe` blocks outside the tests are the call into an `avx2` or
-//! `avx512` instantiation, and all eight are on the production path.
+//! `avx512` instantiation, and all sixteen are on the production path.
 //!
 //! # The GEMM contract
 //!
@@ -53,6 +56,11 @@
 //! no `mul_add` at all. Rust never contracts `a*b + c`, so enabling `fma`
 //! for its other instantiations cannot move a bit either.
 //!
+//! [`tanh_bias_tangent_f32`] runs the same one-element body after the bias
+//! add, multiplies the derivative into the tangent and adds a resnet skip,
+//! so it is the bias pass, [`tanh_value_grad_f32`], the tangent product
+//! and the skip adds, bit for bit.
+//!
 //! # The environment operators
 //!
 //! [`env_t_f32`] (`T = G·R̃ᵀ / nmax`) and [`env_chain_f32`] (∂E/∂s and
@@ -62,6 +70,14 @@
 //! lanes run across outputs — `(feature, coordinate)` pairs for T,
 //! neighbours for the chain rule — never along a sum, so vectorizing
 //! reorders no fold.
+//!
+//! # The f64 environment passes
+//!
+//! [`env_dist_f64`], [`env_smooth_f64`] and [`env_proj_f64`] work on one
+//! column per field, one lane per neighbour, and sum nothing across lanes.
+//! Each is the expression tree of a scalar branchy form — kept as its
+//! `reference_*` — with the branches as compare-selects: every lane
+//! evaluates each side and keeps one, so the bits are the reference's.
 
 /// An instantiation of this crate's kernels, from least to most capable:
 /// a CPU that runs one runs every one before it.
@@ -209,7 +225,7 @@ fn nn_f32<const G: usize, const W: usize, const W1: usize, const W2: usize, cons
 
 /// Every column of `R` rows: `W`-wide tiles, then `S`-wide strips, then
 /// [`STRIP`]-wide ones (none when `S` is [`STRIP`]), then one scalar fold
-/// per leftover column. The rows are sliced once here, at their exact
+/// per row and leftover column. The rows are sliced once here, at their exact
 /// lengths, so the compiler can drop the tiles' bounds checks on them.
 #[inline(always)]
 fn rows_f32<const R: usize, const W: usize, const S: usize>(
@@ -239,13 +255,18 @@ fn rows_f32<const R: usize, const W: usize, const S: usize>(
         tile_f32::<R, STRIP>(n, &a, b, j, &mut c);
         j += STRIP;
     }
+    // All `R` rows step through `p` together, one fold per row: `R`
+    // independent chains instead of one `k`-long chain after another.
     for j in j..n {
-        for (ar, cr) in a.iter().zip(&mut c) {
-            let mut acc = 0.0f32;
-            for (p, &x) in ar.iter().enumerate() {
-                acc = x.mul_add(b[p * n + j], acc);
+        let mut acc = [0.0f32; R];
+        for p in 0..k {
+            let bp = b[p * n + j];
+            for (x, ar) in acc.iter_mut().zip(&a) {
+                *x = ar[p].mul_add(bp, *x);
             }
-            cr[j] = acc;
+        }
+        for (cr, &x) in c.iter_mut().zip(&acc) {
+            cr[j] = x;
         }
     }
 }
@@ -383,6 +404,121 @@ fn tanh_rows_avx2(x: &mut [f32], dfac: &mut [f32]) {
 #[target_feature(enable = "avx512f,avx2,fma")]
 fn tanh_rows_avx512(x: &mut [f32], dfac: &mut [f32]) {
     tanh_rows(x, dfac);
+}
+
+/// The two residual operands of a resnet layer: its input rows and their
+/// tangents, the same shape.
+pub type Skip<'a> = Option<[&'a [f32]; 2]>;
+
+fn check_bias_tangent_f32(n: usize, b: &[f32], x: &[f32], dpre: &[f32], skip: Skip<'_>) {
+    assert!(x.len() >= b.len() * n, "values too small: {} < {}×{n}", x.len(), b.len());
+    assert!(dpre.len() >= b.len() * n, "tangents too small: {} < {}×{n}", dpre.len(), b.len());
+    if let (Some([sx, st]), true) = (skip, n > 0) {
+        assert_eq!(sx.len(), st.len(), "one skip tangent per skip value");
+        assert!(sx.len() >= n && sx.len() % n == 0, "skip rows: {} is not a whole number of rows of {n}", sx.len());
+    }
+}
+
+/// An embedding layer's epilogue, written plainly, over `b.len()` rows of
+/// `n`: per element of row `m`, `(t, d) = tanh(x + b[m])` by
+/// [`tanh_value_grad_f32_one`], then `x ← t` and `dpre ← dpre·d` (the
+/// tangent times `1 − tanh²`); with `skip = Some([sx, st])` of `s` rows,
+/// then `x ← x + sx[m mod s]` and `dpre ← dpre + st[m mod s]` elementwise
+/// (a resnet layer: `s` rows for an identity skip, half the rows for a
+/// doubling one). The semantic definition of [`tanh_bias_tangent_f32`],
+/// for tests.
+pub fn reference_tanh_bias_tangent_f32(n: usize, b: &[f32], x: &mut [f32], dpre: &mut [f32], skip: Skip<'_>) {
+    check_bias_tangent_f32(n, b, x, dpre, skip);
+    for (m, &bm) in b.iter().enumerate() {
+        for k in 0..n {
+            let e = m * n + k;
+            let (t, d) = tanh_value_grad_f32_one(x[e] + bm);
+            x[e] = t;
+            dpre[e] *= d;
+            if let Some([sx, st]) = skip {
+                let from = m % (sx.len() / n) * n + k;
+                x[e] += sx[from];
+                dpre[e] += st[from];
+            }
+        }
+    }
+}
+
+/// An embedding layer's epilogue in place over the first `b.len()` rows
+/// of `n` — bias, `tanh`, tangent product and the optional resnet skip —
+/// [`reference_tanh_bias_tangent_f32`] bit for bit, on whichever
+/// instantiation [`isa`] picks. One pass, with no derivative array.
+///
+/// # Panics
+/// If `x` or `dpre` is shorter than `b.len()·n`, or the skip operands
+/// differ in length or are not a whole number (≥ 1) of rows of `n`.
+pub fn tanh_bias_tangent_f32(n: usize, b: &[f32], x: &mut [f32], dpre: &mut [f32], skip: Skip<'_>) {
+    check_bias_tangent_f32(n, b, x, dpre, skip);
+    #[cfg(target_arch = "x86_64")]
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature
+        // `bias_tangent_avx512` enables.
+        Isa::Avx512 => return unsafe { bias_tangent_avx512(n, b, x, dpre, skip) },
+        // SAFETY: `isa()` confirmed both target features
+        // `bias_tangent_avx2` enables.
+        Isa::Avx2 => return unsafe { bias_tangent_avx2(n, b, x, dpre, skip) },
+        Isa::Baseline => {}
+    }
+    bias_tangent(n, b, x, dpre, skip);
+}
+
+/// [`bias_tangent`] compiled with 256-bit vectors; no `mul_add`, no
+/// contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn bias_tangent_avx2(n: usize, b: &[f32], x: &mut [f32], dpre: &mut [f32], skip: Skip<'_>) {
+    bias_tangent(n, b, x, dpre, skip);
+}
+
+/// [`bias_tangent`] compiled with 512-bit vectors; no `mul_add`, no
+/// contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn bias_tangent_avx512(n: usize, b: &[f32], x: &mut [f32], dpre: &mut [f32], skip: Skip<'_>) {
+    bias_tangent(n, b, x, dpre, skip);
+}
+
+/// The epilogue body: one row at a time, the row's bias broadcast, lanes
+/// across the row; the skip, if any, in the same pass.
+#[inline(always)]
+fn bias_tangent(n: usize, b: &[f32], x: &mut [f32], dpre: &mut [f32], skip: Skip<'_>) {
+    if n == 0 {
+        return;
+    }
+    let rows = x.chunks_exact_mut(n).zip(dpre.chunks_exact_mut(n)).zip(b);
+    match skip {
+        None => {
+            for ((xr, dr), &bm) in rows {
+                for (x, d) in xr.iter_mut().zip(dr) {
+                    let (t, df) = tanh_value_grad_f32_one(*x + bm);
+                    *x = t;
+                    *d *= df;
+                }
+            }
+        }
+        Some([sx, st]) => {
+            let s = sx.len() / n;
+            for (m, ((xr, dr), &bm)) in rows.enumerate() {
+                let (sxr, str) = (&sx[m % s * n..][..n], &st[m % s * n..][..n]);
+                for (((x, d), &v), &tv) in xr.iter_mut().zip(dr).zip(sxr).zip(str) {
+                    let (t, df) = tanh_value_grad_f32_one(*x + bm);
+                    *x = t + v;
+                    *d = *d * df + tv;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,6 +857,355 @@ fn chain_lanes<const L: usize>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// f64 environment passes: the descriptor of a central atom (displacement,
+// squared distance, distance and switching weight) and the projection of
+// ∂E/∂s and ∂E/∂R̃ onto the displacement, over one column per field.
+//
+// Lanes run across neighbours and nothing sums across them. Every op is an
+// IEEE-exact `+ − × ÷ √` or a compare-select, in the order and association
+// of the scalar branches the `reference_*` forms spell out, and none is a
+// `mul_add`: each instantiation has the reference's bits. The branches
+// become selects, so a lane computes both sides and keeps one.
+
+/// Displacements and squared distances, written plainly: per neighbour
+/// `k`, `d[a][k] ← d[a][k] − xi[a]` (positions in, displacements out),
+/// then with `period = Some(l)` the minimum image per axis — `d > ½l →
+/// d − l`, else `d < −½l → d + l` — and `r2[k] = (x·x + y·y) + z·z`. The
+/// semantic definition of [`env_dist_f64`], for tests.
+pub fn reference_env_dist_f64(xi: [f64; 3], period: Option<[f64; 3]>, mut d: [&mut [f64]; 3], r2: &mut [f64]) {
+    let n = r2.len();
+    check_columns_f64(n, d.iter().map(|c| c.len()));
+    for (k, r2) in r2.iter_mut().enumerate() {
+        let mut v = [0.0f64; 3];
+        for (a, col) in d.iter_mut().enumerate() {
+            let mut x = col[k] - xi[a];
+            if let Some(l) = period {
+                if x > 0.5 * l[a] {
+                    x -= l[a];
+                } else if x < -0.5 * l[a] {
+                    x += l[a];
+                }
+            }
+            col[k] = x;
+            v[a] = x;
+        }
+        *r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+    }
+}
+
+fn check_columns_f64(n: usize, lens: impl IntoIterator<Item = usize>) {
+    for len in lens {
+        assert!(len >= n, "column too small: {len} < {n}");
+    }
+}
+
+/// [`reference_env_dist_f64`] bit for bit over the first `r2.len()`
+/// entries of each column of `d`, on whichever instantiation [`isa`]
+/// picks.
+///
+/// # Panics
+/// If a column of `d` is shorter than `r2`.
+pub fn env_dist_f64(xi: [f64; 3], period: Option<[f64; 3]>, d: [&mut [f64]; 3], r2: &mut [f64]) {
+    check_columns_f64(r2.len(), d.iter().map(|c| c.len()));
+    #[cfg(target_arch = "x86_64")]
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `dist_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { dist_avx512(xi, period, d, r2) },
+        // SAFETY: `isa()` confirmed both target features `dist_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { dist_avx2(xi, period, d, r2) },
+        Isa::Baseline => {}
+    }
+    dist(xi, period, d, r2);
+}
+
+/// [`dist`] compiled with 256-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn dist_avx2(xi: [f64; 3], period: Option<[f64; 3]>, d: [&mut [f64]; 3], r2: &mut [f64]) {
+    dist(xi, period, d, r2);
+}
+
+/// [`dist`] compiled with 512-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn dist_avx512(xi: [f64; 3], period: Option<[f64; 3]>, d: [&mut [f64]; 3], r2: &mut [f64]) {
+    dist(xi, period, d, r2);
+}
+
+/// The displacement body: one loop with the minimum image, one without.
+#[inline(always)]
+fn dist(xi: [f64; 3], period: Option<[f64; 3]>, d: [&mut [f64]; 3], r2: &mut [f64]) {
+    match period {
+        Some(l) => dist_lanes::<true>(xi, l, d, r2),
+        None => dist_lanes::<false>(xi, [0.0; 3], d, r2),
+    }
+}
+
+/// One lane per neighbour; with `WRAP`, each axis's image step is two
+/// compares on the unwrapped displacement and two selects.
+#[inline(always)]
+fn dist_lanes<const WRAP: bool>(xi: [f64; 3], l: [f64; 3], d: [&mut [f64]; 3], r2: &mut [f64]) {
+    let n = r2.len();
+    let [x, y, z] = d;
+    let (x, y, z) = (&mut x[..n], &mut y[..n], &mut z[..n]);
+    let (half, neg_half) = (l.map(|len| 0.5 * len), l.map(|len| -0.5 * len));
+    let shift = |p: f64, a: usize| {
+        let v = p - xi[a];
+        if !WRAP {
+            return v;
+        }
+        let (down, up) = (v - l[a], v + l[a]);
+        if v > half[a] {
+            down
+        } else if v < neg_half[a] {
+            up
+        } else {
+            v
+        }
+    };
+    for k in 0..n {
+        let (dx, dy, dz) = (shift(x[k], 0), shift(y[k], 1), shift(z[k], 2));
+        (x[k], y[k], z[k]) = (dx, dy, dz);
+        r2[k] = dx * dx + dy * dy + dz * dz;
+    }
+}
+
+/// The switching weight and its derivative, written plainly: per entry,
+/// `r ← √r` (squared distance in, distance out), then DeePMD-kit's
+/// smoothing with `u = (r − r_cs)/(r_c − r_cs)`: `(0, 0)` for `r ≥ r_c`,
+/// `(1/r, −1/r²)` for `r < r_cs`, and on the taper `s = poly/r` with
+/// `poly = u³(−6u² + 15u − 10) + 1`. The semantic definition of
+/// [`env_smooth_f64`], for tests.
+pub fn reference_env_smooth_f64(rcut_smth: f64, rcut: f64, r: &mut [f64], s: &mut [f64], ds_dr: &mut [f64]) {
+    let n = r.len();
+    check_columns_f64(n, [s.len(), ds_dr.len()]);
+    for k in 0..n {
+        let rk = r[k].sqrt();
+        let (sk, dk) = if rk >= rcut {
+            (0.0, 0.0)
+        } else if rk < rcut_smth {
+            (1.0 / rk, -1.0 / (rk * rk))
+        } else {
+            let du_dr = 1.0 / (rcut - rcut_smth);
+            let u = (rk - rcut_smth) * du_dr;
+            let poly = u * u * u * (-6.0 * u * u + 15.0 * u - 10.0) + 1.0;
+            let dpoly_du = u * u * (-30.0 * u * u + 60.0 * u - 30.0);
+            (poly / rk, dpoly_du * du_dr / rk - poly / (rk * rk))
+        };
+        (r[k], s[k], ds_dr[k]) = (rk, sk, dk);
+    }
+}
+
+/// [`reference_env_smooth_f64`] bit for bit over the first `r.len()`
+/// entries, on whichever instantiation [`isa`] picks.
+///
+/// # Panics
+/// If `s` or `ds_dr` is shorter than `r`.
+pub fn env_smooth_f64(rcut_smth: f64, rcut: f64, r: &mut [f64], s: &mut [f64], ds_dr: &mut [f64]) {
+    check_columns_f64(r.len(), [s.len(), ds_dr.len()]);
+    #[cfg(target_arch = "x86_64")]
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `smooth_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { smooth_avx512(rcut_smth, rcut, r, s, ds_dr) },
+        // SAFETY: `isa()` confirmed both target features `smooth_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { smooth_avx2(rcut_smth, rcut, r, s, ds_dr) },
+        Isa::Baseline => {}
+    }
+    smooth(rcut_smth, rcut, r, s, ds_dr);
+}
+
+/// [`smooth`] compiled with 256-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn smooth_avx2(rcut_smth: f64, rcut: f64, r: &mut [f64], s: &mut [f64], ds_dr: &mut [f64]) {
+    smooth(rcut_smth, rcut, r, s, ds_dr);
+}
+
+/// [`smooth`] compiled with 512-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn smooth_avx512(rcut_smth: f64, rcut: f64, r: &mut [f64], s: &mut [f64], ds_dr: &mut [f64]) {
+    smooth(rcut_smth, rcut, r, s, ds_dr);
+}
+
+/// The switching body: every lane evaluates the inner and the taper
+/// expressions, then two compares pick one of them or `(0, 0)`.
+#[inline(always)]
+fn smooth(rcut_smth: f64, rcut: f64, r: &mut [f64], s: &mut [f64], ds_dr: &mut [f64]) {
+    let n = r.len();
+    let (s, ds_dr) = (&mut s[..n], &mut ds_dr[..n]);
+    let du_dr = 1.0 / (rcut - rcut_smth);
+    for k in 0..n {
+        let rk = r[k].sqrt();
+        let rr = rk * rk;
+        let inner = (1.0 / rk, -1.0 / rr);
+        let u = (rk - rcut_smth) * du_dr;
+        let poly = u * u * u * (-6.0 * u * u + 15.0 * u - 10.0) + 1.0;
+        let dpoly_du = u * u * (-30.0 * u * u + 60.0 * u - 30.0);
+        let taper = (poly / rk, dpoly_du * du_dr / rk - poly / rr);
+        let (sk, dk) = if rk >= rcut {
+            (0.0, 0.0)
+        } else if rk < rcut_smth {
+            inner
+        } else {
+            taper
+        };
+        (r[k], s[k], ds_dr[k]) = (rk, sk, dk);
+    }
+}
+
+/// The f64 columns [`env_proj_f64`] reads: one environment's
+/// displacements, distances, switching weights and their derivatives, the
+/// same length each.
+#[derive(Clone, Copy, Debug)]
+pub struct EnvCols<'a> {
+    /// Displacement components `x, y, z` of neighbour minus centre.
+    pub d: [&'a [f64]; 3],
+    /// Distances.
+    pub r: &'a [f64],
+    /// Switching weights `s(r)`.
+    pub s: &'a [f64],
+    /// `ds/dr`.
+    pub ds_dr: &'a [f64],
+}
+
+impl EnvCols<'_> {
+    fn len(&self) -> usize {
+        self.r.len()
+    }
+}
+
+fn check_proj_f64(env: &EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], out: &[&mut [f64]; 3]) {
+    let n = env.len();
+    for col in env.d.iter().chain([&env.s, &env.ds_dr]) {
+        assert!(col.len() >= n, "column too small: {} < {n}", col.len());
+    }
+    assert!(de_ds.len() >= n, "dE/ds too small: {} < {n}", de_ds.len());
+    assert!(de_drt.len() >= 4 * n, "dE/dR̃ too small: {} < 4×{n}", de_drt.len());
+    for col in out {
+        assert!(col.len() >= n, "output column too small: {} < {n}", col.len());
+    }
+}
+
+/// The force projection, written plainly: per neighbour `k`, the 4×3
+/// Jacobian `J = ∂R̃/∂d` with `inv_r = 1/r` and `∂s/∂d_l = (s'·d_l)·inv_r`,
+/// `J[0][l] = ∂s/∂d_l` and
+/// `J[c+1][l] = (∂s/∂d_l·d_c)·inv_r + s·(δ_cl·inv_r − ((d_c·d_l)·inv_r)·inv_r·inv_r)`,
+/// then `out[l][k] = de_ds[k]·∂s/∂d_l + Σ_c de_drt[c][k]·J[c][l]`, folded
+/// `c = 0..4` after the first term, every f32 widened to f64. `de_drt` is
+/// `4×n` component-major. The semantic definition of [`env_proj_f64`], for
+/// tests.
+pub fn reference_env_proj_f64(env: EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], mut out: [&mut [f64]; 3]) {
+    check_proj_f64(&env, de_ds, de_drt, &out);
+    let n = env.len();
+    for k in 0..n {
+        let d = [env.d[0][k], env.d[1][k], env.d[2][k]];
+        let (s, ds) = (env.s[k], env.ds_dr[k]);
+        let inv_r = 1.0 / env.r[k];
+        let dsdd = [ds * d[0] * inv_r, ds * d[1] * inv_r, ds * d[2] * inv_r];
+        let mut jac = [[0.0f64; 3]; 4];
+        jac[0] = dsdd;
+        for c in 0..3 {
+            for l in 0..3 {
+                let delta = if c == l { 1.0 } else { 0.0 };
+                jac[c + 1][l] = dsdd[l] * d[c] * inv_r + s * (delta * inv_r - d[c] * d[l] * inv_r * inv_r * inv_r);
+            }
+        }
+        for (l, col) in out.iter_mut().enumerate() {
+            let mut v = de_ds[k] as f64 * dsdd[l];
+            for (c, row) in jac.iter().enumerate() {
+                v += de_drt[c * n + k] as f64 * row[l];
+            }
+            col[k] = v;
+        }
+    }
+}
+
+/// ∂E/∂d per neighbour of `env` into the three `out` columns:
+/// [`reference_env_proj_f64`] bit for bit, on whichever instantiation
+/// [`isa`] picks.
+///
+/// # Panics
+/// If a column, `de_ds` (`n`), `de_drt` (`4×n`) or an `out` column is
+/// shorter than `env.r`.
+pub fn env_proj_f64(env: EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], out: [&mut [f64]; 3]) {
+    check_proj_f64(&env, de_ds, de_drt, &out);
+    #[cfg(target_arch = "x86_64")]
+    match isa() {
+        // SAFETY: `isa()` confirmed every target feature `proj_avx512`
+        // enables.
+        Isa::Avx512 => return unsafe { proj_avx512(env, de_ds, de_drt, out) },
+        // SAFETY: `isa()` confirmed both target features `proj_avx2`
+        // enables.
+        Isa::Avx2 => return unsafe { proj_avx2(env, de_ds, de_drt, out) },
+        Isa::Baseline => {}
+    }
+    proj(env, de_ds, de_drt, out);
+}
+
+/// [`proj`] compiled with 256-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn proj_avx2(env: EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], out: [&mut [f64]; 3]) {
+    proj(env, de_ds, de_drt, out);
+}
+
+/// [`proj`] compiled with 512-bit vectors; no `mul_add`, no contraction.
+///
+/// # Safety
+/// The CPU must have AVX-512F, AVX2 and FMA ([`isa`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn proj_avx512(env: EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], out: [&mut [f64]; 3]) {
+    proj(env, de_ds, de_drt, out);
+}
+
+/// The projection body: one lane per neighbour, the Jacobian held in
+/// registers, every column sliced once to `n` so the loop has no bounds
+/// checks.
+#[inline(always)]
+fn proj(env: EnvCols<'_>, de_ds: &[f32], de_drt: &[f32], out: [&mut [f64]; 3]) {
+    let n = env.len();
+    let [x, y, z] = env.d.map(|col| &col[..n]);
+    let (r, s, ds_dr, de_ds) = (&env.r[..n], &env.s[..n], &env.ds_dr[..n], &de_ds[..n]);
+    let drt: [&[f32]; 4] = std::array::from_fn(|c| &de_drt[c * n..][..n]);
+    let [ox, oy, oz] = out;
+    let (ox, oy, oz) = (&mut ox[..n], &mut oy[..n], &mut oz[..n]);
+    for k in 0..n {
+        let d = [x[k], y[k], z[k]];
+        let (s, ds) = (s[k], ds_dr[k]);
+        let inv_r = 1.0 / r[k];
+        let dsdd = [ds * d[0] * inv_r, ds * d[1] * inv_r, ds * d[2] * inv_r];
+        let jac = |c: usize, l: usize| {
+            let delta = if c == l { 1.0 } else { 0.0 };
+            dsdd[l] * d[c] * inv_r + s * (delta * inv_r - d[c] * d[l] * inv_r * inv_r * inv_r)
+        };
+        let (e_s, e0, e1, e2, e3) = (de_ds[k] as f64, drt[0][k] as f64, drt[1][k] as f64, drt[2][k] as f64, drt[3][k] as f64);
+        let axis = |l: usize| e_s * dsdd[l] + e0 * dsdd[l] + e1 * jac(0, l) + e2 * jac(1, l) + e3 * jac(2, l);
+        (ox[k], oy[k], oz[k]) = (axis(0), axis(1), axis(2));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,6 +1245,10 @@ mod tests {
     type Tanh = unsafe fn(&mut [f32], &mut [f32]);
     type EnvT = unsafe fn(usize, usize, &[f32], &[f32], f32, &mut [f32]);
     type Chain = unsafe fn(usize, usize, &[f32], &[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32]);
+    type BiasTangent = unsafe fn(usize, &[f32], &mut [f32], &mut [f32], Skip<'_>);
+    type Dist = unsafe fn([f64; 3], Option<[f64; 3]>, [&mut [f64]; 3], &mut [f64]);
+    type Smooth = unsafe fn(f64, f64, &mut [f64], &mut [f64], &mut [f64]);
+    type Proj = unsafe fn(EnvCols<'_>, &[f32], &[f32], [&mut [f64]; 3]);
 
     fn gemms() -> Vec<(&'static str, Gemm)> {
         #[allow(unused_mut)] // nothing to add off x86_64
@@ -774,6 +1263,25 @@ mod tests {
         let mut all = vec![(Isa::Baseline, tanh_rows as Tanh)];
         #[cfg(target_arch = "x86_64")]
         all.extend([(Isa::Avx2, tanh_rows_avx2 as Tanh), (Isa::Avx512, tanh_rows_avx512)]);
+        runnable(all)
+    }
+
+    fn bias_tangents() -> Vec<(&'static str, BiasTangent)> {
+        #[allow(unused_mut)]
+        let mut all = vec![(Isa::Baseline, bias_tangent as BiasTangent)];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([(Isa::Avx2, bias_tangent_avx2 as BiasTangent), (Isa::Avx512, bias_tangent_avx512)]);
+        runnable(all)
+    }
+
+    fn env_f64_kernels() -> Vec<(&'static str, (Dist, Smooth, Proj))> {
+        #[allow(unused_mut)]
+        let mut all = vec![(Isa::Baseline, (dist as Dist, smooth as Smooth, proj as Proj))];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([
+            (Isa::Avx2, (dist_avx2 as Dist, smooth_avx2 as Smooth, proj_avx2 as Proj)),
+            (Isa::Avx512, (dist_avx512, smooth_avx512, proj_avx512)),
+        ]);
         runnable(all)
     }
 
@@ -798,6 +1306,7 @@ mod tests {
         (5, 31, 7),   // m % 4 != 0 and ragged n
         (8, 48, 24),
         (14, 240, 64), // a Cu fitting tile: one 8-row group, one 4-row, a 2-row tail
+        (14, 1, 240),  // the fitting net's output layer: scalar column tail only
         (17, 33, 12),
     ];
 
@@ -1041,6 +1550,170 @@ mod tests {
                             assert_eq!(bits(&ds), bits(&ds_want), "{}: dE/ds", what(inst));
                             assert_eq!(bits(&drt), bits(&drt_want), "{}: dE/dR̃", what(inst));
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Equal bits, or both NaN, in f64.
+    fn same_f64(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Lengths ragged around the 8- and 16-lane strips (Miri: a few).
+    fn ragged_lengths() -> &'static [usize] {
+        if cfg!(miri) {
+            &[0, 1, 9, 17]
+        } else {
+            &[0, 1, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 176, 177]
+        }
+    }
+
+    /// Every instantiation of the fused embedding epilogue this CPU runs is
+    /// its reference bit for bit — NaN, ±∞ and −0 in the values, the biases,
+    /// the tangents and the skip included — and leaves rows past `b.len()`
+    /// alone: without a skip, with an identity skip (as many rows as `b`)
+    /// and a doubling one (half as many), over row lengths on both sides of
+    /// every strip and pre-activations on both sides of the 0.625 seam and
+    /// the clamp.
+    #[test]
+    fn tanh_bias_tangent_is_its_reference_bitwise() {
+        let kernels = bias_tangents();
+        let mut rng = Rng(0x6a09e667f3bcc909);
+        for &n in ragged_lengths() {
+            for (rows, skip_rows) in [(1usize, 0usize), (3, 0), (8, 0), (1, 1), (3, 3), (8, 8), (2, 1), (8, 4)] {
+                let mut fill = |len: usize, scale: f64| (0..len).map(|_| (rng.next_unit() * scale) as f32).collect::<Vec<f32>>();
+                let (mut x, mut dpre, mut b) = (fill((rows + 1) * n, 12.0), fill((rows + 1) * n, 1.0), fill(rows, 1.0));
+                let (mut sx, mut st) = (fill(skip_rows * n, 1.0), fill(skip_rows * n, 1.0));
+                if n > 2 {
+                    (x[0], x[1], x[2]) = (f32::NAN, f32::NEG_INFINITY, -0.0);
+                    (dpre[1], dpre[2]) = (f32::INFINITY, -0.0);
+                    b[rows - 1] = -0.0;
+                    if skip_rows > 0 {
+                        (sx[2], st[0]) = (-0.0, f32::NAN);
+                    }
+                }
+                let skip = (skip_rows > 0).then_some([&sx[..], &st[..]]);
+                let (mut x_want, mut d_want) = (x.clone(), dpre.clone());
+                reference_tanh_bias_tangent_f32(n, &b, &mut x_want, &mut d_want, skip);
+                assert_eq!(x_want[rows * n..], x[rows * n..], "reference wrote past its rows");
+                for &(inst, kernel) in &kernels {
+                    let (mut xk, mut dk) = (x.clone(), dpre.clone());
+                    // SAFETY: `runnable` kept only the instantiations `isa()`
+                    // allows.
+                    unsafe { kernel(n, &b, &mut xk, &mut dk, skip) };
+                    let what = format!("{inst} {rows}×{n}, {skip_rows} skip rows");
+                    assert!(same_f32(&xk, &x_want), "{what}: values");
+                    assert!(same_f32(&dk, &d_want), "{what}: tangents");
+                }
+            }
+        }
+    }
+
+    /// Positions around a centre for the displacement kernel: random points
+    /// in the box, then planted cases on every axis — a wrap of each sign,
+    /// exactly ±½L (which does not wrap), just past it (which does) — and
+    /// one neighbour on the centre itself (r² = 0).
+    fn env_positions(n: usize, xi: [f64; 3], l: [f64; 3], rng: &mut Rng) -> [Vec<f64>; 3] {
+        let mut p: [Vec<f64>; 3] = std::array::from_fn(|a| (0..n).map(|_| xi[a] + 0.5 * l[a] * rng.next_unit()).collect());
+        let mut plant = |k: usize, a: usize, v: f64| {
+            if k < n {
+                p[a][k] = v;
+            }
+        };
+        for a in 0..3 {
+            let half = 0.5 * l[a];
+            let cases = [xi[a] + 0.9 * l[a], xi[a] - 0.9 * l[a], xi[a] + half, xi[a] - half, xi[a] + half * 1.000001, xi[a] - half * 1.000001];
+            for (c, v) in cases.into_iter().enumerate() {
+                plant(3 + 6 * a + c, a, v);
+            }
+        }
+        for (a, &x) in xi.iter().enumerate() {
+            plant(1, a, x);
+        }
+        p
+    }
+
+    /// Every instantiation of the three f64 environment kernels this CPU
+    /// runs is its reference bit for bit and overwrites every element of a
+    /// poison-filled output: displacements with and without the minimum
+    /// image (a wrap of each sign on every axis, `d = ±½L` exactly), the
+    /// switching weight at `r = r_c` exactly, on both sides of `r_cs` and at
+    /// `r² = 0`, and the projection over those columns with NaN and ±∞
+    /// planted in its f32 inputs, at lengths ragged around 8 and 16 lanes.
+    #[test]
+    fn env_f64_kernels_are_their_reference_bitwise() {
+        let poison = f64::from_bits(0x7ff8_0000_dead_beef);
+        let kernels = env_f64_kernels();
+        let (rcut_smth, rcut) = (0.5, 6.0);
+        // Dyadic, so `(xi ± ½l) − xi` is exactly `±½l`.
+        let (xi, l) = ([1.25, -3.5, 7.0], [14.5, 10.75, 21.5]);
+        let mut rng = Rng(0xbb67ae8584caa73b);
+        for &n in ragged_lengths() {
+            for period in [Some(l), None] {
+                let what = |inst: &str| format!("{inst} n {n} period {period:?}");
+                let pos = env_positions(n, xi, l, &mut rng);
+                let mut d_want = pos.clone();
+                let mut r2_want = vec![0.0f64; n];
+                let [x, y, z] = &mut d_want;
+                reference_env_dist_f64(xi, period, [x, y, z], &mut r2_want);
+                if period.is_some() && n > 3 + 6 * 3 {
+                    let wrapped = (0..3).all(|a| d_want[a][3 + 6 * a] < 0.0 && d_want[a][4 + 6 * a] > 0.0);
+                    let kept = (0..3).all(|a| d_want[a][5 + 6 * a] == 0.5 * l[a] && d_want[a][6 + 6 * a] == -0.5 * l[a]);
+                    assert!(wrapped && kept, "{}: planted image cases", what("reference"));
+                }
+                // Distances for the switching weight: the measured ones, then
+                // r = r_c, r < r_cs, r on the r_cs knot and r² = 0 planted.
+                let mut r_want = r2_want.clone();
+                for (k, r2) in [(0, rcut * rcut), (2, 0.09), (5, rcut_smth * rcut_smth), (1, 0.0)] {
+                    if k < n {
+                        r_want[k] = r2;
+                    }
+                }
+                let r2_in = r_want.clone();
+                let (mut s_want, mut ds_want) = (vec![0.0f64; n], vec![0.0f64; n]);
+                reference_env_smooth_f64(rcut_smth, rcut, &mut r_want, &mut s_want, &mut ds_want);
+                if n > 5 {
+                    assert_eq!((s_want[0], ds_want[0]), (0.0, 0.0), "r = r_c is outside");
+                    assert_eq!(s_want[2], 1.0 / 0.3, "r < r_cs is 1/r");
+                }
+                let mut de_ds: Vec<f32> = (0..n).map(|_| rng.next_unit() as f32).collect();
+                let mut de_drt: Vec<f32> = (0..4 * n).map(|_| rng.next_unit() as f32).collect();
+                if n > 9 {
+                    (de_ds[7], de_drt[n + 8], de_drt[3 * n + 9]) = (f32::NAN, f32::INFINITY, -0.0);
+                }
+                let env = EnvCols { d: [&d_want[0], &d_want[1], &d_want[2]], r: &r_want, s: &s_want, ds_dr: &ds_want };
+                let mut proj_want = [vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]];
+                let [px, py, pz] = &mut proj_want;
+                reference_env_proj_f64(env, &de_ds, &de_drt, [px, py, pz]);
+
+                for &(inst, (dist_k, smooth_k, proj_k)) in &kernels {
+                    let mut d = pos.clone();
+                    let mut r2 = vec![poison; n];
+                    let [x, y, z] = &mut d;
+                    // SAFETY: `runnable` kept only the instantiations
+                    // `isa()` allows.
+                    unsafe { dist_k(xi, period, [x, y, z], &mut r2) };
+                    for a in 0..3 {
+                        assert!(same_f64(&d[a], &d_want[a]), "{}: axis {a}", what(inst));
+                    }
+                    assert!(same_f64(&r2, &r2_want), "{}: r²", what(inst));
+
+                    let mut r = r2_in.clone();
+                    let (mut s, mut ds) = (vec![poison; n], vec![poison; n]);
+                    // SAFETY: as above.
+                    unsafe { smooth_k(rcut_smth, rcut, &mut r, &mut s, &mut ds) };
+                    assert!(same_f64(&r, &r_want), "{}: r", what(inst));
+                    assert!(same_f64(&s, &s_want), "{}: s", what(inst));
+                    assert!(same_f64(&ds, &ds_want), "{}: ds/dr", what(inst));
+
+                    let mut got = [vec![poison; n], vec![poison; n], vec![poison; n]];
+                    let [gx, gy, gz] = &mut got;
+                    // SAFETY: as above.
+                    unsafe { proj_k(env, &de_ds, &de_drt, [gx, gy, gz]) };
+                    for a in 0..3 {
+                        assert!(same_f64(&got[a], &proj_want[a]), "{}: ∂E/∂d axis {a}", what(inst));
                     }
                 }
             }
