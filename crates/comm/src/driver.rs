@@ -12,6 +12,13 @@
 //! distributed trajectory against the single-box reference step for step,
 //! which is the invariant all of §III-A's optimizations must preserve.
 //!
+//! Every stride rebuilds every rank's full neighbour list over its locals
+//! and ghosts (see `refresh_ghosts` for why), through the ghost-mode
+//! cell-list scan of [`minimd::neighbor`]. At a few hundred atoms per rank
+//! that build is the largest single term of a stride, ahead of the
+//! exchange and the pair kernel. Building less often would reorder list
+//! entries, and so the force sums and the trajectory bits.
+//!
 //! Metrics ([`DistributedSim::attach_obs`]) and fault injection
 //! ([`DistributedSim::inject_faults`]) are two `Option` fields, both `None`
 //! after construction; every step hands whatever is set to the one exchange
@@ -297,6 +304,45 @@ mod tests {
         for i in 0..g1.nlocal {
             assert!((g1.pos[i] - g2.pos[i]).norm() < 1e-10, "atom {}", g1.id[i]);
         }
+    }
+
+    /// After every stride, migration strides included, each rank's
+    /// neighbour list is the O(N²) list over its locals and ghosts: every
+    /// j ≠ i within cutoff + skin, in ascending index order.
+    #[test]
+    fn rank_lists_match_an_n2_oracle_every_stride() {
+        let (bx, mut global) = fcc_lattice(6, 6, 6, 4.4);
+        init_velocities(&mut global, 150.0, 4);
+        let lj = LennardJones::new(0.0104, 3.4, 5.0);
+        let vv = VelocityVerlet::new(2.0 * FEMTOSECOND);
+        let decomp = Decomposition::new(bx, [2, 2, 2]);
+        let mut sim = DistributedSim::new(decomp, &global, &lj, vv, ExchangeScheme::NodeBased, 5);
+        let owned = |s: &DistributedSim<'_>| -> Vec<Vec<u64>> {
+            let sorted = |a: &Atoms| {
+                let mut ids = a.id[..a.nlocal].to_vec();
+                ids.sort_unstable();
+                ids
+            };
+            s.ranks.iter().map(sorted).collect()
+        };
+        let before = owned(&sim);
+        for stride in 1..=12 {
+            sim.stride();
+            for (r, (a, nl)) in sim.ranks.iter().zip(&sim.nls).enumerate() {
+                assert!(a.nghost() > 0, "rank {r} has no ghosts");
+                let rlist2 = (nl.cutoff + nl.skin) * (nl.cutoff + nl.skin);
+                assert_eq!(nl.natoms(), a.nlocal, "stride {stride}, rank {r}");
+                for i in 0..a.nlocal {
+                    let oracle: Vec<u32> = (0..a.len())
+                        .filter(|&j| j != i && (a.pos[i] - a.pos[j]).norm2() <= rlist2)
+                        .map(|j| j as u32)
+                        .collect();
+                    assert_eq!(nl.neighbors(i), oracle, "stride {stride}, rank {r}, atom {i}");
+                }
+            }
+        }
+        assert!(sim.nls.iter().all(|nl| nl.builds == 13), "one build at construction and one per stride");
+        assert_ne!(before, owned(&sim), "no atom migrated at strides 5 and 10");
     }
 
     #[test]

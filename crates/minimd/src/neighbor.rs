@@ -6,6 +6,18 @@
 //! pair stored once, for Newton-on analytic pair potentials) and a *full*
 //! list (each atom sees all its neighbours, the form the DeePMD environment
 //! matrix consumes) are supported.
+//!
+//! Two builds emit the same CSR, each atom's neighbours in ascending index
+//! order. `build_n2` tests every pair; it serves boxes of fewer than 3
+//! cells per axis under minimum image and is the tests' oracle. The
+//! cell-list build serves the rest, the ghosted per-rank stores of the
+//! distributed driver included, which rebuild every stride. It bins atoms
+//! by a counting sort that also lays their positions out as f64 columns in
+//! bin order, so each row of the 27-cell stencil (3 cells adjacent in x) is
+//! one contiguous run of candidates. It then filters the candidates
+//! branch-free with the oracle's distance expression and sorts each atom's
+//! survivors. Same expression, same order: the two builds are
+//! interchangeable bit for bit downstream.
 
 use crate::atoms::Atoms;
 use crate::simbox::SimBox;
@@ -129,12 +141,25 @@ impl NeighborList {
         }
     }
 
-    /// Cell-list build: O(N) binning, 27-stencil scan.
+    /// Cell-list build: the same CSR as [`Self::build_n2`] in O(N).
+    ///
+    /// A counting sort bins every atom into cells of edge ≥ `rlist` and
+    /// writes the binned atoms' indices and positions (three f64 columns)
+    /// in bin order. Each local atom's 27-cell stencil is then 9 (dy, dz)
+    /// rows; the three x-neighbours of a row have adjacent linear indices,
+    /// so a row is one contiguous range of the bin arrays, or two where a
+    /// periodic x-row wraps. Every candidate is tested with the oracle's
+    /// own expression (`(p_i − p_j).norm2()` among ghosts,
+    /// `bx.dist2(p_i, p_j)` under minimum image, kept if `<= rlist²`, and
+    /// `j ≠ i`, `j > i` for a half list) and written unconditionally; the
+    /// write cursor advances by the predicate. One sort per atom then gives
+    /// ascending order. The stencil never visits a cell twice: ghost mode
+    /// does not wrap, and a minimum-image box reaches here only with at
+    /// least 3 cells per axis ([`Self::build`]).
     fn build_cells(&mut self, atoms: &Atoms, bx: &SimBox, use_min_image: bool) {
         let rlist = self.cutoff + self.skin;
         let rlist2 = rlist * rlist;
         let n = atoms.len();
-        let nlocal = atoms.nlocal;
 
         // Cell grid over the bounding region of all atoms (ghosts can lie
         // outside the primary box).
@@ -153,103 +178,101 @@ impl NeighborList {
             ((ext.y / rlist).floor() as usize).max(1),
             ((ext.z / rlist).floor() as usize).max(1),
         ];
+        debug_assert!(!use_min_image || nc.iter().all(|&c| c >= 3), "a periodic stencil would visit a cell twice");
         let inv_cell = Vec3::new(nc[0] as f64 / ext.x, nc[1] as f64 / ext.y, nc[2] as f64 / ext.z);
-        let cell_of = |p: Vec3| -> [usize; 3] {
+        let cell_of = |p: Vec3| -> usize {
             let mut c = [0usize; 3];
             for d in 0..3 {
                 let f = ((p[d] - lo[d]) * inv_cell[d]).floor();
                 c[d] = (f.max(0.0) as usize).min(nc[d] - 1);
             }
-            c
+            (c[2] * nc[1] + c[1]) * nc[0] + c[0]
         };
-        // Counting sort of atoms into cells.
+
+        // Counting sort. The histogram lands in `start[c + 2]`, so after the
+        // prefix sum `start[c + 1]` is cell c's first slot and serves as its
+        // write cursor; once every atom is placed, cell c's bin range is
+        // `start[c]..start[c + 1]`.
         let ncell = nc[0] * nc[1] * nc[2];
-        let lin = |c: [usize; 3]| (c[2] * nc[1] + c[1]) * nc[0] + c[0];
-        let mut count = vec![0usize; ncell + 1]; // dpmd-allow D7: counting-sort bins, rebuilt only at neighbour-list cadence
-        let mut cell_idx = vec![0usize; n]; // dpmd-allow D7: counting-sort bins, rebuilt only at neighbour-list cadence
+        let mut start = vec![0usize; ncell + 2]; // dpmd-allow D7: counting-sort bins, rebuilt only at neighbour-list cadence
+        let mut cell = vec![0u32; n]; // dpmd-allow D7: counting-sort bins, rebuilt only at neighbour-list cadence
         for (a, &p) in atoms.pos.iter().enumerate() {
-            let c = lin(cell_of(p));
-            cell_idx[a] = c;
-            count[c + 1] += 1;
+            let c = cell_of(p);
+            cell[a] = c as u32;
+            start[c + 2] += 1;
         }
-        for c in 0..ncell {
-            count[c + 1] += count[c];
+        for c in 2..ncell + 2 {
+            start[c] += start[c - 1];
         }
         let mut bins = vec![0u32; n]; // dpmd-allow D7: counting-sort bins, rebuilt only at neighbour-list cadence
-        let mut cursor = count.clone(); // dpmd-allow D7: cursor copy at neighbour-list rebuild cadence
-        for (a, &c) in cell_idx.iter().enumerate() {
-            bins[cursor[c]] = a as u32;
-            cursor[c] += 1;
+        let mut cols = vec![0.0f64; 3 * n]; // dpmd-allow D7: binned position columns, rebuilt only at neighbour-list cadence
+        let (xs, rest) = cols.split_at_mut(n);
+        let (ys, zs) = rest.split_at_mut(n);
+        for (a, (&c, &p)) in cell.iter().zip(&atoms.pos).enumerate() {
+            let k = start[c as usize + 1];
+            start[c as usize + 1] += 1;
+            bins[k] = a as u32;
+            (xs[k], ys[k], zs[k]) = (p.x, p.y, p.z);
         }
-
-        let mut stencil: Vec<(i64, i64, i64)> = Vec::with_capacity(27); // dpmd-allow D7: 27-entry stencil at neighbour-list rebuild cadence
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    stencil.push((dx, dy, dz));
-                }
+        // Each stencil row's x extent as inclusive runs of adjacent cells:
+        // one run, or two where a periodic row wraps.
+        let [nx, ny, nz] = nc;
+        let xruns = |cx: usize| -> ([(usize, usize); 2], usize) {
+            if !use_min_image {
+                ([(cx.saturating_sub(1), (cx + 1).min(nx - 1)), (0, 0)], 1)
+            } else if cx == 0 {
+                ([(0, 1), (nx - 1, nx - 1)], 2)
+            } else if cx == nx - 1 {
+                ([(nx - 2, nx - 1), (0, 0)], 2)
+            } else {
+                ([(cx - 1, cx + 1), (0, 0)], 1)
             }
-        }
+        };
+        // The y and z neighbours of a cell index, wrapped or clipped.
+        let neighbours = |c: usize, n: usize| {
+            let (lo, hi) = if use_min_image { (c + n - 1, c + n + 1) } else { (c.saturating_sub(1), (c + 1).min(n - 1)) };
+            (lo..=hi).map(move |k| k % n)
+        };
 
         // Stencil scan, atom by atom, straight into the CSR arrays.
+        let full = self.kind == ListKind::Full;
         self.offsets.clear();
         self.offsets.push(0);
         self.list.clear();
-        for i in 0..nlocal {
-            let ci = cell_of(atoms.pos[i]);
-            let atom_start = self.list.len();
-            for &(dx, dy, dz) in &stencil {
-                let mut cc = [0usize; 3];
-                let mut skip = false;
-                for (d, delta) in [dx, dy, dz].into_iter().enumerate() {
-                    let raw = ci[d] as i64 + delta;
-                    if use_min_image {
-                        // Periodic wrap of the cell index.
-                        cc[d] = raw.rem_euclid(nc[d] as i64) as usize;
-                    } else if raw < 0 || raw >= nc[d] as i64 {
-                        skip = true;
-                        break;
-                    } else {
-                        cc[d] = raw as usize;
-                    }
-                }
-                if skip {
-                    continue;
-                }
-                let c = lin(cc);
-                for &ju in &bins[count[c]..count[c + 1]] {
-                    let j = ju as usize;
-                    if j == i {
-                        continue;
-                    }
-                    if self.kind == ListKind::Half && j < nlocal && j < i {
-                        continue;
-                    }
-                    let d2 = if use_min_image {
-                        bx.dist2(atoms.pos[i], atoms.pos[j])
-                    } else {
-                        (atoms.pos[i] - atoms.pos[j]).norm2()
-                    };
-                    if d2 <= rlist2 {
-                        self.list.push(ju);
+        let mut rows = [(0usize, 0usize); 18];
+        for (i, &c) in cell[..atoms.nlocal].iter().enumerate() {
+            let c = c as usize;
+            let (runs, nruns) = xruns(c % nx);
+            let mut nrows = 0;
+            for z in neighbours(c / (nx * ny), nz) {
+                for y in neighbours(c / nx % ny, ny) {
+                    let row = (z * ny + y) * nx;
+                    for &(x0, x1) in &runs[..nruns] {
+                        rows[nrows] = (start[row + x0], start[row + x1 + 1]);
+                        nrows += 1;
                     }
                 }
             }
-            // With periodic cell wrap and fewer than 3 cells per dimension a
-            // neighbour cell can be visited twice; dedup the freshly added
-            // span to stay correct in that regime. The sort also fixes each
-            // atom's neighbour order (ascending index), which every
-            // order-sensitive f64 sum downstream inherits.
-            let span = &mut self.list[atom_start..];
-            span.sort_unstable();
+            let rows = &rows[..nrows];
+            let base = self.list.len();
+            let candidates: usize = rows.iter().map(|&(r0, r1)| r1 - r0).sum();
+            self.list.resize(base + candidates, 0);
+            let out = &mut self.list[base..];
+            let (pi, iu) = (atoms.pos[i], i as u32);
             let mut w = 0;
-            for r in 0..span.len() {
-                if r == 0 || span[r] != span[w - 1] {
-                    span[w] = span[r];
-                    w += 1;
+            for &(r0, r1) in rows {
+                for k in r0..r1 {
+                    let (j, pj) = (bins[k], Vec3::new(xs[k], ys[k], zs[k]));
+                    let d2 = if use_min_image { bx.dist2(pi, pj) } else { (pi - pj).norm2() };
+                    out[w] = j;
+                    w += usize::from((d2 <= rlist2) & (j != iu) & (full | (j > iu)));
                 }
             }
-            self.list.truncate(atom_start + w);
+            self.list.truncate(base + w);
+            // Ascending index: the order every f64 sum downstream inherits.
+            // Strictly ascending, since the stencil visits no cell twice.
+            self.list[base..].sort_unstable();
+            debug_assert!(self.list[base..].windows(2).all(|p| p[0] < p[1]), "atom {i} has a repeated neighbour");
             self.offsets.push(self.list.len());
         }
     }
@@ -258,18 +281,39 @@ impl NeighborList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lattice::fcc_copper;
+    use crate::lattice::{fcc_copper, fcc_lattice};
+    use crate::units::CU_LATTICE;
 
-    /// Exact CSR equality with the O(N²) build, whose per-atom order is
-    /// ascending index: neighbour *order*, not just membership, is what
-    /// every trajectory bit downstream rests on.
-    #[test]
-    fn cell_list_matches_n2_oracle() {
-        let (bx, periodic) = fcc_copper(5, 5, 5);
-        // The ghost regime: the same cell plus every periodic image within
-        // the list range of the box, stored as ghosts.
+    /// Builds `atoms` both ways, Full and Half, and asserts exact CSR
+    /// equality with the O(N²) oracle, whose per-atom order is ascending
+    /// index: neighbour *order*, not just membership, is what every
+    /// trajectory bit downstream rests on. Returns the Full list.
+    fn assert_matches_n2(atoms: &Atoms, bx: &SimBox, cutoff: f64, skin: f64) -> NeighborList {
+        let mut lists = Vec::new();
+        for kind in [ListKind::Full, ListKind::Half] {
+            let mut oracle = NeighborList::new(cutoff, skin, kind);
+            oracle.build_n2(atoms, bx);
+            let mut cell = NeighborList::new(cutoff, skin, kind);
+            cell.build_cells(atoms, bx, atoms.nghost() == 0);
+            let what = format!("{kind:?}, {} locals, {} ghosts", atoms.nlocal, atoms.nghost());
+            assert_eq!(oracle.natoms(), atoms.nlocal, "{what}");
+            assert!(oracle.total_neighbors() > 0, "{what}");
+            assert_eq!(oracle.offsets, cell.offsets, "{what}");
+            assert_eq!(oracle.list, cell.list, "{what}");
+            for i in 0..atoms.nlocal {
+                let span = cell.neighbors(i);
+                assert!(span.windows(2).all(|w| w[0] < w[1]), "{what}: atom {i} not strictly ascending: {span:?}");
+            }
+            lists.push(cell);
+        }
+        lists.swap_remove(0)
+    }
+
+    /// `periodic` plus every periodic image within `rlist` of the box,
+    /// stored as ghosts: the distributed driver's regime.
+    fn ghosted(periodic: &Atoms, bx: &SimBox, rlist: f64) -> Atoms {
         let mut ghosted = periodic.clone();
-        let (l, rlist) = (bx.lengths(), 4.5);
+        let l = bx.lengths();
         for i in 0..periodic.nlocal {
             for shift in (0..27).filter(|&s| s != 13) {
                 let k = [shift % 3, shift / 3 % 3, shift / 9].map(|d| d as f64 - 1.0);
@@ -279,19 +323,136 @@ mod tests {
                 }
             }
         }
+        ghosted
+    }
+
+    /// A deterministic value in [−1, 1) from `seed` and `k` (splitmix64).
+    fn unit(seed: u64, k: u64) -> f64 {
+        let mut z = seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// An fcc lattice with every coordinate moved by up to `jitter` Å and
+    /// wrapped back into the box.
+    fn jittered_fcc(cells: [usize; 3], a: f64, jitter: f64, seed: u64) -> (SimBox, Atoms) {
+        let (bx, mut atoms) = fcc_lattice(cells[0], cells[1], cells[2], a);
+        for (i, p) in atoms.pos.iter_mut().enumerate() {
+            let k = 3 * i as u64;
+            *p = bx.wrap(*p + Vec3::new(unit(seed, k), unit(seed, k + 1), unit(seed, k + 2)) * jitter);
+        }
+        (bx, atoms)
+    }
+
+    #[test]
+    fn cell_list_matches_n2_oracle() {
+        let (cutoff, skin) = (4.0, 0.5);
+        let (bx, periodic) = fcc_copper(5, 5, 5);
+        let ghosted = ghosted(&periodic, &bx, cutoff + skin);
         assert!(ghosted.nghost() > 0);
-        for atoms in [&periodic, &ghosted] {
-            for kind in [ListKind::Half, ListKind::Full] {
-                let mut oracle = NeighborList::new(4.0, 0.5, kind);
-                oracle.build_n2(atoms, &bx);
-                let mut cell = NeighborList::new(4.0, 0.5, kind);
-                cell.build_cells(atoms, &bx, atoms.nghost() == 0);
-                let what = format!("{kind:?}, {} ghosts", atoms.nghost());
-                assert_eq!(oracle.natoms(), atoms.nlocal, "{what}");
-                assert!(oracle.total_neighbors() > 0, "{what}");
-                assert_eq!(oracle.offsets, cell.offsets, "{what}");
-                assert_eq!(oracle.list, cell.list, "{what}");
+        assert_matches_n2(&periodic, &bx, cutoff, skin);
+        assert_matches_n2(&ghosted, &bx, cutoff, skin);
+    }
+
+    /// Periodic boxes with exactly 3 cells on one axis and more on the
+    /// others, so one axis's stencil row is the split, wrapped one at every
+    /// atom; all three are non-cubic. Each also runs ghosted.
+    #[test]
+    fn cell_list_matches_n2_with_three_cells_on_an_axis() {
+        let (cutoff, skin) = (4.0, 0.5);
+        for cells in [[4, 6, 7], [6, 4, 7], [7, 6, 4]] {
+            let (bx, periodic) = jittered_fcc(cells, CU_LATTICE, 0.3, 11);
+            let nc = bx.lengths().to_array().map(|l| (l / (cutoff + skin)).floor() as usize);
+            assert_eq!(nc.iter().filter(|&&c| c == 3).count(), 1, "{cells:?} gives {nc:?}");
+            assert_matches_n2(&periodic, &bx, cutoff, skin);
+            assert_matches_n2(&ghosted(&periodic, &bx, cutoff + skin), &bx, cutoff, skin);
+        }
+    }
+
+    /// Ghost mode with 1 and 2 cells on an axis: a jittered cubic cloud
+    /// whose bounding box is 1.5 and 2.5 list radii on two axes, every
+    /// third point a ghost.
+    #[test]
+    fn cell_list_matches_n2_with_one_and_two_ghost_cells() {
+        use crate::atoms::copper_species;
+        let (cutoff, skin) = (4.0, 0.5);
+        let rlist = cutoff + skin;
+        for ext in [[1.5f64, 2.5, 4.2], [4.2, 1.5, 2.5], [2.5, 4.2, 1.5]].map(|e| e.map(|f| f * rlist)) {
+            let spacing = 2.1f64;
+            let m = ext.map(|e| (e / spacing).floor() as usize);
+            let mut points = Vec::new();
+            for x in 0..m[0] {
+                for y in 0..m[1] {
+                    for z in 0..m[2] {
+                        let k = 3 * points.len() as u64;
+                        let jitter = Vec3::new(unit(5, k), unit(5, k + 1), unit(5, k + 2)) * 0.4;
+                        points.push(Vec3::new(x as f64, y as f64, z as f64) * spacing + jitter);
+                    }
+                }
             }
+            let mut atoms = Atoms::new(copper_species());
+            for (k, &p) in points.iter().enumerate().filter(|(k, _)| k % 3 != 0) {
+                atoms.push_local(k as u64, 0, p, Vec3::ZERO);
+            }
+            for (k, &p) in points.iter().enumerate().filter(|(k, _)| k % 3 == 0) {
+                atoms.push_ghost(k as u64, 0, p);
+            }
+            let bx = SimBox::new(ext[0], ext[1], ext[2]);
+            assert_matches_n2(&atoms, &bx, cutoff, skin);
+        }
+    }
+
+    /// Atoms exactly at `lo`, on interior cell faces and at `hi` (ghost
+    /// mode's grid corner; one box length from `lo` under minimum image),
+    /// plus a pair at exactly d² = rlist², which both builds keep.
+    #[test]
+    fn cell_list_matches_n2_on_faces_and_at_the_list_radius() {
+        let (cutoff, skin) = (4.0, 0.5);
+        let rlist = cutoff + skin;
+        let (bx, mut periodic) = jittered_fcc([5, 5, 6], CU_LATTICE, 0.2, 3);
+        let l = bx.lengths();
+        let nc = l.to_array().map(|e| (e / rlist).floor());
+        let face = |d: usize, k: f64| bx.lo[d] + k * (l[d] / nc[d]);
+        for (n, p) in [
+            bx.lo,
+            Vec3::new(face(0, 1.0), face(1, 2.0), face(2, 3.0)),
+            Vec3::new(face(0, 3.0), 7.3, face(2, 1.0)),
+            Vec3::new(bx.hi.x, 5.1, 9.7),
+            Vec3::new(2.2, bx.hi.y, bx.hi.z),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            periodic.pos[7 * n + 1] = p;
+        }
+        // |Δx| = 4.5 exactly, so d² = 20.25 = rlist² with no rounding.
+        let (a, b) = (40, 41);
+        periodic.pos[a] = Vec3::new(6.25, 8.0, 12.0);
+        periodic.pos[b] = Vec3::new(6.25 + rlist, 8.0, 12.0);
+        assert_eq!((periodic.pos[a] - periodic.pos[b]).norm2(), rlist * rlist);
+        let ghosted = ghosted(&periodic, &bx, rlist);
+        for atoms in [&periodic, &ghosted] {
+            let full = assert_matches_n2(atoms, &bx, cutoff, skin);
+            assert!(full.neighbors(a).contains(&(b as u32)), "{} ghosts: pair at rlist dropped", atoms.nghost());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+        /// Jittered fcc lattices, periodic and ghosted: the cell list is the
+        /// oracle's CSR, Full and Half.
+        #[test]
+        fn cell_list_matches_n2_on_jittered_lattices(
+            nx in 3usize..6, ny in 3usize..6, nz in 3usize..6,
+            a in 3.4f64..4.2, jitter in 0.0f64..0.6, seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (cutoff, skin) = (3.7, 0.4);
+            let (bx, periodic) = jittered_fcc([nx, ny, nz], a, jitter, seed);
+            if bx.lengths().to_array().iter().all(|&l| l >= 3.0 * (cutoff + skin)) {
+                assert_matches_n2(&periodic, &bx, cutoff, skin);
+            }
+            assert_matches_n2(&ghosted(&periodic, &bx, cutoff + skin), &bx, cutoff, skin);
         }
     }
 
